@@ -225,7 +225,7 @@ def run_sharpness(doc: dict, out_dir: Path) -> int:
         "profile_max_over_mid": prof["max_over_mid"],
     }
     _write(out_dir, "report.json", _dump(report))
-    lines = ["s,value"] + [f"{s!r},{v!r}" for s, v in zip(s_grid, vals)]
+    lines = ["s,value"] + [f"{float(s)!r},{float(v)!r}" for s, v in zip(s_grid, vals)]
     _write(out_dir, "cone_energy.csv", "\n".join(lines) + "\n")
     return 0
 
@@ -245,7 +245,8 @@ def run_perturbed(doc: dict, out_dir: Path) -> int:
     _write(out_dir, "report.json", _dump(rep))
     lines = ["eps,class,phi_slope,ratio_slope"]
     for row in rep["rows"]:
-        lines.append(f"{row['eps']!r},{row['class']},{row['phi_slope']!r},{row['ratio_slope']!r}")
+        lines.append(f"{float(row['eps'])!r},{row['class']},"
+                     f"{float(row['phi_slope'])!r},{float(row['ratio_slope'])!r}")
     _write(out_dir, "classes.csv", "\n".join(lines) + "\n")
     return 0
 

@@ -311,10 +311,6 @@ def semigroup(space, kernel, potential=None, t: float = 0.0) -> SemigroupKernel:
     return Semigroup(space, kernel, potential).kernel_at(t)
 
 
-def theta_gamma(space, kernel, gamma: WeightFunction, potential=None, t: float = 1.0) -> float:
-    return Semigroup(space, kernel, potential).theta(t, gamma)
-
-
 def theta_integral(space, kernel, gamma: WeightFunction, t: float, potential=None) -> float:
     return Semigroup(space, kernel, potential).theta_integral(t, gamma)
 

@@ -89,7 +89,7 @@ class IsoperimetricProfile:
     def to_csv(self) -> str:
         lines = ["mass,flow,mask_hex"]
         for mass, flow, mask in zip(self.sorted_masses, self.sorted_flows, self.sorted_masks):
-            lines.append(f"{mass!r},{flow!r},{int(mask):x}")
+            lines.append(f"{float(mass)!r},{float(flow)!r},{int(mask):x}")
         return "\n".join(lines) + "\n"
 
 

@@ -59,7 +59,7 @@ class LatticeWindow:
         lines = [",".join([f"x{i}" for i in range(self.n)] + ["value"])]
         for idx in range(cols[0].size):
             coords = ",".join(str(int(c[idx])) for c in cols)
-            lines.append(f"{coords},{self.values.ravel()[idx]!r}")
+            lines.append(f"{coords},{float(self.values.ravel()[idx])!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -144,17 +144,6 @@ def subord_weights(alpha: float, K: int) -> SubordinationWeights:
     if K > 1:
         c[1:] = c[0] * np.cumprod(factors)
     return SubordinationWeights(alpha, K, c, weight_tail(alpha, K))
-
-
-def _binom_table(K: int, width: int) -> np.ndarray:
-    """T[k-1, j+width] = P(1-D simple walk at j after k steps), k = 1..K."""
-    ks = np.arange(1, K + 1, dtype=float)[:, None]
-    js = np.arange(-width, width + 1, dtype=float)[None, :]
-    up = (ks + js) / 2.0
-    ok = (np.abs(js) <= ks) & (np.mod(ks + js, 2.0) == 0.0)
-    with np.errstate(invalid="ignore"):
-        logp = gammaln(ks + 1) - gammaln(up + 1) - gammaln(ks - up + 1) - ks * math.log(2.0)
-    return np.where(ok, np.exp(logp), 0.0)
 
 
 def p1_kernel(n: int, alpha: float, K: int, R: int, method: str = "auto"):
@@ -423,8 +412,7 @@ def truncated_kernel_rate(n: int, alpha: float, R: int = 8, r_grid=None,
     shape = rate_power_pair(1.0, n / alpha, n / 2.0, use_max=True)
     c2 = 0.0
     for r in r_grid:
-        est = sp_estimate(space, kernel, r, seed=seed, exhaustive_limit=0,
-                          sign_limit=0, pga_starts=12, pga_iters=80)
+        est = sp_estimate(space, kernel, r, seed=seed, pga_starts=12, pga_iters=80)
         c2 = max(c2, est / shape(r))
     c2 *= 1.01
     rate = rate_power_pair(c2, n / alpha, n / 2.0, use_max=True)

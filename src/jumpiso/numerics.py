@@ -20,21 +20,6 @@ from scipy import integrate
 
 INF = math.inf
 
-# "exact" comparisons: 1e-12 relative above magnitude 1e-6, else absolute
-EXACT_REL = 1e-12
-EXACT_MAG = 1e-6
-
-
-def exact_close(a: float, b: float, rel: float = EXACT_REL) -> bool:
-    """Equality at the package-wide exactness tolerance."""
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    scale = max(abs(a), abs(b))
-    if scale >= EXACT_MAG:
-        return abs(a - b) <= rel * scale
-    return abs(a - b) <= rel
-
-
 def safe_pow(x: float, e: float) -> float:
     """x ** e for x > 0 saturating to inf/0 instead of raising on overflow."""
     try:
@@ -191,26 +176,6 @@ def end_slope(x, y, end, window=0.25):
     return loglog_slope(x[keep], y[keep])
 
 
-def grid_min(fn, lo, hi, n=400, refine=3):
-    """Minimum of fn over [lo, hi] via a log grid plus local refinement.
-
-    Returns (argmin, min).  fn is evaluated pointwise; it may return inf.
-    """
-    lo = max(lo, 1e-300)
-    best_x, best_v = None, INF
-    a, b = lo, hi
-    for _ in range(refine + 1):
-        xs = np.geomspace(a, b, n)
-        vals = np.array([fn(x) for x in xs])
-        k = int(np.argmin(vals))
-        if vals[k] < best_v:
-            best_v, best_x = float(vals[k]), float(xs[k])
-        a = xs[max(k - 1, 0)]
-        b = xs[min(k + 1, n - 1)]
-        n = 60
-    return best_x, best_v
-
-
 def gauss_segments(a, b, n_seg, nodes=16, geometric_to=None):
     """Gauss-Legendre nodes/weights on [a, b] split into n_seg segments.
 
@@ -234,10 +199,3 @@ def gauss_segments(a, b, n_seg, nodes=16, geometric_to=None):
     pts = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     wts = (half[:, None] * gw[None, :]).ravel()
     return pts, wts
-
-
-def format_float(x) -> str:
-    """Canonical shortest-roundtrip float formatting for reports."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)

@@ -56,13 +56,6 @@ def log_weight(n: int, alpha: float, eps: float) -> RadialWeight:
                         params={"eps": eps, "norm_shift": c})
 
 
-def weight_from_registry(doc: dict) -> RadialWeight:
-    """Build a registered weight family from {"family": ..., params}."""
-    if doc.get("family") == "log":
-        return log_weight(int(doc["n"]), float(doc["alpha"]), float(doc["eps"]))
-    raise KeyError(f"unknown weight family {doc.get('family')!r}")
-
-
 def phi_l_scan(weight: RadialWeight, l: float, r_max: float | None = None,
                points: int = 600) -> dict:
     """Escape profile inf_{r >= l} e^{W(r)} / r^{n + alpha/2} by a log grid.

@@ -67,9 +67,9 @@ class TheoremReport:
 
     @property
     def worst_slack(self) -> float:
-        finite = [row["slack"] for row in self.checks
-                  if isinstance(row["slack"], (int, float)) and not math.isinf(row["slack"])]
-        return min(finite) if finite else math.inf
+        slacks = [row["slack"] for row in self.checks
+                  if isinstance(row["slack"], (int, float)) and row["slack"] != math.inf]
+        return min(slacks) if slacks else math.inf
 
     def to_dict(self) -> dict:
         return _jsonable({

@@ -5,9 +5,10 @@ A rate function is a decreasing beta: (0,inf) -> (0,inf); the inequality
 
     ||f||_2^2 <= r E(f,f) + beta(r) ||f||_1^2         for all r > 0
 
-is what downstream theorem engines consume.  ``sp_estimate`` returns a
-certified LOWER bound on the optimal rate at a given r (every candidate is
-evaluated exactly), so validated rates are always inflated estimates, never
+is what downstream theorem engines consume.  ``sp_estimate`` returns the
+optimal rate at a given r, exact up to rounding on spaces of at most
+``EXHAUSTIVE_LIMIT`` points and a lower bound from exactly evaluated
+candidates above that; validated rates are always inflated estimates, never
 raw optima.
 """
 
@@ -119,37 +120,6 @@ def rate_tabulated(r_grid, values, note: str | None = None) -> RateFunction:
     return RateFunction("tabulated", params, ev, iv)
 
 
-def rate_to_json(beta: RateFunction) -> str:
-    import json
-    return json.dumps({"family": beta.family, "params": beta.params}, sort_keys=True)
-
-
-def rate_from_json(text: str) -> RateFunction:
-    import json
-    doc = json.loads(text)
-    fam, p = doc["family"], doc["params"]
-    if fam == "power":
-        return rate_power(p["c"], p["a"])
-    if fam in ("power_max", "power_min"):
-        return rate_power_pair(p["c"], p["a"], p["b"], fam == "power_max")
-    if fam in ("power_log", "power_log_inv"):
-        return rate_power_log(p["c"], p["a"], p["q"], fam == "power_log_inv")
-    raise KeyError(f"rate family {fam!r} is not reconstructible from JSON")
-
-
-def rate_to_csv(beta: RateFunction, r_grid) -> str:
-    lines = ["r,beta"]
-    for r in r_grid:
-        lines.append(f"{float(r)!r},{beta(float(r))!r}")
-    return "\n".join(lines) + "\n"
-
-
-def rate_from_csv(text: str) -> RateFunction:
-    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-    data = np.array([[float(a), float(b)] for a, b in rows])
-    return rate_tabulated(data[:, 0], data[:, 1])
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -175,6 +145,11 @@ def sp_verify(space, kernel, beta: RateFunction, f_family, r_grid,
 # ---------------------------------------------------------------------------
 # certified estimation of the optimal rate
 
+EXHAUSTIVE_LIMIT = 10   # facet points on every support: the estimate is exact
+SIGN_LIMIT = 16         # full-support facet points and the 2^m indicators
+INFLATE = 1.01          # margin of a certified rate over its estimates
+
+
 def _quadratic_matrix(space, kernel, r: float, potential=None) -> np.ndarray:
     L = generator(space, kernel, potential)
     D = np.diag(space.mu)
@@ -182,61 +157,47 @@ def _quadratic_matrix(space, kernel, r: float, potential=None) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _eval_candidates(M, mu, cands) -> float:
-    best = -INF
-    for f in cands:
-        nrm = float(np.sum(np.abs(f) * mu))
-        if nrm <= 0 or not np.all(np.isfinite(f)):
-            continue
-        g = f / nrm
-        best = max(best, float(g @ M @ g))
-    return best
-
-
-def _signed_critical_points(M, mu, support, max_patterns=1 << 15):
-    """Stationary points of f^T M f on each signed facet over a support."""
+def _signed_critical_points(M, mu, support):
+    """Stationary points of f^T M f on each signed facet over a support, one
+    per row; the last sign is fixed to + by the symmetry f -> -f."""
     k = len(support)
-    if k == 0 or (1 << (k - 1)) > max_patterns:
-        return []
     sub = M[np.ix_(support, support)]
-    signs = np.array([[1.0 if (p >> i) & 1 else -1.0 for i in range(k)]
-                      for p in range(1 << (k - 1))])
-    signs[:, -1] = 1.0  # fix one sign by symmetry f -> -f
+    patterns = np.arange(1 << (k - 1))[:, None] >> np.arange(k)
+    signs = np.where(patterns & 1, 1.0, -1.0)
+    signs[:, -1] = 1.0
     B = (mu[support][None, :] * signs).T
     try:
         X = np.linalg.solve(sub, B)
     except np.linalg.LinAlgError:
         X, *_ = np.linalg.lstsq(sub, B, rcond=None)
-    out = []
-    m = len(mu)
-    for col in range(X.shape[1]):
-        f = np.zeros(m)
-        f[support] = X[:, col]
-        out.append(f)
+    out = np.zeros((X.shape[1], len(mu)))
+    out[:, support] = X.T
     return out
 
 
 def sp_estimate(space, kernel, r: float, potential=None, seed: int = 0,
-                extra_candidates=None, exhaustive_limit: int = 10,
-                sign_limit: int = 16, pga_starts: int = 64,
-                pga_iters: int = 150) -> float:
-    """Certified lower bound on the optimal rate at r.
+                pga_starts: int = 64, pga_iters: int = 150) -> float:
+    """The optimal rate at r for m <= EXHAUSTIVE_LIMIT, a lower bound above.
 
-    Candidates: vertices, subset indicators, eigenvectors of the quadratic
-    form, stationary points on every signed facet (full support up to
-    ``sign_limit`` points, all supports up to ``exhaustive_limit``), any
-    caller-supplied vectors, and multi-start projected gradient ascent on
-    the weighted-L1 sphere with per-start seeds derived from ``seed``.
-    Every candidate is evaluated exactly, so the maximum is a valid bound.
+    Candidates, one row each: vertices, the best subset indicators,
+    eigenvectors of the quadratic form, and stationary points on signed
+    facets (every support up to ``EXHAUSTIVE_LIMIT`` points, the full support
+    up to ``SIGN_LIMIT``).  A maximizer on the weighted-L1 sphere lies in the
+    relative interior of some signed facet and is a stationary point there,
+    so for m <= EXHAUSTIVE_LIMIT the best candidate is the optimum up to
+    rounding.  Above that, multi-start projected gradient ascent with
+    per-start seeds derived from ``seed`` adds evaluated points; every
+    candidate is evaluated exactly, so the result is a lower bound.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     m = space.m
     mu = space.mu
     M = _quadratic_matrix(space, kernel, r, potential)
-    cands = [np.eye(m)[i] for i in range(m)]
+    rows = [np.eye(m)]
 
-    if m <= 16:
+    best = -INF
+    if m <= SIGN_LIMIT:
         w = kernel.j * mu[:, None] * mu[None, :]
         masses, flows = _doubling_enumeration(mu, w)
         masks = np.arange(1 << m)
@@ -245,29 +206,28 @@ def sp_estimate(space, kernel, r: float, potential=None, seed: int = 0,
         en = flows + (0.0 if potential is None else _indicator_potential(mu, potential, m))
         vals[keep] = (masses[keep] - r * en[keep]) / masses[keep] ** 2
         top = np.argsort(vals)[-8:]
-        for mask in top:
-            sel = np.array([(int(mask) >> i) & 1 for i in range(m)], dtype=float)
-            if 0 < sel.sum() < m:
-                cands.append(sel)
-        best_ind = float(vals[keep].max()) if keep.any() else -INF
-    else:
-        best_ind = -INF
+        sel = ((top[:, None] >> np.arange(m)) & 1).astype(float)
+        size = sel.sum(axis=1)
+        rows.append(sel[(size > 0) & (size < m)])
+        if keep.any():
+            best = float(vals[keep].max())
 
-    vals_eig, vecs_eig = np.linalg.eigh(M)
-    for i in range(m):
-        cands.append(vecs_eig[:, i])
+    rows.append(np.linalg.eigh(M)[1].T)
 
-    if m <= exhaustive_limit:
+    if m <= EXHAUSTIVE_LIMIT:
         for mask in range(1, 1 << m):
-            support = [i for i in range(m) if (mask >> i) & 1]
-            cands.extend(_signed_critical_points(M, mu, support))
-    elif m <= sign_limit:
-        cands.extend(_signed_critical_points(M, mu, list(range(m))))
+            support = np.flatnonzero((mask >> np.arange(m)) & 1)
+            rows.append(_signed_critical_points(M, mu, support))
+    elif m <= SIGN_LIMIT:
+        rows.append(_signed_critical_points(M, mu, np.arange(m)))
 
-    if extra_candidates is not None:
-        cands.extend(np.asarray(f, dtype=float) for f in extra_candidates)
-
-    best = max(_eval_candidates(M, mu, cands), best_ind)
+    cands = np.vstack(rows)
+    G = cands[np.all(np.isfinite(cands), axis=1)]
+    l1 = np.abs(G) @ mu
+    G = G[l1 > 0] / l1[l1 > 0, None]
+    best = max(best, float(np.einsum("ki,ki->k", G @ M, G).max()))
+    if m <= EXHAUSTIVE_LIMIT:
+        return best
 
     rng = np.random.default_rng(seed)
     starts = [c for c in cands[: pga_starts // 2] if np.any(c)]
@@ -305,30 +265,25 @@ def _indicator_potential(mu, potential, m):
     return vals
 
 
-def certified_rate(space, kernel, r_grid, potential=None, inflate: float = 1.01,
-                   seed: int = 0, extend_to_floor: bool = True,
-                   **kwargs) -> RateFunction:
-    """Tabulated inflated estimate: a rate that dominates every observed
-    optimum on the grid and extends constantly on both sides.
+def certified_rate(space, kernel, r_grid, potential=None,
+                   seed: int = 0) -> RateFunction:
+    """Tabulated estimate inflated by ``INFLATE``: a rate that dominates
+    every optimum on the grid (exactly computed for m <= EXHAUSTIVE_LIMIT,
+    estimated from below above that) and extends constantly on both sides.
 
     The constant extensions stay valid because the optimum at r = 0+ (the
-    inverse smallest mass) is appended on the left and, with
-    ``extend_to_floor``, the grid is stretched right by decades until the
-    estimate flattens onto its large-r floor.
+    inverse smallest mass) is appended on the left and the grid is stretched
+    right by decades until the estimate flattens onto its large-r floor.
     """
-    r_grid = list(np.asarray(r_grid, dtype=float))
-    rs = [r_grid[0] * 1e-9] + r_grid
-    vals = [inflate * sp_estimate(space, kernel, r, potential, seed=seed, **kwargs)
-            for r in rs]
-    if extend_to_floor:
-        for _ in range(12):
-            tail_prev, tail = vals[-2] / inflate, vals[-1] / inflate
-            if tail_prev - tail <= 1e-6 * tail:
-                break
-            rs.append(rs[-1] * 10.0)
-            vals.append(inflate * sp_estimate(space, kernel, rs[-1], potential,
-                                              seed=seed, **kwargs))
-    return rate_tabulated(rs, vals, note=f"inflated x{inflate} estimate")
+    rs = [float(r_grid[0]) * 1e-9] + [float(r) for r in r_grid]
+    est = [sp_estimate(space, kernel, r, potential, seed=seed) for r in rs]
+    for _ in range(12):
+        if est[-2] - est[-1] <= 1e-6 * est[-1]:
+            break
+        rs.append(rs[-1] * 10.0)
+        est.append(sp_estimate(space, kernel, rs[-1], potential, seed=seed))
+    return rate_tabulated(rs, [INFLATE * v for v in est],
+                          note=f"inflated x{INFLATE} estimate")
 
 
 # ---------------------------------------------------------------------------

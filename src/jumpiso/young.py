@@ -184,12 +184,6 @@ def builtin(name: str, **params) -> YoungFunction:
     raise KeyError(f"unknown Young family {name!r}")
 
 
-def from_registry(doc: dict) -> YoungFunction:
-    """Build a registered family from {"family": name, ...params}."""
-    doc = dict(doc)
-    return builtin(doc.pop("family"), **doc)
-
-
 def scale_young(N: YoungFunction, c: float) -> YoungFunction:
     """(cN)(s) = c * N(s)."""
     return YoungFunction(

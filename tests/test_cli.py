@@ -72,6 +72,9 @@ def test_enumerate_profile_export(tmp_path):
     lines = (out / "profile.csv").read_text().splitlines()
     assert lines[0] == "mass,flow,mask_hex"
     assert len(lines) == 3
+    for line in lines[1:]:
+        mass, flow, _ = line.split(",")
+        assert float(mass) > 0 and float(flow) >= 0
     report = json.loads((out / "report.json").read_text())
     assert report["global_min_ratio"] == 3.0
     assert report["mass_strictness"] == "strict"

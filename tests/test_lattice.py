@@ -127,3 +127,5 @@ def test_window_csv():
     text = win.to_csv()
     assert text.splitlines()[0] == "x0,value"
     assert len(text.splitlines()) == 10
+    for line in text.splitlines()[1:]:
+        assert all(math.isfinite(float(field)) for field in line.split(","))

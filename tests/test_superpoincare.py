@@ -5,7 +5,9 @@ import pytest
 
 from jumpiso.core import FiniteMeasureSpace, JumpKernel, WeightFunction
 from jumpiso.instances import random_functions, random_instance
-from jumpiso.superpoincare import (certified_rate, lemma2_bound, rate_power,
+from jumpiso.isoperimetry import _doubling_enumeration
+from jumpiso.superpoincare import (_indicator_potential, _quadratic_matrix,
+                                   certified_rate, lemma2_bound, rate_power,
                                    rate_power_pair, rate_tabulated,
                                    sp_decay_check, sp_estimate, sp_verify)
 
@@ -28,6 +30,25 @@ def sweep_two_point(space, kernel, r):
     return best
 
 
+def sweep_three_point(space, kernel, r, n=600):
+    """max of ||f||_2^2 - r E(f,f) over a barycentric grid of every signed
+    face of the weighted L1 sphere (the sign of the last point fixed)."""
+    mu, j = space.mu, kernel.j
+    i, k = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    keep = i + k <= n
+    bary = np.stack([i[keep], k[keep], n - i[keep] - k[keep]], axis=1) / n
+    best = -np.inf
+    for s0 in (1.0, -1.0):
+        for s1 in (1.0, -1.0):
+            f = bary * np.array([s0, s1, 1.0]) / mu
+            l2 = (f * f) @ mu
+            diff = f[:, :, None] - f[:, None, :]
+            energy = 0.5 * np.einsum("kxy,xy->k", diff ** 2,
+                                     j * mu[:, None] * mu[None, :])
+            best = max(best, float((l2 - r * energy).max()))
+    return best
+
+
 def test_estimate_matches_dense_sweep(two_point):
     space, kernel = two_point
     for r in (0.01, 0.05, 0.2, 1.0, 5.0):
@@ -35,6 +56,109 @@ def test_estimate_matches_dense_sweep(two_point):
         ref = sweep_two_point(space, kernel, r)
         assert est >= ref - 1e-9
         assert est == pytest.approx(ref, abs=1e-6)
+    space = FiniteMeasureSpace([0.5, 1.0, 2.0])
+    kernel = JumpKernel(space, [[0.0, 2.0, 0.3], [2.0, 0.0, 0.8],
+                                [0.3, 0.8, 0.0]])
+    for r in (0.01, 0.1, 0.3, 1.0, 10.0):
+        est = sp_estimate(space, kernel, r, seed=1)
+        ref = sweep_three_point(space, kernel, r)
+        assert est >= ref - 1e-9
+        assert est == pytest.approx(ref, rel=1e-3)
+
+
+def reference_estimate(space, kernel, r, potential=None, seed=0):
+    """The per-candidate loop estimator with projected gradient ascent on
+    every space, kept as an independent reference for ``sp_estimate``."""
+    m, mu = space.m, space.mu
+    M = _quadratic_matrix(space, kernel, r, potential)
+    cands = [np.eye(m)[i] for i in range(m)]
+    best_ind = -np.inf
+    if m <= 16:
+        w = kernel.j * mu[:, None] * mu[None, :]
+        masses, flows = _doubling_enumeration(mu, w)
+        masks = np.arange(1 << m)
+        keep = (masks > 0) & (masks < (1 << m) - 1)
+        vals = np.zeros(1 << m)
+        en = flows + (0.0 if potential is None else _indicator_potential(mu, potential, m))
+        vals[keep] = (masses[keep] - r * en[keep]) / masses[keep] ** 2
+        for mask in np.argsort(vals)[-8:]:
+            sel = np.array([(int(mask) >> i) & 1 for i in range(m)], dtype=float)
+            if 0 < sel.sum() < m:
+                cands.append(sel)
+        best_ind = float(vals[keep].max()) if keep.any() else -np.inf
+    _, vecs = np.linalg.eigh(M)
+    cands.extend(vecs[:, i] for i in range(m))
+
+    def facet_points(support):
+        k = len(support)
+        signs = np.array([[1.0 if (p >> i) & 1 else -1.0 for i in range(k)]
+                          for p in range(1 << (k - 1))])
+        signs[:, -1] = 1.0
+        B = (mu[support][None, :] * signs).T
+        sub = M[np.ix_(support, support)]
+        try:
+            X = np.linalg.solve(sub, B)
+        except np.linalg.LinAlgError:
+            X, *_ = np.linalg.lstsq(sub, B, rcond=None)
+        for col in range(X.shape[1]):
+            f = np.zeros(m)
+            f[support] = X[:, col]
+            cands.append(f)
+
+    if m <= 10:
+        for mask in range(1, 1 << m):
+            facet_points([i for i in range(m) if (mask >> i) & 1])
+    elif m <= 16:
+        facet_points(list(range(m)))
+
+    best = best_ind
+    for f in cands:
+        nrm = float(np.sum(np.abs(f) * mu))
+        if nrm > 0 and np.all(np.isfinite(f)):
+            g = f / nrm
+            best = max(best, float(g @ M @ g))
+
+    rng = np.random.default_rng(seed)
+    starts = [c for c in cands[:32] if np.any(c)]
+    while len(starts) < 64:
+        starts.append(rng.standard_normal(m))
+    for f0 in starts:
+        f = f0 / max(float(np.sum(np.abs(f0) * mu)), 1e-300)
+        val = float(f @ M @ f)
+        step = 0.1
+        for _ in range(150):
+            cand = f + step * 2.0 * (M @ f)
+            nrm = float(np.sum(np.abs(cand) * mu))
+            if nrm <= 0:
+                break
+            cand /= nrm
+            cval = float(cand @ M @ cand)
+            if cval > val:
+                f, val = cand, cval
+                step *= 1.3
+            else:
+                step *= 0.5
+                if step < 1e-14:
+                    break
+        best = max(best, val)
+    return best
+
+
+@pytest.mark.parametrize("with_potential", [False, True])
+def test_estimate_matches_reference(with_potential):
+    for m in range(3, 13):
+        seed = 100 + m
+        space, kernel, _, pot = random_instance(seed, (m, m),
+                                                with_potential=with_potential)
+        for rm in np.geomspace(1e-12, 1e5, 6):
+            r = rm / space.total_mass
+            new = sp_estimate(space, kernel, r, pot, seed=seed)
+            ref = reference_estimate(space, kernel, r, pot, seed=seed)
+            M = _quadratic_matrix(space, kernel, r, pot)
+            tol = 1e-14 * m * float(np.abs(M).max())
+            assert abs(new - ref) <= tol, (m, rm, new, ref)
+            if m <= 10:
+                assert new >= ref - tol, (m, rm, new, ref)
 
 
 def test_estimate_limits(two_point):
