@@ -31,8 +31,8 @@ from .perturbed import example_threshold, log_weight, phi_l, theorem_beta_curve
 from .radial import radial_l1_energy, sharpness_profile
 from .reports import TheoremReport, digest, summary_csv, _jsonable
 from .superpoincare import certified_rate, lemma2_bound, sp_verify
-from .theorems import (cor41_round_trip, rate_from_gauge, thm21_verify, thm41,
-                       thm42, thm43)
+from .theorems import (indicator_gauge_constant, rate_from_gauge, thm21_verify,
+                       thm41, thm42, thm43)
 from .young import builtin
 
 KINDS = ("finite-verify", "theorem-batch", "lattice-subordination",
@@ -118,8 +118,8 @@ def _run_theorems_on(args):
             rep.inputs_digest = digest(text)
         elif name == "thm42":
             N = builtin("power", p=2)
-            pre = thm41(N, space, kernel, gamma, fam, r_grid, tol=tol)
-            beta1 = rate_from_gauge(N, pre.derived["C_used"], lead=2.0)
+            C = indicator_gauge_constant(space, kernel, gamma, N)
+            beta1 = rate_from_gauge(N, C, lead=2.0)
             rep = thm42(beta1, space, kernel, gamma, fam, r_grid, tol=tol)
             rep.inputs_digest = digest(text)
         elif name == "thm43":
@@ -227,7 +227,12 @@ def run_sharpness(doc: dict, out_dir: Path) -> int:
     _write(out_dir, "report.json", _dump(report))
     lines = ["s,value"] + [f"{float(s)!r},{float(v)!r}" for s, v in zip(s_grid, vals)]
     _write(out_dir, "cone_energy.csv", "\n".join(lines) + "\n")
-    return 0
+    # cone energy ~ s^{n+1-alpha/2}: the smaller alpha governs small s under
+    # the min kernel and large s under the max kernel
+    a_lo, a_hi = sorted((a1, a2), reverse=(mode == "max_kernel"))
+    ok = (abs(lo - (n + 1 - a_lo / 2)) <= 0.05 and abs(hi - (n + 1 - a_hi / 2)) <= 0.05
+          and all(abs(slope) <= 0.01 for slope in report["profile_slopes"]))
+    return 0 if ok else 1
 
 
 def run_perturbed(doc: dict, out_dir: Path) -> int:
@@ -248,7 +253,13 @@ def run_perturbed(doc: dict, out_dir: Path) -> int:
         lines.append(f"{float(row['eps'])!r},{row['class']},"
                      f"{float(row['phi_slope'])!r},{float(row['ratio_slope'])!r}")
     _write(out_dir, "classes.csv", "\n".join(lines) + "\n")
-    return 0
+    half = alpha / 2.0
+    ok = all(row["class"] == ("below" if row["eps"] < half else
+                              "at" if row["eps"] == half else "above")
+             for row in rep["rows"])
+    if "beta_slope" in rep:
+        ok &= abs(rep["beta_slope"] - rep["beta_target"]) <= 0.15 * abs(rep["beta_target"])
+    return 0 if ok else 1
 
 
 def run_generate(doc: dict, out_dir: Path) -> int:

@@ -367,20 +367,42 @@ def instance_to_json(space, kernel, potential=None, gamma=None) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _field(doc: dict, name: str, shape=None) -> np.ndarray:
+    """doc[name] as a finite float array, of ``shape`` when one is given."""
+    if name not in doc:
+        raise ValidationError(f"field {name!r} is missing")
+    try:
+        a = np.asarray(doc[name], dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"field {name!r} is not a numeric array") from None
+    if shape is not None and a.shape != shape:
+        raise ValidationError(f"field {name!r} has shape {a.shape}, expected {shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"field {name!r} has a non-finite entry")
+    return a
+
+
 def instance_from_json(text: str):
     """Parse and validate an instance document.
 
-    Returns (space, kernel, potential_or_None, gamma_or_None).  Asymmetric
-    matrices are rejected with the first offending pair named.
+    Returns (space, kernel, potential_or_None, gamma_or_None).  A missing,
+    non-numeric, non-finite or wrongly shaped field is rejected by name, and
+    asymmetric matrices with the first offending pair named.
     """
-    doc = json.loads(text)
-    space = FiniteMeasureSpace(np.asarray(doc["mu"], dtype=float))
-    kernel = JumpKernel(space, np.asarray(doc["j"], dtype=float))
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"instance is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError("instance must be a JSON object")
+    space = FiniteMeasureSpace(_field(doc, "mu"))
+    m = space.m
+    kernel = JumpKernel(space, _field(doc, "j", (m, m)))
     potential = None
     if "v" in doc:
-        xi = np.asarray(doc["xi"], dtype=float) if "xi" in doc else None
-        potential = KillingPotential(np.asarray(doc["v"], dtype=float), xi)
+        xi = _field(doc, "xi", (m,)) if "xi" in doc else None
+        potential = KillingPotential(_field(doc, "v", (m,)), xi)
     gamma = None
     if "gamma" in doc:
-        gamma = WeightFunction(np.asarray(doc["gamma"], dtype=float))
+        gamma = WeightFunction(_field(doc, "gamma", (m, m)))
     return space, kernel, potential, gamma

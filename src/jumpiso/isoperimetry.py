@@ -93,14 +93,21 @@ class IsoperimetricProfile:
         return "\n".join(lines) + "\n"
 
 
+def _subset_sums(values):
+    """Sum of ``values`` over every subset, indexed by bitmask, by doubling."""
+    out = np.zeros(1 << len(values))
+    for i, v in enumerate(values):
+        size = 1 << i
+        out[size:2 * size] = out[:size] + v
+    return out
+
+
 def _doubling_enumeration(mu, w):
     """Masses and boundary flows of all 2^m subsets, by point-at-a-time
     doubling: adding point t contributes w[t, k] for every already-placed k
     on the other side of the cut."""
-    m = len(mu)
-    masses = np.zeros(1)
     flows = np.zeros(1)
-    for t in range(m):
+    for t in range(len(mu)):
         size = 1 << t
         masks = np.arange(size, dtype=np.int64)
         inside = np.zeros(size)
@@ -108,9 +115,8 @@ def _doubling_enumeration(mu, w):
             bit = (masks >> k) & 1
             inside += w[t, k] * bit
         total = float(w[t, :t].sum())
-        masses = np.concatenate([masses, masses + mu[t]])
         flows = np.concatenate([flows + inside, flows + (total - inside)])
-    return masses, flows
+    return _subset_sums(mu), flows
 
 
 def enumerate_profile(space: FiniteMeasureSpace, kernel: JumpKernel,

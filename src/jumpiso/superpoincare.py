@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (KillingPotential, Semigroup, generator, schrodinger_energy)
-from .isoperimetry import _doubling_enumeration, enumerate_profile
+from .isoperimetry import _doubling_enumeration, _subset_sums, enumerate_profile
 from .numerics import INF, inv_decreasing, safe_pow
 
 
@@ -203,7 +203,7 @@ def sp_estimate(space, kernel, r: float, potential=None, seed: int = 0,
         masks = np.arange(1 << m)
         keep = (masks > 0) & (masks < (1 << m) - 1)
         vals = np.zeros(1 << m)
-        en = flows + (0.0 if potential is None else _indicator_potential(mu, potential, m))
+        en = flows + (0.0 if potential is None else _subset_sums(potential.v * mu))
         vals[keep] = (masses[keep] - r * en[keep]) / masses[keep] ** 2
         top = np.argsort(vals)[-8:]
         sel = ((top[:, None] >> np.arange(m)) & 1).astype(float)
@@ -254,15 +254,6 @@ def sp_estimate(space, kernel, r: float, potential=None, seed: int = 0,
                     break
         best = max(best, val)
     return best
-
-
-def _indicator_potential(mu, potential, m):
-    vals = np.zeros(1 << m)
-    vmu = potential.v * mu
-    for i in range(m):
-        size = 1 << i
-        vals[size: 2 * size] = vals[:size] + vmu[i]
-    return vals
 
 
 def certified_rate(space, kernel, r_grid, potential=None,

@@ -27,12 +27,13 @@ from .core import (KillingPotential, Semigroup, WeightFunction, bar_extension,
                    dirichlet_energy, extend_by_zero, l1_form,
                    schrodinger_energy)
 from .isoperimetry import (IsoperimetricProfile, _doubling_enumeration,
-                           enumerate_profile)
+                           _subset_sums, enumerate_profile)
 from .numerics import (INF, cumulative_quad, end_slope, ext_ratio,
-                       inv_decreasing, inv_increasing, safe_pow)
+                       inv_decreasing, inv_increasing)
 from .reports import TheoremReport
-from .superpoincare import RateFunction, certified_rate, rate_tabulated, sp_verify
-from .young import (YoungFunction, indicator_norm, orlicz_norm,
+from .superpoincare import (RateFunction, certified_rate, rate_power_log,
+                            rate_power_pair, sp_verify)
+from .young import (YoungFunction, _power_pair, indicator_norm, orlicz_norm,
                     piecewise_linear_young, tabulated_young)
 
 C_STAR = 2.0 / (1.0 - math.exp(-1.0))      # traced constant for the
@@ -312,11 +313,13 @@ def indicator_gauge_constant(space, kernel, gamma, N,
 
 
 def rate_from_gauge(N: YoungFunction, C: float, lead: float = 2.0) -> RateFunction:
-    """beta(r) = lead * inf{s : C N^{-1}(s)/s <= r}, by monotone root-finding.
+    """beta(r) = lead * inf{s : g(s) <= r} with g(s) = C N^{-1}(s)/s.
 
-    N^{-1}(s)/s is decreasing when s -> N(s)/s is increasing, so the root is
-    a generalized inverse; the same construction with lead 4 and the
-    Cauchy-Schwarz constant produces the full rate of the square-root route.
+    g is continuous and nonincreasing when s -> N(s)/s is increasing, so
+    beta is a monotone root, and inf{s : g(s) <= r} <= t holds exactly when
+    g(t) <= r: the generalized inverse of beta is g(u/lead) in closed form.
+    Evaluated at sqrt(r) with lead 4 and the Cauchy-Schwarz constant, the
+    same construction gives the full rate of the square-root route.
     """
     def g(s):
         return C * N.inv(s) / s
@@ -326,7 +329,9 @@ def rate_from_gauge(N: YoungFunction, C: float, lead: float = 2.0) -> RateFuncti
         return lead * root if not math.isinf(root) else INF
 
     def iv(u):
-        return inv_decreasing(ev, u)
+        if u <= 0:
+            return INF
+        return 0.0 if math.isinf(u) else g(u / lead)
 
     return RateFunction("gauge_root", {"C": C, "lead": lead}, ev, iv)
 
@@ -377,15 +382,9 @@ def thm41(N: YoungFunction, space, kernel, gamma, f_family, r_grid,
             worst2 = min(worst2, r * sq + b * l1sq - l2)
     rep.add("defective rate from the gauge root", worst2, tol)
 
-    c_gamma = float(np.max(np.sum(gamma.gamma ** 2 * kernel.j * space.mu[None, :],
-                                  axis=1)))
+    c_gamma = _c_gamma(space, kernel, gamma)
     rep.derived["c_gamma"] = c_gamma
-    scale = 2.0 * C_used * math.sqrt(2.0 * c_gamma)
-
-    def beta_full(r):
-        root = inv_decreasing(lambda s: N.inv(s) / s, math.sqrt(r) / scale)
-        return 4.0 * root if not math.isinf(root) else INF
-
+    beta = rate_from_gauge(N, 2.0 * C_used * math.sqrt(2.0 * c_gamma), lead=4.0)
     worst3 = INF
     for f in f_family:
         f = np.asarray(f, dtype=float)
@@ -393,7 +392,7 @@ def thm41(N: YoungFunction, space, kernel, gamma, f_family, r_grid,
         l1sq = float(np.sum(np.abs(f) * space.mu)) ** 2
         en = dirichlet_energy(space, kernel, f)
         for r in r_grid:
-            b = beta_full(r)
+            b = beta(math.sqrt(r))
             if math.isinf(b):
                 continue
             worst3 = min(worst3, r * en + b * l1sq - l2)
@@ -401,6 +400,12 @@ def thm41(N: YoungFunction, space, kernel, gamma, f_family, r_grid,
     rep.derived["beta1"] = "2 inf{s : C N^{-1}(s)/s <= r}"
     rep.derived["beta"] = "4 inf{s : N^{-1}(s)/s <= sqrt(r)/(2 C sqrt(2 c_gamma))}"
     return rep
+
+
+def _c_gamma(space, kernel, gamma, extra=0.0) -> float:
+    """max_x of sum_y gamma(x, y)^2 j(x, y) mu(y) + extra(x)."""
+    return float(np.max(np.sum(gamma.gamma ** 2 * kernel.j * space.mu[None, :], axis=1)
+                        + extra))
 
 
 def subset_rate_check(space, kernel, gamma, beta1, r_values, profile=None,
@@ -478,8 +483,7 @@ def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
         worst2 = min(worst2, 0.5 * l1_form(space, kernel, gamma, f) - lhs)
     rep.add("gauge bound at constant 1/2", worst2, tol)
 
-    c_gamma = float(np.max(np.sum(gamma.gamma ** 2 * kernel.j * space.mu[None, :],
-                                  axis=1)))
+    c_gamma = _c_gamma(space, kernel, gamma)
     rep.derived["c_gamma"] = c_gamma
     worst3 = INF
     for f in f_family:
@@ -506,18 +510,8 @@ def _exponent(p: float) -> float:
 
 def cor41_young(case: int, p1: float, p2: float = None, q: float = 0.0,
                 lam: float = 2.0) -> YoungFunction:
-    if case == 1:
-        ev = lambda s: np.minimum(s ** p1, s ** p2)
-        iv = lambda r: max(r ** (1 / p1), r ** (1 / p2))
-        hi, lo = max(p1, p2), min(p1, p2)
-        dv = lambda s: np.where(s <= 1, hi * s ** (hi - 1), lo * s ** (lo - 1))
-        return YoungFunction("cor_case1", {"p1": p1, "p2": p2, "kink": 1.0}, ev, iv, dv)
-    if case == 2:
-        ev = lambda s: np.maximum(s ** p1, s ** p2)
-        iv = lambda r: min(r ** (1 / p1), r ** (1 / p2))
-        hi, lo = max(p1, p2), min(p1, p2)
-        dv = lambda s: np.where(s <= 1, lo * s ** (lo - 1), hi * s ** (hi - 1))
-        return YoungFunction("cor_case2", {"p1": p1, "p2": p2}, ev, iv, dv)
+    if case in (1, 2):
+        return _power_pair(p1, p2, case == 1, f"cor_case{case}", {"p1": p1, "p2": p2})
     if case == 3:
         def ev(s):
             s = np.asarray(s, dtype=float)
@@ -545,59 +539,48 @@ def cor41_young(case: int, p1: float, p2: float = None, q: float = 0.0,
     raise ValueError("case must be 1..4")
 
 
-def cor41_target_shape(case: int, p1: float, p2: float = None, q: float = 0.0):
-    """The matching defective-rate shape (unit constant)."""
-    if case == 1:
-        a1, a2 = _exponent(p1), _exponent(p2)
-        return lambda r: max(safe_pow(r, -a1), safe_pow(r, -a2))
-    if case == 2:
-        a1, a2 = _exponent(p1), _exponent(p2)
-        return lambda r: min(safe_pow(r, -a1), safe_pow(r, -a2))
-    a = _exponent(p1)
-    qq = q / (p1 - 1.0)
-    if case == 3:
-        return lambda r: safe_pow(r, -a) * safe_pow(math.log(2.0 + r), -qq)
-    if case == 4:
-        return lambda r: safe_pow(r, -a) * safe_pow(math.log(2.0 + 1.0 / r), -qq)
-    raise ValueError("case must be 1..4")
-
-
 def cor41(case: int, direction: str, params: dict, C: float = 1.0,
           r_grid=None) -> dict:
     """Convert between a gauge Young function and its defective-rate family.
 
+    The target rates, with a = p/(p-1): max(r^{-a1}, r^{-a2}) (case 1),
+    min(r^{-a1}, r^{-a2}) (case 2), r^{-a} log(2 + r)^{-q/(p-1)} (case 3)
+    and the same with 1/r inside the log (case 4).
     direction "to_rate": N with constant C -> beta1 via the monotone root of
     the defective construction; the constant of the target family is fitted
     on a log grid and its spread reported.
-    direction "to_young": beta1 (unit constant times ``C``) -> N via the
-    primitive of the rate inverse at constant 1/2.
+    direction "to_young": beta1 (target family at constant ``C``) -> N via
+    the primitive of the rate inverse at constant 1/2.
     """
     p1 = params["p1"]
     p2 = params.get("p2", p1)
     q = params.get("q", 0.0)
     lam = params.get("lam", 2.0)
-    shape = cor41_target_shape(case, p1, p2, q)
+    c = 1.0 if direction == "to_rate" else C
+    if case in (1, 2):
+        target = rate_power_pair(c, _exponent(p1), _exponent(p2), use_max=case == 1)
+    elif case in (3, 4):
+        target = rate_power_log(c, _exponent(p1), q / (p1 - 1.0), inverse_arg=case == 4)
+    else:
+        raise ValueError("case must be 1..4")
     if r_grid is None:
         r_grid = np.geomspace(1e-8, 1e8, 81)
     if direction == "to_rate":
         N = cor41_young(case, p1, p2, q, lam)
         beta1 = rate_from_gauge(N, C, lead=2.0)
         vals = np.array([beta1(r) for r in r_grid])
-        ratios = vals / np.array([shape(r) for r in r_grid])
+        ratios = vals / np.array([target(r) for r in r_grid])
         return {"rate": beta1, "young": N,
                 "fitted_c": float(np.exp(np.mean(np.log(ratios)))),
                 "c_band": [float(ratios.min()), float(ratios.max())]}
     if direction == "to_young":
-        beta1 = RateFunction("cor_target", {"case": case, "C": C},
-                             lambda r: C * shape(r),
-                             lambda u: inv_decreasing(lambda r: C * shape(r), u))
         # the grid must reach far enough that the primitive's values cover
         # the slope-measurement windows without extrapolation
         grid = np.concatenate([[0.0], np.geomspace(1e-100, 1e100, 1100)])
-        vals = cumulative_quad(lambda r: 4.0 * beta1.inv(r / 2.0), grid, rtol=1e-10,
+        vals = cumulative_quad(lambda r: 4.0 * target.inv(r / 2.0), grid, rtol=1e-10,
                                power_head=True)
         N = tabulated_young(vals[1:], grid[1:], family="cor_young")
-        return {"rate": beta1, "young": N, "constant": 0.5}
+        return {"rate": target, "young": N, "constant": 0.5}
     raise ValueError("direction must be to_rate or to_young")
 
 
@@ -727,29 +710,19 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     m = space.m
     wE = gamma.gamma * kernel.j * space.mu[:, None] * space.mu[None, :]
     masses, flowsE = _doubling_enumeration(space.mu, wE)
-    kill = np.zeros(1 << m)
-    add = xi * potential.v * space.mu
-    for i in range(m):
-        size = 1 << i
-        kill[size:2 * size] = kill[:size] + add[i]
+    kill = _subset_sums(xi * potential.v * space.mu)
     C_conv = 0.0
     for mask in range(1, 1 << m):
         bracket = 2.0 * flowsE[mask] + kill[mask]
         C_conv = max(C_conv, ext_ratio(indicator_norm(N_conv, float(masses[mask])),
                                        bracket))
     rep.derived["converse_C"] = C_conv
-    c_bar = float(np.max(np.sum(gamma.gamma ** 2 * kernel.j * space.mu[None, :], axis=1)
-                         + xi ** 2 * potential.v))
+    c_bar = _c_gamma(space, kernel, gamma, xi ** 2 * potential.v)
     rep.derived["c_bar"] = c_bar
     if math.isinf(C_conv):
         rep.note("converse constant infinite (zero bracket subset): rate vacuous")
         return rep
-    scale = 2.0 * C_conv * math.sqrt(2.0 * c_bar)
-
-    def beta_conv(r):
-        root = inv_decreasing(lambda s: N_conv.inv(s) / s, math.sqrt(r) / scale)
-        return 4.0 * root if not math.isinf(root) else INF
-
+    conv_rate = rate_from_gauge(N_conv, 2.0 * C_conv * math.sqrt(2.0 * c_bar), lead=4.0)
     worst_conv = INF
     for f in f_family:
         f = np.asarray(f, dtype=float)
@@ -757,7 +730,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
         l1sq = float(np.sum(np.abs(f) * space.mu)) ** 2
         en = schrodinger_energy(space, kernel, potential, f)
         for r in r_grid:
-            b = beta_conv(r)
+            b = conv_rate(math.sqrt(r))
             if math.isinf(b):
                 continue
             worst_conv = min(worst_conv, r * en + b * l1sq - l2)

@@ -1,9 +1,12 @@
 import json
-from pathlib import Path
+import math
 
+import numpy as np
 import pytest
 
+from jumpiso import cli
 from jumpiso.cli import main
+from jumpiso.core import ValidationError, instance_from_json
 
 
 def write(tmp_path, name, doc):
@@ -33,11 +36,11 @@ def test_verify_batch_generated(tmp_path):
     manifest = write(tmp_path, "m.json", {
         "kind": "theorem-batch", "seed": 5,
         "generate": {"count": 2, "m_range": [3, 5]},
-        "theorems": ["thm20", "thm41"]})
+        "theorems": ["thm20", "thm41", "thm42"]})
     out = tmp_path / "o"
     assert main(["verify", "--manifest", manifest, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert len(report["reports"]) == 4
+    assert len(report["reports"]) == 6
     assert all(r["pass"] for r in report["reports"])
 
 
@@ -49,6 +52,37 @@ def test_asymmetric_kernel_exit_2(tmp_path, capsys):
         "checks": ["thm20"]})
     assert main(["verify", "--manifest", manifest, "--out", str(tmp_path / "o")]) == 2
     assert "pair (0, 1)" in capsys.readouterr().err
+
+
+TWO_POINT = {"mu": [1.0, 2.0], "j": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("field,doc", [
+    ("j", dict(TWO_POINT, j=[[0.0, math.inf], [math.inf, 0.0]])),
+    ("v", dict(TWO_POINT, v=[0.1, 0.2, 0.3])),
+    ("gamma", dict(TWO_POINT, gamma=[[1.0] * 3] * 3)),
+    ("mu", {"j": TWO_POINT["j"]}),
+    ("mu", dict(TWO_POINT, mu=[1.0, "heavy"])),
+])
+def test_malformed_instance_exit_2(tmp_path, capsys, field, doc):
+    with pytest.raises(ValidationError, match=f"field '{field}'"):
+        instance_from_json(json.dumps(doc))
+    manifest = write(tmp_path, "m.json", {
+        "kind": "finite-verify", "seed": 1, "instance": {"inline": doc},
+        "checks": ["thm20"]})
+    assert main(["verify", "--manifest", manifest, "--out", str(tmp_path / "o")]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1.0, 2.0]"])
+def test_instance_file_not_an_object_exit_2(tmp_path, capsys, text):
+    inst = tmp_path / "inst.json"
+    inst.write_text(text)
+    manifest = write(tmp_path, "m.json", {
+        "kind": "finite-verify", "seed": 1, "instance": {"path": str(inst)},
+        "checks": ["thm20"]})
+    assert main(["verify", "--manifest", manifest, "--out", str(tmp_path / "o")]) == 2
+    assert "instance" in capsys.readouterr().err
 
 
 def test_bad_manifest_exit_2(tmp_path, capsys):
@@ -121,3 +155,30 @@ def test_sharpness_and_perturbed_runners(tmp_path):
     assert main(["perturbed", "--manifest", m2, "--out", str(out2)]) == 0
     rep2 = json.loads((out2 / "report.json").read_text())
     assert [row["class"] for row in rep2["rows"]] == ["below", "above"]
+
+
+def test_sharpness_and_perturbed_off_target_exit_1(tmp_path, monkeypatch):
+    m1 = write(tmp_path, "s.json", {
+        "kind": "sharpness-scan", "seed": 1, "n": 1,
+        "alpha1": 0.5, "alpha2": 1.5, "mode": "min_kernel"})
+    # a cone energy growing like s^2 misses both targets 1.75 and 1.25
+    monkeypatch.setattr(cli, "radial_l1_energy", lambda n, a1, a2, mode, s: s * s)
+    assert main(["sharpness", "--manifest", m1, "--out", str(tmp_path / "s")]) == 1
+    m2 = write(tmp_path, "p.json", {
+        "kind": "perturbed-threshold", "seed": 1, "n": 2, "alpha": 1.0,
+        "eps_grid": [0.25, 1.0]})
+    real = cli.example_threshold
+
+    def swapped(n, alpha, eps_grid):
+        rep = real(n, alpha, eps_grid)
+        rep["rows"][0]["class"] = "above"
+        return rep
+    monkeypatch.setattr(cli, "example_threshold", swapped)
+    assert main(["perturbed", "--manifest", m2, "--out", str(tmp_path / "p")]) == 1
+    monkeypatch.setattr(cli, "example_threshold", real)
+    m3 = write(tmp_path, "b.json", {
+        "kind": "perturbed-threshold", "seed": 1, "n": 2, "alpha": 1.0,
+        "eps_grid": [1.0], "beta_scan": True})
+    # a flat beta curve: slope 0 against the target -7
+    monkeypatch.setattr(cli, "theorem_beta_curve", lambda w, r: np.ones(len(r)))
+    assert main(["perturbed", "--manifest", m3, "--out", str(tmp_path / "b")]) == 1

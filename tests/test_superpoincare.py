@@ -5,8 +5,8 @@ import pytest
 
 from jumpiso.core import FiniteMeasureSpace, JumpKernel, WeightFunction
 from jumpiso.instances import random_functions, random_instance
-from jumpiso.isoperimetry import _doubling_enumeration
-from jumpiso.superpoincare import (_indicator_potential, _quadratic_matrix,
+from jumpiso.isoperimetry import _doubling_enumeration, _subset_sums
+from jumpiso.superpoincare import (_quadratic_matrix,
                                    certified_rate, lemma2_bound, rate_power,
                                    rate_power_pair, rate_tabulated,
                                    sp_decay_check, sp_estimate, sp_verify)
@@ -79,7 +79,7 @@ def reference_estimate(space, kernel, r, potential=None, seed=0):
         masks = np.arange(1 << m)
         keep = (masks > 0) & (masks < (1 << m) - 1)
         vals = np.zeros(1 << m)
-        en = flows + (0.0 if potential is None else _indicator_potential(mu, potential, m))
+        en = flows + (0.0 if potential is None else _subset_sums(potential.v * mu))
         vals[keep] = (masses[keep] - r * en[keep]) / masses[keep] ** 2
         for mask in np.argsort(vals)[-8:]:
             sel = np.array([(int(mask) >> i) & 1 for i in range(m)], dtype=float)

@@ -7,12 +7,15 @@ from jumpiso.core import (FiniteMeasureSpace, JumpKernel, KillingPotential,
                           Semigroup, WeightFunction)
 from jumpiso.instances import random_functions, random_instance
 from jumpiso.isoperimetry import enumerate_profile
-from jumpiso.superpoincare import certified_rate, rate_power
-from jumpiso.theorems import (C_KILLED, C_STAR, cor41, cor41_round_trip,
-                              cor41_young, lemma1_core, lemma1_poincare,
-                              lemma1_sobolev, rate_from_gauge, thm21_verify,
-                              thm21_young, thm41, thm42, thm43)
-from jumpiso.young import builtin
+from jumpiso.numerics import INF, inv_decreasing, safe_pow
+from jumpiso.superpoincare import (certified_rate, rate_power, rate_power_log,
+                                   rate_power_pair)
+from jumpiso.theorems import (C_KILLED, C_STAR, _check_s_over_N_increasing,
+                              cor41, cor41_round_trip, cor41_young,
+                              lemma1_core, lemma1_poincare, lemma1_sobolev,
+                              rate_from_gauge, thm21_verify, thm21_young,
+                              thm41, thm42, thm43)
+from jumpiso.young import builtin, tabulated_young
 
 SQ = lambda s: np.asarray(s, dtype=float) ** 2
 
@@ -208,6 +211,112 @@ def test_cor41_round_trip_slope_fidelity(case, params):
     assert out["pass"], out
     assert abs(out["slope_gap_low"]) <= 1e-3
     assert abs(out["slope_gap_high"]) <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the gauge-root rate against the bisection constructions it replaced
+
+REF_REL = 1e-9
+
+
+def close_to_reference(new, old):
+    return new == old or abs(new - old) <= REF_REL * abs(old)
+
+
+def nested_gauge_root(N, C, lead):
+    """The former rate_from_gauge: (rate, inverse), the inverse bisecting
+    the bisected rate."""
+    def ev(r):
+        root = inv_decreasing(lambda s: C * N.inv(s) / s, r)
+        return lead * root if not math.isinf(root) else INF
+    return ev, lambda u: inv_decreasing(ev, u)
+
+
+def old_beta_full(N, scale):
+    """The former full rate of thm41 (and, with c_bar, of thm43)."""
+    def beta_full(r):
+        root = inv_decreasing(lambda s: N.inv(s) / s, math.sqrt(r) / scale)
+        return 4.0 * root if not math.isinf(root) else INF
+    return beta_full
+
+
+def old_target_shape(case, p1, p2=None, q=0.0):
+    """The former unit-constant target rate shapes of cor41."""
+    a1, a2 = p1 / (p1 - 1.0), p2 / (p2 - 1.0)
+    qq = q / (p1 - 1.0)
+    if case == 1:
+        return lambda r: max(safe_pow(r, -a1), safe_pow(r, -a2))
+    if case == 2:
+        return lambda r: min(safe_pow(r, -a1), safe_pow(r, -a2))
+    if case == 3:
+        return lambda r: safe_pow(r, -a1) * safe_pow(math.log(2.0 + r), -qq)
+    return lambda r: safe_pow(r, -a1) * safe_pow(math.log(2.0 + 1.0 / r), -qq)
+
+
+def _sobolev_young():
+    space, kernel, gamma, _ = random_instance(3, (5, 7), with_gamma=True)
+    return lemma1_sobolev(space, kernel, gamma)[0]
+
+
+def _tabulated():
+    s = np.geomspace(1e-6, 1e6, 61)
+    return tabulated_young(s, s ** 2 + s ** 3)
+
+
+# (Young function, number of u values on [1e-8, 1e8]): families whose N^{-1}
+# is itself a bisection get few points, the nested reference is slow there
+GAUGE_FAMILIES = {
+    "power": (lambda: builtin("power", p=2), 17),
+    "pow_min": (lambda: builtin("pow_min", n=1, alpha1=0.5, alpha2=1.5), 17),
+    "pow_max": (lambda: builtin("pow_max", n=1, alpha1=0.5, alpha2=1.5), 17),
+    "tilde": (lambda: builtin("tilde", n=2, alpha=1.0), 17),
+    "log_plus": (lambda: builtin("log_plus", n=1, alpha=1.0, q=1.0), 5),
+    "log_minus": (lambda: builtin("log_minus", n=1, alpha=1.0, q=1.0), 5),
+    "cor41_case3": (lambda: cor41_young(3, 2.0, q=1.0), 5),
+    "cor41_case4": (lambda: cor41_young(4, 2.0, q=1.0), 5),
+    "lemma1_sobolev": (_sobolev_young, 17),
+    "tabulated": (_tabulated, 17),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_FAMILIES))
+def test_gauge_root_matches_nested_bisection(name):
+    make, points = GAUGE_FAMILIES[name]
+    N = make()
+    assert _check_s_over_N_increasing(N)
+    C, scale = 0.37, 1.3
+    ev, iv = nested_gauge_root(N, C, 2.0)
+    beta1 = rate_from_gauge(N, C, lead=2.0)
+    for u in np.geomspace(1e-8, 1e8, points):
+        assert close_to_reference(beta1.inv(u), iv(u)), (name, u)
+    assert beta1.inv(INF) == 0.0 and beta1.inv(0.0) == INF
+    full, ref = rate_from_gauge(N, scale, lead=4.0), old_beta_full(N, scale)
+    for r in np.geomspace(1e-8, 1e8, 9):
+        assert close_to_reference(beta1(r), ev(r)), (name, r)
+        assert close_to_reference(full(math.sqrt(r)), ref(r)), (name, r)
+
+
+@pytest.mark.parametrize("case,params", [
+    (1, {"p1": 1.6, "p2": 2.4}), (2, {"p1": 1.6, "p2": 2.4}),
+    (3, {"p1": 2.0, "q": 1.0}), (4, {"p1": 2.0, "q": 1.0})])
+def test_cor41_target_families_match_reference(case, params):
+    p1, p2, q = params["p1"], params.get("p2", params["p1"]), params.get("q", 0.0)
+    shape = old_target_shape(case, p1, p2, q)
+    a = p1 / (p1 - 1.0)
+    C = 0.37
+    if case in (1, 2):
+        target = rate_power_pair(C, a, p2 / (p2 - 1.0), use_max=case == 1)
+    else:
+        target = rate_power_log(C, a, q / (p1 - 1.0), inverse_arg=case == 4)
+    for x in np.geomspace(1e-8, 1e8, 17):
+        assert close_to_reference(target(x), C * shape(x)), x
+        ref_inv = inv_decreasing(lambda r: C * shape(r), x)
+        assert close_to_reference(target.inv(x), ref_inv), x
+    # the fitted constant of the forward direction is unchanged
+    r_grid = np.geomspace(1e-8, 1e8, 9)
+    out = cor41(case, "to_rate", params, r_grid=r_grid)
+    ratios = np.array([out["rate"](r) / shape(r) for r in r_grid])
+    assert out["fitted_c"] == float(np.exp(np.mean(np.log(ratios))))
 
 
 def test_thm43_killed_instances():
