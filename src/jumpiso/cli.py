@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -24,13 +23,13 @@ from .core import ValidationError, instance_from_json, instance_to_json
 from .instances import random_functions, random_instance
 from .isoperimetry import enumerate_profile, thm20_backward, thm20_forward
 from .lattice import (p1_kernel, power_law_band, subord_weights,
-                      truncated_crossover_curve, torus_semigroup,
-                      on_diagonal_decay, gradient_decay, weight_tail)
+                      torus_semigroup, on_diagonal_decay, gradient_decay,
+                      weight_tail)
 from .numerics import loglog_slope
-from .perturbed import example_threshold, log_weight, phi_l, theorem_beta_curve
+from .perturbed import example_threshold, log_weight, theorem_beta_curve
 from .radial import radial_l1_energy, sharpness_profile
 from .reports import TheoremReport, digest, summary_csv, _jsonable
-from .superpoincare import certified_rate, lemma2_bound, sp_verify
+from .superpoincare import certified_rate, lemma2_bound
 from .theorems import (indicator_gauge_constant, rate_from_gauge, thm21_verify,
                        thm41, thm42, thm43)
 from .young import builtin

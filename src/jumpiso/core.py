@@ -17,13 +17,17 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import INF, quad
+
+# elements of the pair-distance temporary per chunk of stacked theta times
+THETA_CHUNK = 2 ** 15
 
 
 def _frozen(a) -> np.ndarray:
@@ -213,6 +217,8 @@ class Semigroup:
         self.eigenvalues = np.clip(vals, 0.0, None)
         self._vecs = vecs
         self._sq = sq
+        self._scale = sq[None, :] / sq[:, None]
+        self._pairs = np.triu_indices(space.m, k=1)
         nz = self.eigenvalues[self.eigenvalues > 1e-13 * max(1.0, self.eigenvalues.max())]
         self.gap = float(nz.min()) if nz.size else 0.0
 
@@ -221,7 +227,7 @@ class Semigroup:
         if t < 0:
             raise ValueError("time must be nonnegative")
         core = (self._vecs * np.exp(-t * self.eigenvalues)) @ self._vecs.T
-        return core * (self._sq[None, :] / self._sq[:, None])
+        return core * self._scale
 
     def kernel_at(self, t: float) -> SemigroupKernel:
         p = self.matrix(t) / self.space.mu[None, :]
@@ -231,22 +237,32 @@ class Semigroup:
     def apply(self, t: float, f) -> np.ndarray:
         return self.matrix(t) @ np.asarray(f, dtype=float)
 
-    def theta(self, t: float, gamma: WeightFunction) -> float:
+    def theta(self, t, gamma: WeightFunction):
         """Worst pair ratio of the L1 row distance of exp(-tL) to gamma.
 
         Equals sup over |g| <= 1 of |P_t g(x) - P_t g(y)| / gamma(x,y); the
         extremizer is the sign pattern of the row difference, so the row
-        L1 distance is exact, not a sample bound.
+        L1 distance is exact, not a sample bound.  A float t gives a float;
+        an array of times gives the array of values, computed on stacked
+        P_t in chunks of about THETA_CHUNK elements of the pair distances.
+        Row distances are symmetric and gamma is exactly symmetric, so only
+        the pairs x < y are formed.
         """
-        if t <= 0:
+        ts = np.asarray(t, dtype=float)
+        if np.any(ts <= 0):
             raise ValueError("theta requires t > 0")
-        P = self.matrix(t)
-        dist = np.abs(P[:, None, :] - P[None, :, :]).sum(axis=2)
-        m = self.space.m
-        if m == 1:
-            return 0.0
-        off = ~np.eye(m, dtype=bool)
-        return float(np.max(dist[off] / gamma.gamma[off]))
+        flat = ts.reshape(-1)
+        out = np.zeros(flat.size)
+        rows, cols = self._pairs
+        if rows.size:
+            weight = gamma.gamma[rows, cols]
+            step = max(1, THETA_CHUNK // (rows.size * self.space.m))
+            for lo in range(0, flat.size, step):
+                decay = np.exp(-flat[lo:lo + step, None] * self.eigenvalues)
+                P = ((self._vecs * decay[:, None, :]) @ self._vecs.T) * self._scale
+                dist = np.abs(P[:, rows, :] - P[:, cols, :]).sum(axis=2)
+                out[lo:lo + step] = np.max(dist / weight, axis=1)
+        return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
     def theta_integral(self, t: float, gamma: WeightFunction) -> float:
         """Integral of theta over [0, t] by adaptive quadrature."""
@@ -275,21 +291,26 @@ class Semigroup:
         if t_max is None:
             t_max = 50.0 / g if g > 0 else 1e6
         ts = np.geomspace(max(t_max * 1e-8, 1e-12), t_max, n)
-        thetas = np.array([self.theta(t, gamma) for t in ts])
+        thetas = self.theta(ts, gamma)
         gx, gw = np.polynomial.legendre.leggauss(8)
 
-        def segment(a, b):
+        def segments(a, b):
+            """8-point Gauss rule on each [a_i, b_i], nodes summed in order."""
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            return half * sum(w * self.theta(mid + half * x, gamma)
-                              for x, w in zip(gx, gw))
+            vals = gw * self.theta(mid[:, None] + half[:, None] * gx, gamma)
+            acc = vals[:, 0]
+            for k in range(1, len(gw)):
+                acc = acc + vals[:, k]
+            return half * acc
 
-        cum = np.empty(n)
-        cum[0] = segment(0.0, ts[0])
-        for i in range(1, n):
-            cum[i] = cum[i - 1] + segment(ts[i - 1], ts[i])
+        def segment(a, b):
+            return segments(np.array([a]), np.array([b]))[0]
+
+        cum = np.cumsum(segments(np.concatenate([[0.0], ts[:-1]]), ts))
         tail = thetas[-1] / g if g > 0 else (INF if thetas[-1] > 0 else 0.0)
         total = cum[-1] + tail
 
+        @functools.lru_cache(maxsize=None)
         def theta_int(t: float) -> float:
             if t <= 0:
                 return 0.0
@@ -367,13 +388,16 @@ def instance_to_json(space, kernel, potential=None, gamma=None) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+INSTANCE_KEYS = ("mu", "j", "v", "xi", "gamma")
+
+
 def _field(doc: dict, name: str, shape=None) -> np.ndarray:
     """doc[name] as a finite float array, of ``shape`` when one is given."""
     if name not in doc:
         raise ValidationError(f"field {name!r} is missing")
     try:
         a = np.asarray(doc[name], dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"field {name!r} is not a numeric array") from None
     if shape is not None and a.shape != shape:
         raise ValidationError(f"field {name!r} has shape {a.shape}, expected {shape}")
@@ -386,8 +410,9 @@ def instance_from_json(text: str):
     """Parse and validate an instance document.
 
     Returns (space, kernel, potential_or_None, gamma_or_None).  A missing,
-    non-numeric, non-finite or wrongly shaped field is rejected by name, and
-    asymmetric matrices with the first offending pair named.
+    non-numeric, non-finite or wrongly shaped field is rejected by name, as
+    are an unknown key and an ``xi`` without ``v``; asymmetric matrices are
+    rejected with the first offending pair named.
     """
     try:
         doc = json.loads(text)
@@ -395,6 +420,11 @@ def instance_from_json(text: str):
         raise ValidationError(f"instance is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError("instance must be a JSON object")
+    for key in doc:
+        if key not in INSTANCE_KEYS:
+            raise ValidationError(f"field {key!r} is not one of {INSTANCE_KEYS}")
+    if "xi" in doc and "v" not in doc:
+        raise ValidationError("field 'xi' needs the killing potential 'v'")
     space = FiniteMeasureSpace(_field(doc, "mu"))
     m = space.m
     kernel = JumpKernel(space, _field(doc, "j", (m, m)))

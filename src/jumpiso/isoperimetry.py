@@ -15,7 +15,6 @@ equivalent of Gray-code single-bit updates: O(m 2^m) work overall.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .core import FiniteMeasureSpace, JumpKernel, WeightFunction, l1_form
 from .numerics import INF, ext_ratio
 from .young import (YoungFunction, c_N, indicator_norm, l1_form_batch,
-                    orlicz_norm, orlicz_norm_batch)
+                    orlicz_norm_batch)
 
 ENUM_LIMIT = 24
 

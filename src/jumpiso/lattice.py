@@ -14,7 +14,7 @@ downstream compare against [value - leak, value + leak].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -22,7 +22,7 @@ from scipy.special import gammaln
 
 from .core import FiniteMeasureSpace, JumpKernel
 from .numerics import INF, loglog_slope
-from .superpoincare import RateFunction, rate_power_pair, sp_estimate, sp_verify
+from .superpoincare import rate_power_pair, sp_estimate, sp_verify
 
 
 @dataclass
@@ -146,6 +146,10 @@ def subord_weights(alpha: float, K: int) -> SubordinationWeights:
     return SubordinationWeights(alpha, K, c, weight_tail(alpha, K))
 
 
+# elements of one binomial table chunk in the exact p1 routes
+P1_CHUNK = 2_000_000
+
+
 def p1_kernel(n: int, alpha: float, K: int, R: int, method: str = "auto"):
     """Single-step subordinated kernel p1 = sum_k c(k) q_k on the window.
 
@@ -153,6 +157,8 @@ def p1_kernel(n: int, alpha: float, K: int, R: int, method: str = "auto"):
     R >= K); "exact" evaluates q_k pointwise from the binomial law (n = 1,
     and n = 2 via the rotation to two independent diagonal walks), which
     permits K far beyond R and is what the far-field power-law checks need.
+    The exact routes build their binomial tables P1_CHUNK elements at a
+    time, so their memory does not grow with K.
     Returns (window, per_entry_tail_bound).
     """
     w = subord_weights(alpha, K)
@@ -170,23 +176,17 @@ def p1_kernel(n: int, alpha: float, K: int, R: int, method: str = "auto"):
             acc += w.c[k] * a
     elif method == "exact":
         if n == 1:
-            T = np.zeros(2 * R + 1)
-            chunk = max(1, int(2e7 // (2 * R + 1)))
+            acc = np.zeros(2 * R + 1)
+            chunk = max(1, P1_CHUNK // (2 * R + 1))
             for lo in range(0, K, chunk):
                 hi = min(K, lo + chunk)
-                ks = np.arange(lo + 1, hi + 1, dtype=float)[:, None]
-                js = np.arange(-R, R + 1, dtype=float)[None, :]
-                up = (ks + js) / 2.0
-                ok = (np.abs(js) <= ks) & (np.mod(ks + js, 2.0) == 0.0)
-                with np.errstate(invalid="ignore"):
-                    logp = (gammaln(ks + 1) - gammaln(up + 1)
-                            - gammaln(ks - up + 1) - ks * math.log(2.0))
-                T += w.c[lo:hi] @ np.where(ok, np.exp(logp), 0.0)
-            acc = T
+                # a row-by-row sum, not a BLAS product: threaded gemv splits
+                # the k axis, so its rounding would depend on the thread count
+                acc += (w.c[lo:hi, None] * _binom_table_rows(lo + 1, hi, R)).sum(axis=0)
         elif n == 2:
             width = 2 * R
             M = np.zeros((2 * width + 1, 2 * width + 1))
-            chunk = max(1, int(2e7 // (2 * width + 1)))
+            chunk = max(1, P1_CHUNK // (2 * width + 1))
             for lo in range(0, K, chunk):
                 hi = min(K, lo + chunk)
                 Tc = _binom_table_rows(lo + 1, hi, width)

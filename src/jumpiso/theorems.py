@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import (KillingPotential, Semigroup, WeightFunction, bar_extension,
+from .core import (KillingPotential, Semigroup, bar_extension,
                    dirichlet_energy, extend_by_zero, l1_form,
                    schrodinger_energy)
 from .isoperimetry import (IsoperimetricProfile, _doubling_enumeration,
@@ -369,37 +369,39 @@ def thm41(N: YoungFunction, space, kernel, gamma, f_family, r_grid,
     rep.add("curve lower bound 1/(2 C s N^{-1}(1/s))", worst1, tol)
 
     beta1 = rate_from_gauge(N, C_used, lead=2.0)
+    rates = _finite_rates(r_grid, beta1)
     worst2 = INF
     for f in f_family:
         f = np.asarray(f, dtype=float)
         l2 = float(np.sum(f * f * space.mu))
         l1sq = float(np.sum(np.abs(f) * space.mu)) ** 2
         sq = l1_form(space, kernel, gamma, f * f)
-        for r in r_grid:
-            b = beta1(r)
-            if math.isinf(b):
-                continue
+        for r, b in rates:
             worst2 = min(worst2, r * sq + b * l1sq - l2)
     rep.add("defective rate from the gauge root", worst2, tol)
 
     c_gamma = _c_gamma(space, kernel, gamma)
     rep.derived["c_gamma"] = c_gamma
     beta = rate_from_gauge(N, 2.0 * C_used * math.sqrt(2.0 * c_gamma), lead=4.0)
+    rates = _finite_rates(r_grid, lambda r: beta(math.sqrt(r)))
     worst3 = INF
     for f in f_family:
         f = np.asarray(f, dtype=float)
         l2 = float(np.sum(f * f * space.mu))
         l1sq = float(np.sum(np.abs(f) * space.mu)) ** 2
         en = dirichlet_energy(space, kernel, f)
-        for r in r_grid:
-            b = beta(math.sqrt(r))
-            if math.isinf(b):
-                continue
+        for r, b in rates:
             worst3 = min(worst3, r * en + b * l1sq - l2)
     rep.add("full rate under the kernel square bound", worst3, tol)
     rep.derived["beta1"] = "2 inf{s : C N^{-1}(s)/s <= r}"
     rep.derived["beta"] = "4 inf{s : N^{-1}(s)/s <= sqrt(r)/(2 C sqrt(2 c_gamma))}"
     return rep
+
+
+def _finite_rates(r_grid, rate) -> list:
+    """(r, rate(r)) for each r of the grid where the rate is finite."""
+    pairs = [(r, rate(r)) for r in r_grid]
+    return [(r, b) for r, b in pairs if not math.isinf(b)]
 
 
 def _c_gamma(space, kernel, gamma, extra=0.0) -> float:
@@ -485,16 +487,15 @@ def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
 
     c_gamma = _c_gamma(space, kernel, gamma)
     rep.derived["c_gamma"] = c_gamma
+    rates = _finite_rates(
+        r_grid, lambda r: 2.0 * beta1(math.sqrt(r) / (2.0 * math.sqrt(2.0 * c_gamma))))
     worst3 = INF
     for f in f_family:
         f = np.asarray(f, dtype=float)
         l2 = float(np.sum(f * f * space.mu))
         l1sq = float(np.sum(np.abs(f) * space.mu)) ** 2
         en = dirichlet_energy(space, kernel, f)
-        for r in r_grid:
-            b = 2.0 * beta1(math.sqrt(r) / (2.0 * math.sqrt(2.0 * c_gamma)))
-            if math.isinf(b):
-                continue
+        for r, b in rates:
             worst3 = min(worst3, r * en + b * l1sq - l2)
     rep.add("full rate 2 beta1(sqrt(r)/(2 sqrt(2 c_gamma)))", worst3, tol)
     rep.derived["N"] = "Phi^{-1}, Phi(t) = 4 int_0^t beta1^{-1}(r/2) dr"

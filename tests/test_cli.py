@@ -63,6 +63,9 @@ TWO_POINT = {"mu": [1.0, 2.0], "j": [[0.0, 1.0], [1.0, 0.0]]}
     ("gamma", dict(TWO_POINT, gamma=[[1.0] * 3] * 3)),
     ("mu", {"j": TWO_POINT["j"]}),
     ("mu", dict(TWO_POINT, mu=[1.0, "heavy"])),
+    ("mu", dict(TWO_POINT, mu=[10 ** 400, 1.0])),
+    ("gama", dict(TWO_POINT, gama=[[1.0, 1.0], [1.0, 1.0]])),
+    ("xi", dict(TWO_POINT, xi=[1.0, 1.0])),
 ])
 def test_malformed_instance_exit_2(tmp_path, capsys, field, doc):
     with pytest.raises(ValidationError, match=f"field '{field}'"):

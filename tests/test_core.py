@@ -1,15 +1,19 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jumpiso.core import (FiniteMeasureSpace, JumpKernel, KillingPotential,
-                          Semigroup, ValidationError, WeightFunction,
-                          bar_extension, compose_kernels, dirichlet_energy,
-                          extend_by_zero, generator, instance_from_json,
-                          instance_to_json, l1_form, schrodinger_energy)
+from jumpiso.core import (INSTANCE_KEYS, THETA_CHUNK, FiniteMeasureSpace,
+                          JumpKernel, KillingPotential, Semigroup,
+                          ValidationError, WeightFunction, bar_extension,
+                          compose_kernels, dirichlet_energy, extend_by_zero,
+                          generator, instance_from_json, instance_to_json,
+                          l1_form, schrodinger_energy)
 from jumpiso.instances import random_instance
+from jumpiso.numerics import INF
 
 
 @pytest.fixture
@@ -139,6 +143,107 @@ def test_theta_curve_matches_quadrature(two_point):
     assert total == pytest.approx(1.0 / 3.0, rel=1e-3)
 
 
+def _theta_reference(sg, t, gamma):
+    """The scalar Theta before stacked times: full m x m x m row distances."""
+    core = (sg._vecs * np.exp(-t * sg.eigenvalues)) @ sg._vecs.T
+    P = core * (sg._sq[None, :] / sg._sq[:, None])
+    dist = np.abs(P[:, None, :] - P[None, :, :]).sum(axis=2)
+    m = sg.space.m
+    if m == 1:
+        return 0.0
+    off = ~np.eye(m, dtype=bool)
+    return float(np.max(dist[off] / gamma.gamma[off]))
+
+
+def _theta_curve_reference(sg, gamma, n=240):
+    """theta_curve before stacked times: one Theta call per Gauss node.
+
+    The nodes are summed left to right, as the builtin ``sum`` did on
+    Python 3.11 and earlier (3.12 made ``sum`` of floats compensated).
+    """
+    g = sg.gap
+    t_max = 50.0 / g if g > 0 else 1e6
+    ts = np.geomspace(max(t_max * 1e-8, 1e-12), t_max, n)
+    thetas = np.array([_theta_reference(sg, t, gamma) for t in ts])
+    gx, gw = np.polynomial.legendre.leggauss(8)
+
+    def segment(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        acc = 0.0
+        for x, w in zip(gx, gw):
+            acc = acc + w * _theta_reference(sg, mid + half * x, gamma)
+        return half * acc
+
+    cum = np.empty(n)
+    cum[0] = segment(0.0, ts[0])
+    for i in range(1, n):
+        cum[i] = cum[i - 1] + segment(ts[i - 1], ts[i])
+    tail = thetas[-1] / g if g > 0 else (INF if thetas[-1] > 0 else 0.0)
+    total = cum[-1] + tail
+
+    def theta_int(t):
+        if t <= 0:
+            return 0.0
+        if t <= ts[0]:
+            return segment(0.0, t)
+        if t >= ts[-1]:
+            if math.isinf(t):
+                return total
+            return cum[-1] + (thetas[-1] / g * (1 - math.exp(-g * (t - ts[-1])))
+                              if g > 0 else (INF if thetas[-1] > 0 else 0.0))
+        k = int(np.searchsorted(ts, t))
+        return float(cum[k - 1] + segment(ts[k - 1], t))
+
+    return ts, thetas, theta_int
+
+
+def _semigroup_case(m, weighted_killed, seed):
+    space, kernel, gamma, pot = random_instance(
+        seed, (m, m), with_gamma=weighted_killed, with_potential=weighted_killed)
+    return Semigroup(space, kernel, pot), gamma
+
+
+@pytest.mark.parametrize("weighted_killed", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 13])
+def test_theta_batch_matches_scalar_calls(m, weighted_killed):
+    sg, gamma = _semigroup_case(m, weighted_killed, seed=100 + m)
+    # more than two chunks of stacked times, the last one partial
+    pairs = m * (m - 1) // 2
+    step = max(1, THETA_CHUNK // (pairs * m)) if pairs else 8
+    ts = np.exp(np.random.default_rng(m).uniform(-14.0, 7.0, 2 * step + 7))
+    batch = sg.theta(ts, gamma)
+    assert batch.shape == ts.shape
+    scalar = [sg.theta(float(t), gamma) for t in ts]
+    assert all(isinstance(v, float) for v in scalar)
+    assert batch.tolist() == scalar
+    assert scalar == [_theta_reference(sg, float(t), gamma) for t in ts]
+    assert sg.theta(ts.reshape(-1, 1), gamma).ravel().tolist() == scalar
+    with pytest.raises(ValueError):
+        sg.theta(np.array([1.0, 0.0]), gamma)
+
+
+@pytest.mark.parametrize("weighted_killed", [False, True])
+@pytest.mark.parametrize("m", [2, 5, 8])
+def test_theta_curve_matches_reference_loop(m, weighted_killed):
+    sg, gamma = _semigroup_case(m, weighted_killed, seed=200 + m)
+    theta_int, total = sg.theta_curve(gamma)
+    ts, thetas, ref_int = _theta_curve_reference(sg, gamma)
+    assert sg.theta(ts, gamma).tolist() == thetas.tolist()
+    # the grid knots read cum back exactly: theta_int(ts[k]) = cum[k]
+    probes = np.concatenate([ts[::6], np.geomspace(ts[0] * 1e-3, ts[-1] * 10.0, 160)])
+    assert len(probes) == 200
+    assert [theta_int(t) for t in probes] == [ref_int(t) for t in probes]
+    assert total == ref_int(math.inf) == theta_int(math.inf)
+
+
+def test_theta_integral_is_memoized():
+    sg, gamma = _semigroup_case(6, True, seed=7)
+    theta_int, _ = sg.theta_curve(gamma)
+    for t in (1e-9, 0.3, 2.5, 1e4):
+        first = theta_int(t)
+        assert theta_int(t) is first
+
+
 def test_bar_extension_identities():
     rng = np.random.default_rng(2)
     for seed in range(100):
@@ -197,3 +302,49 @@ def test_energy_psd_and_symmetric(seed):
     assert dirichlet_energy(space, kernel, f) >= 0.0
     assert dirichlet_energy(space, kernel, f, g) == pytest.approx(
         dirichlet_energy(space, kernel, g, f), rel=1e-12, abs=1e-12)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10 ** 300, 10 ** 400)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4),
+                                                                  inner, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(INSTANCE_KEYS + ("gama", "V", "")) | st.text(max_size=6),
+                       _JSON, max_size=6))
+def test_loader_fuzz_rejects_by_name(doc):
+    """Arbitrary documents load or raise ValidationError, nothing else;
+    unknown keys and an xi without v are rejected by name."""
+    unknown = [k for k in doc if k not in INSTANCE_KEYS]
+    try:
+        space, kernel, pot, gamma = instance_from_json(json.dumps(doc))
+    except ValidationError as exc:
+        if unknown:
+            assert f"field {unknown[0]!r}" in str(exc)
+        elif "xi" in doc and "v" not in doc:
+            assert "field 'xi'" in str(exc)
+        return
+    assert not unknown and ("v" in doc or "xi" not in doc)
+    assert (pot is None) == ("v" not in doc) and (gamma is None) == ("gamma" not in doc)
+    assert instance_from_json(instance_to_json(space, kernel, pot, gamma))[0].m == space.m
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10 ** 6), st.booleans(), st.booleans(),
+       st.text(min_size=1, max_size=6).filter(lambda k: k not in INSTANCE_KEYS))
+def test_loader_fuzz_valid_instances(seed, weighted, killed, extra):
+    space, kernel, gamma, pot = random_instance(seed, (1, 6), with_gamma=weighted,
+                                                with_potential=killed)
+    doc = json.loads(instance_to_json(space, kernel, pot, gamma if weighted else None))
+    s2, k2, p2, g2 = instance_from_json(json.dumps(doc))
+    assert s2.mu.tolist() == space.mu.tolist() and k2.j.tolist() == kernel.j.tolist()
+    assert (p2 is None) != killed and (g2 is None) != weighted
+    with pytest.raises(ValidationError, match=re.escape(f"field {extra!r}")):
+        instance_from_json(json.dumps(dict(doc, **{extra: doc["mu"]})))
+    if killed:
+        doc.pop("v")
+        with pytest.raises(ValidationError, match="field 'xi'"):
+            instance_from_json(json.dumps(doc))
