@@ -104,7 +104,7 @@ def _run_theorems_on(args):
             rep.add("forward subset constant", fw["slack"], tol)
             rep.add("backward gauge bound", bw["worst_slack"], tol)
         elif name == "lemma2":
-            beta = certified_rate(space, kernel, r_grid, potential=pot, seed=seed + idx)
+            beta = certified_rate(space, kernel, r_grid, potential=pot)
             s_grid = np.geomspace(space.mu.min() * 1.05, 0.45 * M, 12)
             l2 = lemma2_bound(space, kernel, gamma, beta, s_grid, potential=pot)
             rep = TheoremReport("lemma2", digest(text))

@@ -20,9 +20,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.special import gammaln
 
-from .core import FiniteMeasureSpace, JumpKernel
-from .numerics import INF, loglog_slope
-from .superpoincare import rate_power_pair, sp_estimate, sp_verify
+from .numerics import loglog_slope
 
 
 @dataclass
@@ -306,56 +304,6 @@ def power_law_band(window: LatticeWindow, exponent_target: float,
             "points": int(r.size)}
 
 
-def _linear_convolve_same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Zero-padded linear convolution cropped back to the common window."""
-    shape = [sfft.next_fast_len(sa + sb - 1) for sa, sb in zip(a.shape, b.shape)]
-    fa = sfft.rfftn(a, shape)
-    fb = sfft.rfftn(b, shape)
-    full = sfft.irfftn(fa * fb, shape)
-    out = full
-    for axis, (sa, sb) in enumerate(zip(a.shape, b.shape)):
-        start = (sb - 1) // 2
-        out = np.take(out, np.arange(start, start + sa), axis=axis)
-    return out
-
-
-def lattice_semigroup(p1: LatticeWindow, t_grid, terms: int | None = None):
-    """Poissonized semigroup rows p_t(0, .) for every t in the grid.
-
-    Accumulates e^{-t} t^k / k! times the k-th convolution power of p1,
-    sharing the power sequence across all t.  The reported leak per t
-    combines the Poisson truncation with the window/tail losses of p1
-    (mass that escaped the window never returns, so entries are lower
-    bounds within the leak budget).
-    """
-    t_grid = np.asarray(sorted(t_grid), dtype=float)
-    t_max = float(t_grid[-1])
-    if terms is None:
-        terms = int(t_max + 10.0 * math.sqrt(t_max + 1.0) + 25.0)
-    shape = p1.values.shape
-    delta = np.zeros(shape)
-    delta[tuple(s // 2 for s in shape)] = 1.0
-    acc = {float(t): np.zeros(shape) for t in t_grid}
-    power = delta.copy()
-    for k in range(terms + 1):
-        if k > 0:
-            power = _linear_convolve_same(power, p1.values)
-        for t in t_grid:
-            if t == 0.0:
-                wgt = 1.0 if k == 0 else 0.0
-            else:
-                wgt = math.exp(-t + k * math.log(t) - gammaln(k + 1))
-            if wgt > 1e-300:
-                acc[float(t)] += wgt * power
-    out = {}
-    for t in t_grid:
-        arr = acc[float(t)]
-        leak = max(0.0, 1.0 - float(arr.sum()))
-        out[float(t)] = LatticeWindow(p1.n, p1.R, arr, leak=leak,
-                                      note=f"poisson terms={terms}")
-    return out
-
-
 def on_diagonal_decay(semigroup_rows: dict):
     ts = sorted(semigroup_rows)
     vals = [semigroup_rows[t].at((0,) * semigroup_rows[t].n) for t in ts]
@@ -378,54 +326,6 @@ def gradient_decay(semigroup_rows: dict):
 
 # ---------------------------------------------------------------------------
 # truncated kernels
-
-def window_space(n: int, R: int):
-    """Counting-measure space on the lattice window, with offset list."""
-    axes = [np.arange(-R, R + 1)] * n
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    return FiniteMeasureSpace(np.ones(len(pts))), pts
-
-
-def truncated_lattice_kernel(n: int, alpha: float, R: int, ell: float = 1.0):
-    """j(x, y) = |x-y|^{-(n+alpha)} for 0 < |x-y| <= ell on the window."""
-    space, pts = window_space(n, R)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff.astype(float) ** 2).sum(axis=2))
-    with np.errstate(divide="ignore"):
-        j = np.where((dist > 0) & (dist <= ell), dist ** (-(n + alpha)), 0.0)
-    return space, JumpKernel(space, j), pts
-
-
-def truncated_kernel_rate(n: int, alpha: float, R: int = 8, r_grid=None,
-                          seed: int = 0):
-    """Crossover rate family c2 (r^{-n/alpha} v r^{-n/2}) for the
-    distance-one truncated kernel, with c2 fitted on a lattice window so the
-    rate inequality verifiably holds there.
-
-    Also returns the matching regularization-profile closure
-    theta(t) = 2 c1 / h(t^{1/alpha} ^ t^{1/2}).
-    """
-    space, kernel, _ = truncated_lattice_kernel(n, alpha, R, ell=1.0)
-    if r_grid is None:
-        r_grid = np.geomspace(0.05, 50.0, 14)
-    shape = rate_power_pair(1.0, n / alpha, n / 2.0, use_max=True)
-    c2 = 0.0
-    for r in r_grid:
-        est = sp_estimate(space, kernel, r, seed=seed, pga_starts=12, pga_iters=80)
-        c2 = max(c2, est / shape(r))
-    c2 *= 1.01
-    rate = rate_power_pair(c2, n / alpha, n / 2.0, use_max=True)
-    rng = np.random.default_rng(seed)
-    fam = [rng.standard_normal(space.m) for _ in range(30)]
-    report = sp_verify(space, kernel, rate, fam, r_grid)
-
-    def profile_theta(c1: float):
-        return lambda t: 2.0 * c1 / min(t ** (1.0 / alpha), t ** 0.5) if t > 0 else INF
-
-    return {"rate": rate, "fitted_c2": c2, "report": report,
-            "profile_theta": profile_theta, "window_R": R}
-
 
 def _bump_candidates(mm: int, widths) -> list:
     """Triangular and raised-cosine bumps centered in a 1-D window."""

@@ -6,10 +6,9 @@ A rate function is a decreasing beta: (0,inf) -> (0,inf); the inequality
     ||f||_2^2 <= r E(f,f) + beta(r) ||f||_1^2         for all r > 0
 
 is what downstream theorem engines consume.  ``sp_estimate`` returns the
-optimal rate at a given r, exact up to rounding on spaces of at most
-``EXHAUSTIVE_LIMIT`` points and a lower bound from exactly evaluated
-candidates above that; validated rates are always inflated estimates, never
-raw optima.
+optimal rate at a given r, exact up to rounding, on spaces of at most
+``SIZE_LIMIT`` points; larger spaces are refused.  Validated rates are always
+inflated optima, never raw ones.
 """
 
 from __future__ import annotations
@@ -19,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (KillingPotential, Semigroup, generator, schrodinger_energy)
-from .isoperimetry import _doubling_enumeration, _subset_sums, enumerate_profile
+from .core import (KillingPotential, Semigroup, ValidationError, generator,
+                   schrodinger_energy)
+from .isoperimetry import enumerate_profile
 from .numerics import INF, inv_decreasing, safe_pow
 
 
@@ -145,9 +145,8 @@ def sp_verify(space, kernel, beta: RateFunction, f_family, r_grid,
 # ---------------------------------------------------------------------------
 # certified estimation of the optimal rate
 
-EXHAUSTIVE_LIMIT = 10   # facet points on every support: the estimate is exact
-SIGN_LIMIT = 16         # full-support facet points and the 2^m indicators
-INFLATE = 1.01          # margin of a certified rate over its estimates
+SIZE_LIMIT = 16   # 2^m - 1 supports are solved; larger spaces are refused
+INFLATE = 1.01    # margin of a certified rate over its estimates
 
 
 def _quadratic_matrix(space, kernel, r: float, potential=None) -> np.ndarray:
@@ -157,122 +156,71 @@ def _quadratic_matrix(space, kernel, r: float, potential=None) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _signed_critical_points(M, mu, support):
-    """Stationary points of f^T M f on each signed facet over a support, one
-    per row; the last sign is fixed to + by the symmetry f -> -f."""
-    k = len(support)
-    sub = M[np.ix_(support, support)]
-    patterns = np.arange(1 << (k - 1))[:, None] >> np.arange(k)
-    signs = np.where(patterns & 1, 1.0, -1.0)
-    signs[:, -1] = 1.0
-    B = (mu[support][None, :] * signs).T
+def _solve_each(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solutions of A[i] x = B[i]; least squares on every system of a batch
+    in which some block is singular."""
     try:
-        X = np.linalg.solve(sub, B)
+        return np.linalg.solve(A, B[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        X, *_ = np.linalg.lstsq(sub, B, rcond=None)
-    out = np.zeros((X.shape[1], len(mu)))
-    out[:, support] = X.T
-    return out
+        return np.stack([np.linalg.lstsq(a, b, rcond=None)[0]
+                         for a, b in zip(A, B)])
 
 
-def sp_estimate(space, kernel, r: float, potential=None, seed: int = 0,
-                pga_starts: int = 64, pga_iters: int = 150) -> float:
-    """The optimal rate at r for m <= EXHAUSTIVE_LIMIT, a lower bound above.
+def sp_estimate(space, kernel, r: float, potential=None) -> float:
+    """The optimal rate at r: max of f^T M f over sum mu |f| = 1, where
+    f^T M f = ||f||_2^2 - r (E(f,f) + killing), exact up to rounding.
 
-    Candidates, one row each: vertices, the best subset indicators,
-    eigenvectors of the quadratic form, and stationary points on signed
-    facets (every support up to ``EXHAUSTIVE_LIMIT`` points, the full support
-    up to ``SIGN_LIMIT``).  A maximizer on the weighted-L1 sphere lies in the
-    relative interior of some signed facet and is a stationary point there,
-    so for m <= EXHAUSTIVE_LIMIT the best candidate is the optimum up to
-    rounding.  Above that, multi-start projected gradient ascent with
-    per-start seeds derived from ``seed`` adds evaluated points; every
-    candidate is evaluated exactly, so the result is a lower bound.
+    Off the diagonal M = D - r D L has entries r mu(x) j(x,y) mu(y) >= 0, so
+    |f| scores at least as well as f and the maximum is taken on the simplex
+    {f >= 0, sum mu f = 1}.  A maximizer in the relative interior of the face
+    over a support S is stationary there: M_SS f = lambda mu_S, with value
+    lambda.  So one solve of M_SS x = mu_S per support (batched by support
+    size) is exhaustive; solutions of one sign are the candidates (lambda < 0
+    under strong killing gives an all-negative x), each normalized and scored
+    exactly.  Spaces above ``SIZE_LIMIT`` points are refused.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     m = space.m
+    if m > SIZE_LIMIT:
+        raise ValidationError(f"optimal rate needs m <= {SIZE_LIMIT} points, got m={m}")
     mu = space.mu
     M = _quadratic_matrix(space, kernel, r, potential)
-    rows = [np.eye(m)]
-
+    members = (np.arange(1, 1 << m)[:, None] >> np.arange(m)) & 1
+    sizes = members.sum(axis=1)
     best = -INF
-    if m <= SIGN_LIMIT:
-        w = kernel.j * mu[:, None] * mu[None, :]
-        masses, flows = _doubling_enumeration(mu, w)
-        masks = np.arange(1 << m)
-        keep = (masks > 0) & (masks < (1 << m) - 1)
-        vals = np.zeros(1 << m)
-        en = flows + (0.0 if potential is None else _subset_sums(potential.v * mu))
-        vals[keep] = (masses[keep] - r * en[keep]) / masses[keep] ** 2
-        top = np.argsort(vals)[-8:]
-        sel = ((top[:, None] >> np.arange(m)) & 1).astype(float)
-        size = sel.sum(axis=1)
-        rows.append(sel[(size > 0) & (size < m)])
-        if keep.any():
-            best = float(vals[keep].max())
-
-    rows.append(np.linalg.eigh(M)[1].T)
-
-    if m <= EXHAUSTIVE_LIMIT:
-        for mask in range(1, 1 << m):
-            support = np.flatnonzero((mask >> np.arange(m)) & 1)
-            rows.append(_signed_critical_points(M, mu, support))
-    elif m <= SIGN_LIMIT:
-        rows.append(_signed_critical_points(M, mu, np.arange(m)))
-
-    cands = np.vstack(rows)
-    G = cands[np.all(np.isfinite(cands), axis=1)]
-    l1 = np.abs(G) @ mu
-    G = G[l1 > 0] / l1[l1 > 0, None]
-    best = max(best, float(np.einsum("ki,ki->k", G @ M, G).max()))
-    if m <= EXHAUSTIVE_LIMIT:
-        return best
-
-    rng = np.random.default_rng(seed)
-    starts = [c for c in cands[: pga_starts // 2] if np.any(c)]
-    while len(starts) < pga_starts:
-        starts.append(rng.standard_normal(m))
-    for f0 in starts:
-        f = f0 / max(float(np.sum(np.abs(f0) * mu)), 1e-300)
-        val = float(f @ M @ f)
-        step = 0.1
-        for _ in range(pga_iters):
-            g = 2.0 * (M @ f)
-            cand = f + step * g
-            nrm = float(np.sum(np.abs(cand) * mu))
-            if nrm <= 0:
-                break
-            cand /= nrm
-            cval = float(cand @ M @ cand)
-            if cval > val:
-                f, val = cand, cval
-                step *= 1.3
-            else:
-                step *= 0.5
-                if step < 1e-14:
-                    break
-        best = max(best, val)
+    for k in range(1, m + 1):
+        S = np.nonzero(members[sizes == k])[1].reshape(-1, k)
+        sub = M[S[:, :, None], S[:, None, :]]
+        X = _solve_each(sub, mu[S])
+        keep = np.all(X >= 0, axis=1) | np.all(X <= 0, axis=1)
+        X = X[keep] / np.einsum("ki,ki->k", X[keep], mu[S[keep]])[:, None]
+        vals = np.einsum("ki,kij,kj->k", X, sub[keep], X)
+        vals = vals[np.isfinite(vals)]
+        if vals.size:
+            best = max(best, float(vals.max()))
     return best
 
 
-def certified_rate(space, kernel, r_grid, potential=None,
-                   seed: int = 0) -> RateFunction:
-    """Tabulated estimate inflated by ``INFLATE``: a rate that dominates
-    every optimum on the grid (exactly computed for m <= EXHAUSTIVE_LIMIT,
-    estimated from below above that) and extends constantly on both sides.
+def certified_rate(space, kernel, r_grid, potential=None) -> RateFunction:
+    """The optimal rate on the grid inflated by ``INFLATE``, tabulated and
+    extended constantly on both sides.
 
-    The constant extensions stay valid because the optimum at r = 0+ (the
-    inverse smallest mass) is appended on the left and the grid is stretched
-    right by decades until the estimate flattens onto its large-r floor.
+    The table stays valid between grid points: the optimal rate
+    beta*(r) = sup_f (||f||_2^2 - r E(f,f)) / ||f||_1^2 is a supremum of
+    affine functions of r, hence convex, so each chord of the table lies
+    above it.  The constant extensions stay valid because the optimum at
+    r = 0+ (the inverse smallest mass) is appended on the left and the grid
+    is stretched right by decades until the estimate flattens onto its
+    large-r floor.  Spaces above ``SIZE_LIMIT`` points are refused.
     """
     rs = [float(r_grid[0]) * 1e-9] + [float(r) for r in r_grid]
-    est = [sp_estimate(space, kernel, r, potential, seed=seed) for r in rs]
+    est = [sp_estimate(space, kernel, r, potential) for r in rs]
     for _ in range(12):
         if est[-2] - est[-1] <= 1e-6 * est[-1]:
             break
         rs.append(rs[-1] * 10.0)
-        est.append(sp_estimate(space, kernel, rs[-1], potential, seed=seed))
+        est.append(sp_estimate(space, kernel, rs[-1], potential))
     return rate_tabulated(rs, [INFLATE * v for v in est],
                           note=f"inflated x{INFLATE} estimate")
 
@@ -281,12 +229,12 @@ def certified_rate(space, kernel, r_grid, potential=None,
 # decay equivalence and the isoperimetric lower bound
 
 def sp_decay_check(space, kernel, beta: RateFunction, f_family, t_grid, r_grid,
-                   potential=None, subset_limit: int = 16, tol=1e-9) -> dict:
+                   potential=None, tol=1e-9) -> dict:
     """The rate inequality in exponential-decay form.
 
     Checks ||P_t f||_2^2 <= ||f||_2^2 e^{-2t/r} + beta(r) ||f||_1^2 (1 - e^{-2t/r})
     for all (f, t, r), plus the same specialization for indicator functions of
-    every proper subset (at half time) when the space is small enough.
+    every proper subset (at half time) on spaces of at most ``SIZE_LIMIT`` points.
     """
     sg = Semigroup(space, kernel, potential)
     worst, witness, nviol = INF, None, 0
@@ -305,7 +253,7 @@ def sp_decay_check(space, kernel, beta: RateFunction, f_family, t_grid, r_grid,
                 if slack < -tol:
                     nviol += 1
     m = space.m
-    if m <= subset_limit:
+    if m <= SIZE_LIMIT:
         masks = np.arange(1, (1 << m) - 1)
         ind = ((masks[None, :] >> np.arange(m)[:, None]) & 1).astype(float)
         masses = space.mu @ ind

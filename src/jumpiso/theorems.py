@@ -230,7 +230,7 @@ def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
     if r_grid is None:
         r_grid = np.geomspace(1e-3 / total, 1e3 / total, 25)
     if beta is None:
-        beta = certified_rate(space, kernel, r_grid, seed=seed)
+        beta = certified_rate(space, kernel, r_grid)
         rep.note("rate: inflated certified estimate on the r grid")
     sp = sp_verify(space, kernel, beta,
                    [np.asarray(f, float) for f in
@@ -654,7 +654,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
 
     # hypothesis check: the supplied (or estimated) rate for the killed form
     if beta is None:
-        beta = certified_rate(space, kernel, r_grid, potential=potential, seed=seed)
+        beta = certified_rate(space, kernel, r_grid, potential=potential)
         rep.note("killed-form rate: inflated certified estimate")
     spv = sp_verify(space, kernel, beta, f_family, r_grid, potential=potential)
     rep.add("killed-form rate inequality on the family", spv["worst_slack"], tol)
@@ -670,7 +670,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     rep.add("extension energy identity", ident_worst, 1e-12)
 
     # forward: regularization route on the extension
-    bar_beta = certified_rate(space2, kernel2, r_grid, seed=seed)
+    bar_beta = certified_rate(space2, kernel2, r_grid)
     sg2 = Semigroup(space2, kernel2)
     theta_int, theta_total = sg2.theta_curve(gamma2)
     s_cap = (support_fraction + 0.01) * space2.total_mass

@@ -99,6 +99,19 @@ def test_bad_manifest_exit_2(tmp_path, capsys):
     assert main(["verify", "--manifest", str(broken), "--out", "x"]) == 2
 
 
+@pytest.mark.parametrize("theorem,m,potential", [("thm21", 17, False),
+                                                 ("thm43", 16, True)])
+def test_rate_on_too_large_space_exit_2(tmp_path, capsys, theorem, m, potential):
+    """The optimal rate is refused above 16 points; thm43's cemetery
+    extension adds one point to the killed space."""
+    manifest = write(tmp_path, "m.json", {
+        "kind": "theorem-batch", "seed": 1,
+        "generate": {"count": 1, "m_range": [m, m], "potential": potential},
+        "theorems": [theorem]})
+    assert main(["verify", "--manifest", manifest, "--out", str(tmp_path / "o")]) == 2
+    assert "m <= 16 points, got m=17" in capsys.readouterr().err
+
+
 def test_enumerate_profile_export(tmp_path):
     manifest = write(tmp_path, "m.json", {
         "kind": "finite-verify", "seed": 1,

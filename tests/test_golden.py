@@ -42,7 +42,7 @@ GOLDEN = {
     }),
     "theorem_batch.json": ("verify", {
         "report.json":
-            "28aa84d91d77b2202ada4128045ba5afc35b5c879de07ceff825ad49b56532f5",
+            "878f837c5a7c3e9481895a93ac1e828b79f368b6520c34757751c98354eb535b",
     }),
 }
 

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from jumpiso.lattice import (LatticeWindow, gradient_decay, lattice_semigroup,
-                             on_diagonal_decay, p1_hybrid, p1_kernel,
-                             power_law_band, srw_kernels, subord_weights,
-                             torus_semigroup, truncated_crossover_curve,
-                             truncated_kernel_rate, weight_at, weight_tail)
+from jumpiso.lattice import (LatticeWindow, gradient_decay, on_diagonal_decay,
+                             p1_hybrid, p1_kernel, power_law_band, srw_kernels,
+                             subord_weights, torus_semigroup,
+                             truncated_crossover_curve, weight_at, weight_tail)
 from jumpiso.numerics import loglog_slope
 
 
@@ -81,17 +80,6 @@ def test_p1_hybrid_matches_exact_in_range():
     assert np.max(np.abs(hyb.values - deep.values) / deep.values) <= 1e-2
 
 
-def test_lattice_semigroup_identity_and_composition():
-    p1, _ = p1_kernel(1, 1.0, 12, 12)
-    rows = lattice_semigroup(p1, [0.0, 0.5, 1.0])
-    assert rows[0.0].at(0) == pytest.approx(1.0, abs=1e-12)
-    # composition: window convolution of halves matches the full time
-    half = rows[0.5].values
-    full = rows[1.0].values
-    pad = np.convolve(half, half)[12:-12]
-    assert np.max(np.abs(pad - full)) <= rows[0.5].leak + rows[1.0].leak + 1e-9
-
-
 def test_torus_semigroup_slopes_cheap():
     ts = np.geomspace(1.0, 64.0, 7)
     rows = torus_semigroup(1, 1.0, 1024, ts, K1=4000)
@@ -101,18 +89,6 @@ def test_torus_semigroup_slopes_cheap():
     assert abs(loglog_slope(t, grad) + 1.0) <= 0.1
     for row in rows.values():
         assert abs(row.total() - 1.0) <= 1e-8
-
-
-def test_truncated_rate_fit():
-    out = truncated_kernel_rate(1, 1.0, R=8)
-    assert out["report"]["pass"]
-    rate = out["rate"]
-    # max-type family: the r^{-n/2} branch rules for r >= 1
-    assert rate(4.0) == pytest.approx(out["fitted_c2"] * 0.5, rel=1e-12)
-    assert rate(0.25) == pytest.approx(out["fitted_c2"] * 4.0, rel=1e-12)
-    theta = out["profile_theta"](1.0)
-    assert theta(0.25) == pytest.approx(2.0 / 0.25, rel=1e-12)  # t^{1/alpha} branch
-    assert theta(4.0) == pytest.approx(2.0 / 2.0, rel=1e-12)    # sqrt branch
 
 
 def test_truncated_crossover_slopes():

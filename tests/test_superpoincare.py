@@ -1,12 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from jumpiso.core import FiniteMeasureSpace, JumpKernel, WeightFunction
+from jumpiso.core import (FiniteMeasureSpace, JumpKernel, ValidationError,
+                          WeightFunction)
 from jumpiso.instances import random_functions, random_instance
 from jumpiso.isoperimetry import _doubling_enumeration, _subset_sums
-from jumpiso.superpoincare import (_quadratic_matrix,
+from jumpiso.superpoincare import (SIZE_LIMIT, _quadratic_matrix,
                                    certified_rate, lemma2_bound, rate_power,
                                    rate_power_pair, rate_tabulated,
                                    sp_decay_check, sp_estimate, sp_verify)
@@ -52,7 +54,7 @@ def sweep_three_point(space, kernel, r, n=600):
 def test_estimate_matches_dense_sweep(two_point):
     space, kernel = two_point
     for r in (0.01, 0.05, 0.2, 1.0, 5.0):
-        est = sp_estimate(space, kernel, r, seed=1)
+        est = sp_estimate(space, kernel, r)
         ref = sweep_two_point(space, kernel, r)
         assert est >= ref - 1e-9
         assert est == pytest.approx(ref, abs=1e-6)
@@ -60,7 +62,7 @@ def test_estimate_matches_dense_sweep(two_point):
     kernel = JumpKernel(space, [[0.0, 2.0, 0.3], [2.0, 0.0, 0.8],
                                 [0.3, 0.8, 0.0]])
     for r in (0.01, 0.1, 0.3, 1.0, 10.0):
-        est = sp_estimate(space, kernel, r, seed=1)
+        est = sp_estimate(space, kernel, r)
         ref = sweep_three_point(space, kernel, r)
         assert est >= ref - 1e-9
         assert est == pytest.approx(ref, rel=1e-3)
@@ -68,7 +70,8 @@ def test_estimate_matches_dense_sweep(two_point):
 
 def reference_estimate(space, kernel, r, potential=None, seed=0):
     """The per-candidate loop estimator with projected gradient ascent on
-    every space, kept as an independent reference for ``sp_estimate``."""
+    every space, kept as an independent reference for ``sp_estimate``: exact
+    for m <= 10, a lower bound above."""
     m, mu = space.m, space.mu
     M = _quadratic_matrix(space, kernel, r, potential)
     cands = [np.eye(m)[i] for i in range(m)]
@@ -152,26 +155,95 @@ def test_estimate_matches_reference(with_potential):
                                                 with_potential=with_potential)
         for rm in np.geomspace(1e-12, 1e5, 6):
             r = rm / space.total_mass
-            new = sp_estimate(space, kernel, r, pot, seed=seed)
+            new = sp_estimate(space, kernel, r, pot)
             ref = reference_estimate(space, kernel, r, pot, seed=seed)
             M = _quadratic_matrix(space, kernel, r, pot)
             tol = 1e-14 * m * float(np.abs(M).max())
-            assert abs(new - ref) <= tol, (m, rm, new, ref)
+            assert new >= ref - tol, (m, rm, new, ref)
             if m <= 10:
-                assert new >= ref - tol, (m, rm, new, ref)
+                assert abs(new - ref) <= tol, (m, rm, new, ref)
+
+
+def signed_facet_optimum(space, kernel, r, potential=None):
+    """Max of f^T M f over the weighted L1 sphere and a maximizer, from the
+    stationary points of every signed facet: every support, every sign
+    pattern (the last sign fixed by f -> -f), each scored exactly.  Solves
+    are batched over the supports of one size, about 2^20 numbers at once."""
+    m, mu = space.m, space.mu
+    M = _quadratic_matrix(space, kernel, r, potential)
+    best, arg = -np.inf, None
+    for k in range(1, m + 1):
+        signs = np.where((np.arange(1 << (k - 1))[:, None] >> np.arange(k)) & 1,
+                         1.0, -1.0)
+        signs[:, -1] = 1.0
+        supports = np.array(list(itertools.combinations(range(m), k)))
+        step = max(1, (1 << 20) // signs.size)
+        for S in np.array_split(supports, -(-len(supports) // step)):
+            sub = M[S[:, :, None], S[:, None, :]]
+            B = mu[S][:, :, None] * signs.T[None]
+            try:
+                X = np.linalg.inv(sub) @ B
+            except np.linalg.LinAlgError:
+                X = np.stack([np.linalg.lstsq(a, b, rcond=None)[0]
+                              for a, b in zip(sub, B)])
+            X = X / np.einsum("nk,nkp->np", mu[S], np.abs(X))[:, None, :]
+            vals = np.einsum("nkp,nkp->np", X, sub @ X)
+            n, p = np.unravel_index(int(np.argmax(vals)), vals.shape)
+            if vals[n, p] > best:
+                best, arg = float(vals[n, p]), np.zeros(m)
+                arg[S[n]] = X[n, :, p]
+    return best, arg
+
+
+@pytest.mark.parametrize("with_potential", [False, True])
+def test_estimate_equals_signed_facet_enumeration(with_potential):
+    negative = False
+    for m in range(3, 15):
+        space, kernel, _, pot = random_instance(200 + m, (m, m),
+                                                with_potential=with_potential)
+        for rm in np.geomspace(1e-3, 1e3, 4):
+            r = rm / space.total_mass
+            new = sp_estimate(space, kernel, r, pot)
+            ref, _ = signed_facet_optimum(space, kernel, r, pot)
+            assert new == pytest.approx(ref, rel=1e-12, abs=0.0), (m, rm)
+            negative |= ref < 0
+    # under killing, large r pushes the optimum below zero: the all-negative
+    # solutions of the support solve carry it
+    assert negative == with_potential
+
+
+@pytest.mark.parametrize("m", range(11, 15))
+def test_certified_rate_dominates_exact_argmax(m):
+    """On the grid of thm21_verify and at the geometric midpoints: the
+    optimal rate is convex in r, so the table's chords stay above it."""
+    space, kernel, _, _ = random_instance(1000 + m, (m, m))
+    M = space.total_mass
+    r_grid = np.geomspace(1e-3 / M, 1e3 / M, 25)
+    beta = certified_rate(space, kernel, r_grid)
+    mids = np.sqrt(r_grid[1:] * r_grid[:-1])
+    for r in np.concatenate([r_grid, mids]):
+        _, f = signed_facet_optimum(space, kernel, r)
+        rep = sp_verify(space, kernel, beta, [f], [r], tol=0.0)
+        assert rep["pass"] and rep["worst_slack"] >= 0.0, (m, r, rep)
+
+
+def test_estimate_refuses_large_spaces():
+    space, kernel, _, _ = random_instance(0, (SIZE_LIMIT + 1, SIZE_LIMIT + 1))
+    with pytest.raises(ValidationError, match="m <= 16"):
+        sp_estimate(space, kernel, 1.0)
 
 
 def test_estimate_limits(two_point):
     space, kernel = two_point
     # r = 0: the point-mass extremizer gives 1/min mass
-    assert sp_estimate(space, kernel, 0.0, seed=0) == pytest.approx(1.0, rel=1e-12)
+    assert sp_estimate(space, kernel, 0.0) == pytest.approx(1.0, rel=1e-12)
     # very large r: constants survive, value approaches 1/total mass
-    assert sp_estimate(space, kernel, 1e6, seed=0) == pytest.approx(0.5, rel=1e-9)
+    assert sp_estimate(space, kernel, 1e6) == pytest.approx(0.5, rel=1e-9)
 
 
 def test_estimate_monotone_in_r():
     space, kernel, _, _ = random_instance(0, (3, 8))
-    vals = [sp_estimate(space, kernel, r, seed=0)
+    vals = [sp_estimate(space, kernel, r)
             for r in np.geomspace(1e-3, 1e3, 12)]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -183,7 +255,7 @@ def test_certified_rate_passes_fresh_family():
                                                 with_potential=(seed % 2 == 0))
         M = space.total_mass
         r_grid = np.geomspace(1e-3 / M, 1e3 / M, 18)
-        beta = certified_rate(space, kernel, r_grid, potential=pot, seed=seed)
+        beta = certified_rate(space, kernel, r_grid, potential=pot)
         fam = random_functions(rng, space.m, 500)
         rep = sp_verify(space, kernel, beta.scaled(1.0 + 1e-6), fam, r_grid,
                         potential=pot)
@@ -227,14 +299,13 @@ def test_decay_check_random_instances():
         space, kernel, _, _ = random_instance(seed, (3, 8))
         M = space.total_mass
         r_grid = np.geomspace(1e-2 / M, 1e2 / M, 6)
-        beta = certified_rate(space, kernel, r_grid, seed=seed)
+        beta = certified_rate(space, kernel, r_grid)
         fam = random_functions(rng, space.m, 30)
         rep = sp_decay_check(space, kernel, beta, fam,
                              t_grid=np.geomspace(1e-2, 20.0, 6), r_grid=r_grid)
         assert rep["pass"], (seed, rep)
         # t = 0 must be tight for the worst f
-        rep0 = sp_decay_check(space, kernel, beta, fam[:5], [0.0], r_grid[:1],
-                              subset_limit=0)
+        rep0 = sp_decay_check(space, kernel, beta, fam[:5], [0.0], r_grid[:1])
         assert rep0["worst_slack"] >= -1e-12
 
 
@@ -245,7 +316,7 @@ def test_lemma2_two_point_closed_form(two_point):
     # optimal rate: max(1 - rj, 1/2); certified table inflates by 1.01.
     # put the kink r = 1/(2j) on the grid so the table is exact everywhere
     r_grid = np.sort(np.append(np.geomspace(1e-4, 1e3, 40), 1.0 / (2.0 * j)))
-    beta = certified_rate(space, kernel, r_grid, seed=0)
+    beta = certified_rate(space, kernel, r_grid)
     for r in (0.01, 0.05, 0.1):
         assert beta(r) == pytest.approx(1.01 * max(1 - r * j, 0.5), rel=1e-6)
     rep = lemma2_bound(space, kernel, ones, beta, s_grid=[0.5, 0.8, 1.5, 1.9])
@@ -267,7 +338,7 @@ def test_lemma2_random_instances():
         space, kernel, gamma, _ = random_instance(seed, (3, 10), with_gamma=(seed % 2 == 0))
         M = space.total_mass
         r_grid = np.geomspace(1e-3 / M, 1e3 / M, 20)
-        beta = certified_rate(space, kernel, r_grid, seed=seed)
+        beta = certified_rate(space, kernel, r_grid)
         s_grid = np.geomspace(space.mu.min() * 1.05, 0.45 * M, 20)
         rep = lemma2_bound(space, kernel, gamma, beta, s_grid)
         assert rep["pass"], (seed, rep)
@@ -278,7 +349,7 @@ def test_lemma2_gamma_scaling_invariance():
     space, kernel, gamma, _ = random_instance(7, (4, 7), with_gamma=True)
     M = space.total_mass
     r_grid = np.geomspace(1e-3 / M, 1e3 / M, 16)
-    beta = certified_rate(space, kernel, r_grid, seed=7)
+    beta = certified_rate(space, kernel, r_grid)
     s_grid = np.geomspace(space.mu.min() * 1.1, 0.4 * M, 8)
     a = lemma2_bound(space, kernel, gamma, beta, s_grid)
     scaled = WeightFunction(5.0 * gamma.gamma)
