@@ -22,7 +22,7 @@ import numpy as np
 from .core import FiniteMeasureSpace, JumpKernel, WeightFunction, l1_form
 from .numerics import INF, ext_ratio
 from .young import (YoungFunction, c_N, indicator_norm, l1_form_batch,
-                    orlicz_norm_batch)
+                    orlicz_norm_batch, stack_family)
 
 ENUM_LIMIT = 24
 
@@ -233,15 +233,14 @@ def empirical_l1_constant(space, kernel, N, f_family, gamma=None) -> float:
     prof = enumerate_profile(space, kernel, gamma)
     for mass, flow in zip(prof.sorted_masses, prof.sorted_flows):
         best = max(best, ext_ratio(indicator_norm(N, mass), 2.0 * flow))
-    fam = [np.asarray(f, dtype=float) for f in f_family]
-    if fam:
-        nums = orlicz_norm_batch(space, N, np.stack(fam))
-        denoms = l1_form_batch(space, kernel, gamma, np.stack(fam))
-        for num, denom in zip(nums, denoms):
-            if denom > 0:
-                best = max(best, float(num) / float(denom))
-            elif num > 0:
-                best = INF
+    fam = stack_family(space, f_family)
+    nums = orlicz_norm_batch(space, N, fam)
+    denoms = l1_form_batch(space, kernel, gamma, fam)
+    for num, denom in zip(nums, denoms):
+        if denom > 0:
+            best = max(best, float(num) / float(denom))
+        elif num > 0:
+            best = INF
     return best
 
 
@@ -269,7 +268,7 @@ def thm20_backward(space, kernel, N, f_family, gamma=None, tol=1e-9) -> dict:
     if cN <= 0 or kap <= 0:
         raise ValueError("backward direction needs c_N > 0 and kappa > 0")
     C = 1.0 / (2.0 * cN * kap)
-    fam = np.stack([np.asarray(f, dtype=float) for f in f_family])
+    fam = stack_family(space, f_family)
     lhs = orlicz_norm_batch(space, N, fam)
     rhs = C * l1_form_batch(space, kernel, gamma, fam)
     slack = rhs - lhs

@@ -338,8 +338,7 @@ def _bump_candidates(mm: int, widths) -> list:
     return out
 
 
-def truncated_crossover_curve(alpha: float, R: int = 1536, ell: int = 48,
-                              seed: int = 0):
+def truncated_crossover_curve(alpha: float, R: int = 1536, ell: int = 48):
     """Empirical rate curve of the 1-D range-ell truncated stable kernel.
 
     The kernel keeps lattice jumps up to range ell, so scales below ell

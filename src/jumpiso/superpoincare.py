@@ -149,6 +149,12 @@ SIZE_LIMIT = 16   # 2^m - 1 supports are solved; larger spaces are refused
 INFLATE = 1.01    # margin of a certified rate over its estimates
 
 
+def require_size(m: int) -> None:
+    """Refuse an optimal rate on more than ``SIZE_LIMIT`` points."""
+    if m > SIZE_LIMIT:
+        raise ValidationError(f"optimal rate needs m <= {SIZE_LIMIT} points, got m={m}")
+
+
 def _quadratic_matrix(space, kernel, r: float, potential=None) -> np.ndarray:
     L = generator(space, kernel, potential)
     D = np.diag(space.mu)
@@ -182,8 +188,7 @@ def sp_estimate(space, kernel, r: float, potential=None) -> float:
     if r < 0:
         raise ValueError("r must be nonnegative")
     m = space.m
-    if m > SIZE_LIMIT:
-        raise ValidationError(f"optimal rate needs m <= {SIZE_LIMIT} points, got m={m}")
+    require_size(m)
     mu = space.mu
     M = _quadratic_matrix(space, kernel, r, potential)
     members = (np.arange(1, 1 << m)[:, None] >> np.arange(m)) & 1

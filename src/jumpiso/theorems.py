@@ -32,9 +32,10 @@ from .numerics import (INF, cumulative_quad, end_slope, ext_ratio,
                        inv_decreasing, inv_increasing)
 from .reports import TheoremReport
 from .superpoincare import (RateFunction, certified_rate, rate_power_log,
-                            rate_power_pair, sp_verify)
-from .young import (YoungFunction, _power_pair, indicator_norm, orlicz_norm,
-                    piecewise_linear_young, tabulated_young)
+                            rate_power_pair, require_size, sp_verify)
+from .young import (YoungFunction, _power_pair, indicator_norm,
+                    orlicz_norm_batch, piecewise_linear_young, stack_family,
+                    tabulated_young)
 
 C_STAR = 2.0 / (1.0 - math.exp(-1.0))      # traced constant for the
 # regularization route: the gauge comparison costs a dilation by
@@ -46,6 +47,12 @@ C_KILLED = 2.0 * C_STAR                    # killed route: the extended
 def _kappa_step_data(profile: IsoperimetricProfile):
     levels, kappas = profile.kappa_steps()
     return np.asarray(levels, dtype=float), np.asarray(kappas, dtype=float)
+
+
+def _within_cap(space, fam: np.ndarray, cap: float) -> np.ndarray:
+    """The rows of fam whose support mass is at most cap."""
+    return fam[np.array([float(space.mu[np.abs(f) > 0].sum()) <= cap + 1e-12
+                         for f in fam], dtype=bool)]
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +161,9 @@ def lemma1_sobolev(space, kernel, gamma, profile=None, f_family=(),
         r_prev = r_next
     N = piecewise_linear_young(phi_knots, r_knots, cap=phi_knots[-1])
 
+    fam = stack_family(space, f_family)
     rows, nviol, worst = [], 0, INF
-    for idx, f in enumerate(f_family):
-        f = np.asarray(f, dtype=float)
-        lhs = orlicz_norm(space, N, f)
+    for idx, (f, lhs) in enumerate(zip(fam, orlicz_norm_batch(space, N, fam).tolist())):
         rhs = 0.5 * l1_form(space, kernel, gamma, f)
         slack = rhs - lhs
         rows.append({"f": idx, "slack": slack,
@@ -264,21 +270,14 @@ def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
         from .instances import indicators_below, small_support_functions
         f_family = (indicators_below(space, cap) if m <= 14 else []) + \
             small_support_functions(rng, space, cap, 40)
-    kept, skipped = [], 0
-    for f in f_family:
-        f = np.asarray(f, dtype=float)
-        supp_mass = float(space.mu[np.abs(f) > 0].sum())
-        if supp_mass <= cap + 1e-12:
-            kept.append(f)
-        else:
-            skipped += 1
-    if skipped:
-        rep.note(f"skipped {skipped} family members with support mass above the cap")
+    fam = stack_family(space, f_family)
+    kept = _within_cap(space, fam, cap)
+    if len(kept) < len(fam):
+        rep.note(f"skipped {len(fam) - len(kept)} family members with support mass above the cap")
 
     emp = 0.0
     worst = INF
-    for f in kept:
-        lhs = orlicz_norm(space, N, f)
+    for f, lhs in zip(kept, orlicz_norm_batch(space, N, kept).tolist()):
         denom = l1_form(space, kernel, gamma, f)
         rhs = C_STAR * denom
         worst = min(worst, rhs - lhs)
@@ -478,10 +477,9 @@ def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
         rep.add("profile finite", -INF, tol)
         return rep
     N = tabulated_young(vals[1:], grid[1:], family="defective_rate_inverse")
+    fam = stack_family(space, f_family)
     worst2 = INF
-    for f in f_family:
-        f = np.asarray(f, dtype=float)
-        lhs = orlicz_norm(space, N, f)
+    for f, lhs in zip(fam, orlicz_norm_batch(space, N, fam).tolist()):
         worst2 = min(worst2, 0.5 * l1_form(space, kernel, gamma, f) - lhs)
     rep.add("gauge bound at constant 1/2", worst2, tol)
 
@@ -490,8 +488,7 @@ def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
     rates = _finite_rates(
         r_grid, lambda r: 2.0 * beta1(math.sqrt(r) / (2.0 * math.sqrt(2.0 * c_gamma))))
     worst3 = INF
-    for f in f_family:
-        f = np.asarray(f, dtype=float)
+    for f in fam:
         l2 = float(np.sum(f * f * space.mu))
         l1sq = float(np.sum(np.abs(f) * space.mu)) ** 2
         en = dirichlet_energy(space, kernel, f)
@@ -642,6 +639,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
         rep.derived = inner.derived
         rep.notes += inner.notes
         return rep
+    require_size(space.m + 1)   # the extension's rate: refuse before any work
 
     rng = np.random.default_rng(seed)
     total = space.total_mass
@@ -685,15 +683,10 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     rep.derived["forward_constant"] = C_KILLED
     rep.derived["theta_total_extension"] = theta_total
 
-    cap = support_fraction * space2.total_mass
+    kept = _within_cap(space, stack_family(space, f_family),
+                       support_fraction * space2.total_mass)
     worst, emp = INF, 0.0
-    kept = 0
-    for f in f_family:
-        f = np.asarray(f, dtype=float)
-        if float(space.mu[np.abs(f) > 0].sum()) > cap + 1e-12:
-            continue
-        kept += 1
-        lhs = orlicz_norm(space, N_bar, f)
+    for f, lhs in zip(kept, orlicz_norm_batch(space, N_bar, kept).tolist()):
         bracket = (l1_form(space, kernel, gamma, f)
                    + float(np.sum(np.abs(f) * xi * potential.v * space.mu)))
         worst = min(worst, C_KILLED * bracket - lhs)
@@ -701,7 +694,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
             emp = max(emp, lhs / bracket)
     rep.add("killed gauge bound at the traced constant", worst, tol)
     rep.derived["empirical_forward_constant"] = emp
-    rep.derived["forward_family_size"] = kept
+    rep.derived["forward_family_size"] = len(kept)
 
     # converse: exact indicator constant over cemetery-free subsets,
     # including the full base space (proper on the extension)

@@ -280,93 +280,93 @@ def piecewise_linear_young(knots_s, knots_v, cap=INF) -> YoungFunction:
 # ---------------------------------------------------------------------------
 # Orlicz gauge norm
 
+def _gauge_search(G, rows, K: int, rtol: float) -> np.ndarray:
+    """Per-row solution hi of G(r) = 1 for a nonincreasing mean G.
+
+    G(idx, r) evaluates the rows ``idx`` at the radii ``r``.  Every row
+    follows the same rules on its own: hi doubles from 1 until G(hi) <= 1
+    (+inf when 2400 doublings do not bracket), lo halves from hi until
+    G(lo) > 1 (0 once lo < 1e-300), then at most 200 geometric bisection
+    steps until hi - lo <= rtol hi.  A row leaves ``idx`` when it stops, so
+    each step evaluates G once on the rows still searching.  Rows outside
+    ``rows`` are 0.
+    """
+    out = np.zeros(K)
+    hi = np.ones(K)
+    idx, bracketed = rows, [rows[:0]]
+    for _ in range(2400):
+        if not idx.size:
+            break
+        ok = G(idx, hi[idx]) <= 1.0
+        bracketed.append(idx[ok])
+        idx = idx[~ok]
+        hi[idx] *= 2.0
+    out[idx] = INF
+    lo = hi.copy()
+    idx, found = np.concatenate(bracketed), []
+    for _ in range(2400):
+        lo[idx] /= 2.0
+        idx = idx[~(lo[idx] < 1e-300)]
+        if not idx.size:
+            break
+        up = G(idx, lo[idx]) > 1.0
+        found.append(idx[up])
+        idx = idx[~up]
+    idx = searching = np.concatenate(found + [idx])
+    for _ in range(200):
+        if not idx.size:
+            break
+        mid = np.sqrt(lo[idx] * hi[idx])
+        below = G(idx, mid) <= 1.0
+        hi[idx[below]] = mid[below]
+        lo[idx[~below]] = mid[~below]
+        idx = idx[~(hi[idx] - lo[idx] <= rtol * hi[idx])]
+    out[searching] = hi[searching]
+    return out
+
+
 def orlicz_norm(model, N: YoungFunction, f, rtol=1e-10):
     """||f||_N over a finite space or any model exposing .integrate(fn).
 
     The mean G(r) = integral N(|f|/r) dmu is nonincreasing in r; the norm is
     located by geometric bracketing plus log bisection of G(r) = 1.  Returns
-    +inf when no finite r works and 0 for f = 0.
+    +inf when no finite r works and 0 for f = 0.  On a finite space this is
+    the one-row case of ``orlicz_norm_batch``.
     """
     if isinstance(model, FiniteMeasureSpace):
-        fv = np.abs(np.asarray(f, dtype=float))
-        if fv.max(initial=0.0) == 0.0:
-            return 0.0
+        return float(orlicz_norm_batch(model, N, np.asarray(f, dtype=float)[None], rtol)[0])
 
-        def G(r):
-            vals = np.asarray(N(fv / r), dtype=float)
-            with np.errstate(over="ignore"):
-                return float(np.sum(vals * model.mu))
-    else:
-        def G(r):
-            return model.integrate(lambda x: np.asarray(N(np.abs(f(x)) / r), dtype=float))
+    def G(idx, r):
+        return np.array([model.integrate(
+            lambda x: np.asarray(N(np.abs(f(x)) / r[0]), dtype=float))])
 
-    # bracket: want lo with G(lo) > 1 and hi with G(hi) <= 1
-    hi = 1.0
-    for _ in range(2400):
-        if G(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        return INF
-    lo = hi
-    for _ in range(2400):
-        lo /= 2.0
-        if lo < 1e-300:
-            return 0.0
-        if G(lo) > 1.0:
-            break
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if G(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= rtol * hi:
-            break
-    return hi
+    return float(_gauge_search(G, np.arange(1), 1, rtol)[0])
 
 
 def orlicz_norm_batch(space: FiniteMeasureSpace, N: YoungFunction, F,
                       rtol=1e-10) -> np.ndarray:
-    """Gauge norms of the rows of F at once, by vectorized log bisection.
+    """Gauge norms of the rows of F: equal, bit for bit, to mapping
+    ``orlicz_norm`` over the rows.
 
-    Equivalent to mapping orlicz_norm over the rows but with one array
-    evaluation of N per bisection step, which is what batch verification
-    over large function families needs.
+    Each row keeps its own bracket and stopping rule; each search step is one
+    array evaluation of N on the rows still searching, which is what
+    verification over large function families needs.
     """
     F = np.abs(np.asarray(F, dtype=float))
-    K = F.shape[0]
-    mu = space.mu[None, :]
+    mu = space.mu
 
-    def G(r):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.asarray(N(F / r[:, None]), dtype=float)
-        return np.sum(np.where(F > 0, vals * mu, 0.0), axis=1)
+    def G(idx, r):
+        with np.errstate(over="ignore"):
+            return np.sum(np.asarray(N(F[idx] / r[:, None]), dtype=float) * mu, axis=1)
 
-    alive = F.max(axis=1) > 0
-    hi = np.ones(K)
-    for _ in range(2400):
-        bad = alive & (G(hi) > 1.0)
-        if not bad.any():
-            break
-        hi[bad] *= 2.0
-    lo = hi / 2.0
-    for _ in range(2400):
-        ok = alive & (G(lo) <= 1.0)
-        if not ok.any():
-            break
-        lo[ok] /= 2.0
-        if lo.min() < 1e-300:
-            break
-    for _ in range(80):
-        mid = np.sqrt(lo * hi)
-        below = G(mid) <= 1.0
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-        if np.all(hi - lo <= rtol * hi):
-            break
-    out = np.where(alive, hi, 0.0)
-    return out
+    return _gauge_search(G, np.flatnonzero(F.max(axis=1, initial=0.0) != 0.0),
+                         F.shape[0], rtol)
+
+
+def stack_family(space: FiniteMeasureSpace, f_family) -> np.ndarray:
+    """A function family as the rows of one float matrix (possibly empty)."""
+    fam = np.array([np.asarray(f, dtype=float) for f in f_family])
+    return fam if fam.size else np.zeros((0, space.m))
 
 
 def l1_form_batch(space, kernel, gamma, F) -> np.ndarray:
@@ -400,19 +400,17 @@ def c_N(N: YoungFunction, lo=1e-8, hi=1e8, points=400, refine=4) -> float:
     return best
 
 
-def scaling_bound_check(model, N: YoungFunction, c: float, f_family) -> dict:
+def scaling_bound_check(space: FiniteMeasureSpace, N: YoungFunction, c: float,
+                        f_family) -> dict:
     """Verify c^{-1} ||f||_{cN} <= ||f||_N <= ||f||_{cN} over a family."""
     if c < 1:
         raise ValueError("c must be >= 1")
-    cN = scale_young(N, c)
-    worst_lo, worst_hi = INF, INF
-    for f in f_family:
-        base = orlicz_norm(model, N, f)
-        scaled = orlicz_norm(model, cN, f)
-        if math.isinf(base) and math.isinf(scaled):
-            continue
-        worst_lo = min(worst_lo, base - scaled / c)
-        worst_hi = min(worst_hi, scaled - base)
+    fam = stack_family(space, f_family)
+    base = orlicz_norm_batch(space, N, fam)
+    scaled = orlicz_norm_batch(space, scale_young(N, c), fam)
+    kept = ~(np.isinf(base) & np.isinf(scaled))
+    worst_lo = float(np.min(base[kept] - scaled[kept] / c, initial=INF))
+    worst_hi = float(np.min(scaled[kept] - base[kept], initial=INF))
     ok = worst_lo >= -1e-8 and worst_hi >= -1e-8
     return {"claim": "gauge scaling bounds", "c": c, "pass": ok,
             "worst_lower_slack": worst_lo, "worst_upper_slack": worst_hi}

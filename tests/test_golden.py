@@ -42,7 +42,7 @@ GOLDEN = {
     }),
     "theorem_batch.json": ("verify", {
         "report.json":
-            "878f837c5a7c3e9481895a93ac1e828b79f368b6520c34757751c98354eb535b",
+            "3571bf45315f224f3fe2ac227a17c84e463d612bd178ebdfef64b88ef30579e9",
     }),
 }
 

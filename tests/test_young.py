@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumpiso.core import FiniteMeasureSpace
-from jumpiso.instances import random_instance
+from jumpiso.instances import random_functions, random_instance
+from jumpiso.numerics import INF
 from jumpiso.young import (builtin, c_N, domination, indicator_norm,
-                           invert_phi, log_profile, orlicz_norm, phi_h,
-                           phi_h_grid, power_pair_profile, power_profile,
-                           scale_young, scaling_bound_check, young_from_csv,
-                           young_is_valid, young_to_csv)
+                           invert_phi, log_profile, orlicz_norm,
+                           orlicz_norm_batch, phi_h, phi_h_grid,
+                           piecewise_linear_young, power_pair_profile,
+                           power_profile, scale_young, scaling_bound_check,
+                           tabulated_young, young_from_csv, young_is_valid,
+                           young_to_csv)
 
 ALL_BUILTINS = [
     builtin("power", p=1.2), builtin("power", p=2), builtin("power", p=3),
@@ -127,6 +130,162 @@ def test_orlicz_indicator_closed_form():
                 mass = float(space.mu[sel].sum())
                 assert orlicz_norm(space, N, f) == pytest.approx(
                     indicator_norm(N, mass), rel=1e-9)
+
+
+def _reference_orlicz_norm(model, N, f, rtol=1e-10):
+    """The scalar gauge as it was before the batched kernel, kept verbatim."""
+    if isinstance(model, FiniteMeasureSpace):
+        fv = np.abs(np.asarray(f, dtype=float))
+        if fv.max(initial=0.0) == 0.0:
+            return 0.0
+
+        def G(r):
+            vals = np.asarray(N(fv / r), dtype=float)
+            with np.errstate(over="ignore"):
+                return float(np.sum(vals * model.mu))
+    else:
+        def G(r):
+            return model.integrate(lambda x: np.asarray(N(np.abs(f(x)) / r), dtype=float))
+
+    hi = 1.0
+    for _ in range(2400):
+        if G(hi) <= 1.0:
+            break
+        hi *= 2.0
+    else:
+        return INF
+    lo = hi
+    for _ in range(2400):
+        lo /= 2.0
+        if lo < 1e-300:
+            return 0.0
+        if G(lo) > 1.0:
+            break
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if G(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= rtol * hi:
+            break
+    return hi
+
+
+def _reference_shared_stop_batch(space, N, F, rtol=1e-10):
+    """The earlier batch, kept verbatim: one stopping rule shared by all
+    rows (at most 80 bisection steps) and halving that stops for every row
+    once any row reaches 1e-300."""
+    F = np.abs(np.asarray(F, dtype=float))
+    K = F.shape[0]
+    mu = space.mu[None, :]
+
+    def G(r):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.asarray(N(F / r[:, None]), dtype=float)
+        return np.sum(np.where(F > 0, vals * mu, 0.0), axis=1)
+
+    alive = F.max(axis=1) > 0
+    hi = np.ones(K)
+    for _ in range(2400):
+        bad = alive & (G(hi) > 1.0)
+        if not bad.any():
+            break
+        hi[bad] *= 2.0
+    lo = hi / 2.0
+    for _ in range(2400):
+        ok = alive & (G(lo) <= 1.0)
+        if not ok.any():
+            break
+        lo[ok] /= 2.0
+        if lo.min() < 1e-300:
+            break
+    for _ in range(80):
+        mid = np.sqrt(lo * hi)
+        below = G(mid) <= 1.0
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+        if np.all(hi - lo <= rtol * hi):
+            break
+    return np.where(alive, hi, 0.0)
+
+
+_TAB = np.geomspace(1e-3, 1e3, 60)
+GAUGE_YOUNGS = [
+    builtin("power", p=1.7),
+    builtin("pow_min", n=1, alpha1=0.5, alpha2=1.5),
+    builtin("log_plus", n=1, alpha=1.0, q=1.0),
+    tabulated_young(_TAB, _TAB ** 1.8 + _TAB ** 1.2),
+    piecewise_linear_young([0.0, 1.0, 2.0], [0.0, 0.5, 2.0], cap=3.0),
+    scale_young(builtin("power", p=2), 7.0),
+]
+
+
+def _gauge_rows(rng, m):
+    """Zero, constant, indicator, mixed-sign, huge, tiny and infinite rows."""
+    rows = [np.zeros(m), np.ones(m), np.eye(m)[0], (rng.random(m) < 0.5) * 1.0,
+            rng.standard_normal(m), 1e6 * rng.standard_normal(m),
+            1e-6 * rng.standard_normal(m), np.full(m, 1e-301), np.zeros(m)]
+    rows[-1][-1] = INF
+    return np.array(rows)
+
+
+class _UnitInterval:
+    """[0, 1] under Lebesgue measure, by 24-node Gauss-Legendre."""
+
+    x, w = np.polynomial.legendre.leggauss(24)
+
+    def integrate(self, fn):
+        return float(np.dot(self.w / 2.0, fn((self.x + 1.0) / 2.0)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("m", [1, 2, 5, 13])
+def test_gauge_kernel_equals_reference_scalar(m):
+    """Per-row stopping: the batch, the scalar and a one-row batch equal the
+    earlier scalar bit for bit, on every row and Young function."""
+    rng = np.random.default_rng(m)
+    space = FiniteMeasureSpace(np.exp(rng.uniform(-1.0, 1.0, m)))
+    F = _gauge_rows(rng, m)
+    for N in GAUGE_YOUNGS:
+        ref = [_reference_orlicz_norm(space, N, f) for f in F]
+        assert orlicz_norm_batch(space, N, F).tolist() == ref, N.family
+        assert [orlicz_norm(space, N, f) for f in F] == ref, N.family
+        assert orlicz_norm_batch(space, N, F[4:5]).tolist() == ref[4:5]
+    assert ref[0] == 0.0 and ref[-2] == 0.0 and ref[-1] == INF
+    assert orlicz_norm_batch(space, N, np.zeros((0, m))).shape == (0,)
+
+
+def test_continuum_gauge_equals_reference_scalar():
+    model = _UnitInterval()
+    for N in GAUGE_YOUNGS:
+        for f in (lambda x: x - 0.3, lambda x: 1e4 * np.sin(7 * x), lambda x: 0.0 * x):
+            assert orlicz_norm(model, N, f) == _reference_orlicz_norm(model, N, f)
+
+
+def test_indicator_rows_match_closed_form():
+    for seed in range(4):
+        space, *_ = random_instance(seed, (2, 9))
+        m = space.m
+        masks = ((np.arange(1, 1 << m)[:, None] >> np.arange(m)) & 1).astype(float)
+        masses = masks @ space.mu
+        for N in GAUGE_YOUNGS:
+            got = orlicz_norm_batch(space, N, masks)
+            want = [indicator_norm(N, float(mass)) for mass in masses]
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+def test_gauge_kernel_within_thm20_tolerance_of_shared_stop_batch():
+    """thm20's gauges (s^2, grounded random families, as the CLI builds them)
+    move by at most 1e-9 relative from the earlier shared-stop batch."""
+    rng = np.random.default_rng(20)
+    N = builtin("power", p=2)
+    for seed in range(8):
+        space, *_ = random_instance(seed, (3, 13))
+        F = np.array(random_functions(rng, space.m, 40, grounded=True))
+        np.testing.assert_allclose(orlicz_norm_batch(space, N, F),
+                                   _reference_shared_stop_batch(space, N, F),
+                                   rtol=1e-9, atol=0.0)
 
 
 @settings(max_examples=30, deadline=None)
