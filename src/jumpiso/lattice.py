@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from .numerics import loglog_slope
 
@@ -144,7 +144,8 @@ def subord_weights(alpha: float, K: int) -> SubordinationWeights:
     return SubordinationWeights(alpha, K, c, weight_tail(alpha, K))
 
 
-# elements of one binomial table chunk in the exact p1 routes
+# rows per chunk of the exact p1 routes: those of a full P1_CHUNK-element
+# binomial table, of which the two parity blocks store about half
 P1_CHUNK = 2_000_000
 
 
@@ -155,8 +156,8 @@ def p1_kernel(n: int, alpha: float, K: int, R: int, method: str = "auto"):
     R >= K); "exact" evaluates q_k pointwise from the binomial law (n = 1,
     and n = 2 via the rotation to two independent diagonal walks), which
     permits K far beyond R and is what the far-field power-law checks need.
-    The exact routes build their binomial tables P1_CHUNK elements at a
-    time, so their memory does not grow with K.
+    The exact routes take every binomial from one log-factorial vector, a
+    chunk of rows at a time as two parity blocks, so memory does not grow with K.
     Returns (window, per_entry_tail_bound).
     """
     w = subord_weights(alpha, K)
@@ -173,27 +174,21 @@ def p1_kernel(n: int, alpha: float, K: int, R: int, method: str = "auto"):
             a = srw_step(a, n)
             acc += w.c[k] * a
     elif method == "exact":
-        if n == 1:
-            acc = np.zeros(2 * R + 1)
-            chunk = max(1, P1_CHUNK // (2 * R + 1))
-            for lo in range(0, K, chunk):
-                hi = min(K, lo + chunk)
-                # a row-by-row sum, not a BLAS product: threaded gemv splits
-                # the k axis, so its rounding would depend on the thread count
-                acc += (w.c[lo:hi, None] * _binom_table_rows(lo + 1, hi, R)).sum(axis=0)
-        elif n == 2:
-            width = 2 * R
-            M = np.zeros((2 * width + 1, 2 * width + 1))
-            chunk = max(1, P1_CHUNK // (2 * width + 1))
-            for lo in range(0, K, chunk):
-                hi = min(K, lo + chunk)
-                Tc = _binom_table_rows(lo + 1, hi, width)
-                M += Tc.T @ (w.c[lo:hi, None] * Tc)
-            x1 = np.arange(-R, R + 1)[:, None]
-            x2 = np.arange(-R, R + 1)[None, :]
-            acc = M[(x1 + x2) + width, (x1 - x2) + width]
-        else:
+        if n not in (1, 2):
             raise ValueError("exact route implemented for n in {1, 2}")
+        width = R if n == 1 else 2 * R
+        logfact = np.pad(gammaln(np.arange(K + 1.0) + 1), width, constant_values=np.inf)
+        M = np.zeros((2 * width + 1,) * n)
+        chunk = max(1, P1_CHUNK // (2 * width + 1))
+        for lo in range(0, K, chunk):
+            hi = min(K, lo + chunk)
+            for par, k0, T in _binom_parity_blocks(logfact, lo + 1, hi, width):
+                cT = w.c[k0 - 1:hi:2, None] * T
+                # n = 1 sums row by row, not by BLAS: threaded gemv splits the
+                # k axis, so its rounding would depend on the thread count
+                M[(slice(par, None, 2),) * n] += cT.sum(axis=0) if n == 1 else T.T @ cT
+        x = np.arange(-R, R + 1)
+        acc = M if n == 1 else M[np.add.outer(x, x) + width, np.subtract.outer(x, x) + width]
     else:
         raise ValueError("method must be conv, exact or auto")
     # beyond-K mass can sit anywhere with q_k <= sup_k>K q_k(0,0)
@@ -202,14 +197,19 @@ def p1_kernel(n: int, alpha: float, K: int, R: int, method: str = "auto"):
                          note=f"weights truncated at K={K}"), per_entry
 
 
-def _binom_table_rows(k_lo: int, k_hi: int, width: int) -> np.ndarray:
-    ks = np.arange(k_lo, k_hi + 1, dtype=float)[:, None]
-    js = np.arange(-width, width + 1, dtype=float)[None, :]
-    up = (ks + js) / 2.0
-    ok = (np.abs(js) <= ks) & (np.mod(ks + js, 2.0) == 0.0)
-    with np.errstate(invalid="ignore"):
-        logp = gammaln(ks + 1) - gammaln(up + 1) - gammaln(ks - up + 1) - ks * math.log(2.0)
-    return np.where(ok, np.exp(logp), 0.0)
+def _binom_parity_blocks(logfact: np.ndarray, k_lo: int, k_hi: int, width: int):
+    """Yield (par, k0, block): the walk table q_k(j), j = -width..width, on rows
+    k0, k0 + 2, ... <= k_hi and columns par::2, where their nonzero entries lie.
+    Row k reads log(u!) from a strided window S of ``logfact`` (log(i!), +inf
+    padded) and log((k - u)!) from its reverse; exp(-inf) = 0 masks |j| > k.
+    """
+    for par in (0, 1):
+        k0 = k_lo + (width + par - k_lo) % 2
+        ks = np.arange(k0, k_hi + 1, 2, dtype=float)[:, None]
+        S = np.lib.stride_tricks.sliding_window_view(logfact, width + 1 - par)
+        S = S[(k0 + width + par) // 2:][:ks.shape[0]]
+        logk = logfact[width + k0:width + k_hi + 1:2, None]
+        yield par, k0, np.exp(logk - S - S[:, ::-1] - ks * math.log(2.0))
 
 
 def _tail_formula(n: int, alpha: float, K1: int, radii_sq: np.ndarray) -> np.ndarray:
@@ -224,7 +224,6 @@ def _tail_formula(n: int, alpha: float, K1: int, radii_sq: np.ndarray) -> np.nda
     with s = (n + alpha)/2.  Relative error is O(1/K1) plus the uniformly
     integrable local-CLT correction.
     """
-    from scipy.special import gammainc
     A = alpha / (2.0 * math.gamma(1.0 - alpha / 2.0))
     s = 0.5 * (n + alpha)
     b = 0.5 * n * np.asarray(radii_sq, dtype=float)

@@ -2,12 +2,50 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
-from jumpiso.lattice import (LatticeWindow, gradient_decay, on_diagonal_decay,
-                             p1_hybrid, p1_kernel, power_law_band, srw_kernels,
+import jumpiso.lattice as lattice
+from jumpiso.lattice import (P1_CHUNK, LatticeWindow, _binom_parity_blocks,
+                             gradient_decay, on_diagonal_decay, p1_hybrid,
+                             p1_kernel, power_law_band, srw_kernels,
                              subord_weights, torus_semigroup,
                              truncated_crossover_curve, weight_at, weight_tail)
 from jumpiso.numerics import loglog_slope
+
+
+def _reference_binom_table_rows(k_lo: int, k_hi: int, width: int) -> np.ndarray:
+    # the full-table routine that the parity blocks replaced, kept verbatim
+    ks = np.arange(k_lo, k_hi + 1, dtype=float)[:, None]
+    js = np.arange(-width, width + 1, dtype=float)[None, :]
+    up = (ks + js) / 2.0
+    ok = (np.abs(js) <= ks) & (np.mod(ks + js, 2.0) == 0.0)
+    with np.errstate(invalid="ignore"):
+        logp = gammaln(ks + 1) - gammaln(up + 1) - gammaln(ks - up + 1) - ks * math.log(2.0)
+    return np.where(ok, np.exp(logp), 0.0)
+
+
+def _reference_p1_exact(n: int, alpha: float, K: int, R: int) -> np.ndarray:
+    # the exact n = 1 and n = 2 routes on full tables, kept verbatim apart
+    # from the name of the reference table routine
+    w = subord_weights(alpha, K)
+    if n == 1:
+        acc = np.zeros(2 * R + 1)
+        chunk = max(1, P1_CHUNK // (2 * R + 1))
+        for lo in range(0, K, chunk):
+            hi = min(K, lo + chunk)
+            acc += (w.c[lo:hi, None] * _reference_binom_table_rows(lo + 1, hi, R)).sum(axis=0)
+    elif n == 2:
+        width = 2 * R
+        M = np.zeros((2 * width + 1, 2 * width + 1))
+        chunk = max(1, P1_CHUNK // (2 * width + 1))
+        for lo in range(0, K, chunk):
+            hi = min(K, lo + chunk)
+            Tc = _reference_binom_table_rows(lo + 1, hi, width)
+            M += Tc.T @ (w.c[lo:hi, None] * Tc)
+        x1 = np.arange(-R, R + 1)[:, None]
+        x2 = np.arange(-R, R + 1)[None, :]
+        acc = M[(x1 + x2) + width, (x1 - x2) + width]
+    return acc
 
 
 def test_srw_oracles():
@@ -54,6 +92,52 @@ def test_p1_exact_equals_convolution():
         conv, _ = p1_kernel(n, 1.2, 8, 8, method="conv")
         exact, _ = p1_kernel(n, 1.2, 8, 8, method="exact")
         assert np.max(np.abs(conv.values - exact.values)) <= 1e-14
+
+
+@pytest.mark.parametrize("width", [1, 7, 64])
+def test_parity_blocks_equal_reference_table(width):
+    K = 400
+    logfact = np.pad(gammaln(np.arange(K + 1.0) + 1), width, constant_values=np.inf)
+    # k_lo odd and even, rows with k < width, one-row chunks, the last row
+    for k_lo, k_hi in [(1, 1), (1, 2), (2, 2), (1, 40), (2, 41), (3, 90),
+                       (150, 151), (200, 331), (399, 400)]:
+        ref = _reference_binom_table_rows(k_lo, k_hi, width)
+        full = np.full_like(ref, np.nan)
+        for par, k0, block in _binom_parity_blocks(logfact, k_lo, k_hi, width):
+            assert k0 in (k_lo, k_lo + 1) and (k0 - width - par) % 2 == 0
+            full[k0 - k_lo::2, par::2] = block
+            full[k0 - k_lo::2, 1 - par::2] = 0.0
+        assert np.array_equal(full, ref)
+
+
+@pytest.mark.parametrize("K,R", [(60000, 40), (30, 64)])
+def test_p1_exact_n1_equals_reference_route(K, R):
+    # K = 60000 spans three chunks of P1_CHUNK // 81 rows; K = 30 < R
+    assert K < R or K > 2 * (P1_CHUNK // (2 * R + 1))
+    new, _ = p1_kernel(1, 1.0, K, R, method="exact")
+    assert np.array_equal(new.values, _reference_p1_exact(1, 1.0, K, R))
+
+
+def test_p1_hybrid_equals_reference_route(monkeypatch):
+    new = p1_hybrid(1, 0.8, 200, K1=20000)
+
+    def reference_kernel(n, alpha, K, R, method):
+        win, per_entry = p1_kernel(n, alpha, K, R, method=method)
+        win.values = _reference_p1_exact(n, alpha, K, R)
+        return win, per_entry
+
+    monkeypatch.setattr(lattice, "p1_kernel", reference_kernel)
+    ref = p1_hybrid(1, 0.8, 200, K1=20000)
+    assert np.array_equal(new.values, ref.values) and new.leak == ref.leak
+
+
+@pytest.mark.parametrize("K,R", [(20000, 40), (12, 20)])
+def test_p1_exact_n2_within_tolerance_of_reference_route(K, R):
+    new, _ = p1_kernel(2, 1.3, K, R, method="exact")
+    ref = _reference_p1_exact(2, 1.3, K, R)
+    nz = ref != 0.0
+    assert np.all(new.values[~nz] == 0.0)
+    assert np.max(np.abs(new.values[nz] - ref[nz]) / ref[nz]) <= 1e-13
 
 
 def test_p1_symmetry_and_mass():
