@@ -184,6 +184,38 @@ def l1_form(space: FiniteMeasureSpace, kernel: JumpKernel, gamma, f) -> float:
     return float(np.sum(np.abs(f[:, None] - f[None, :]) * w))
 
 
+def rate_slacks(space: FiniteMeasureSpace, F, energy, r_grid, rate,
+                tol=1e-9) -> dict:
+    """Slacks r E(f) + beta(r) ||f||_1^2 - ||f||_2^2 of a rate inequality
+    over the rows f of F and the grid points r with beta(r) finite.
+
+    ``energy`` maps one row to its energy (E, E_V or l1(f^2)) and runs once
+    per row; ``rate`` runs once per grid point.  An infinite rate gives
+    +inf (NaN on a zero row), never the worst slack, so its column is
+    dropped.  Every entry equals the per-(f, r) scalar expression bit for
+    bit: ||f||_1^2 uses libm pow (``float_power``), as the Python float
+    square does, not x*x.  Returns the slack matrix (rows x kept columns),
+    the kept ``r``, the worst slack, its witness (row, r) (the first strict
+    minimum in row-major order, or None) and the number of entries below
+    -tol.
+    """
+    pairs = [(float(r), float(b)) for r, b in ((r, rate(r)) for r in r_grid)
+             if not math.isinf(b)]
+    rs = np.array([r for r, _ in pairs])
+    bs = np.array([b for _, b in pairs])
+    l2 = np.sum(F * F * space.mu, axis=1)
+    l1sq = np.float_power(np.sum(np.abs(F) * space.mu, axis=1), 2)
+    en = np.array([energy(f) for f in F], dtype=float)
+    S = rs * en[:, None] + bs * l1sq[:, None] - l2[:, None]
+    scan = np.where(np.isnan(S), INF, S).ravel()   # as under a strict <
+    worst, witness = INF, None
+    if scan.size and scan.min() < INF:
+        i, j = divmod(int(np.argmin(scan)), len(rs))
+        worst, witness = float(S[i, j]), (i, float(rs[j]))
+    return {"slacks": S, "r": rs, "worst_slack": worst, "witness": witness,
+            "violations": int(np.sum(S < -tol))}
+
+
 def generator(space: FiniteMeasureSpace, kernel: JumpKernel,
               potential: KillingPotential | None = None) -> np.ndarray:
     """Matrix of L with (Lf)_x = sum_y (f_x - f_y) j(x,y) mu(y) + v_x f_x."""

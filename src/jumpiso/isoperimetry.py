@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FiniteMeasureSpace, JumpKernel, WeightFunction, l1_form
+from .core import (FiniteMeasureSpace, JumpKernel, WeightFunction, l1_form,
+                   rate_slacks)
 from .numerics import INF, ext_ratio
-from .young import (YoungFunction, c_N, indicator_norm, l1_form_batch,
-                    orlicz_norm_batch, stack_family)
+from .young import (YoungFunction, c_N, indicator_norm, orlicz_norm_batch,
+                    stack_family)
 
 ENUM_LIMIT = 24
 
@@ -235,7 +236,7 @@ def empirical_l1_constant(space, kernel, N, f_family, gamma=None) -> float:
         best = max(best, ext_ratio(indicator_norm(N, mass), 2.0 * flow))
     fam = stack_family(space, f_family)
     nums = orlicz_norm_batch(space, N, fam)
-    denoms = l1_form_batch(space, kernel, gamma, fam)
+    denoms = [l1_form(space, kernel, gamma, f) for f in fam]
     for num, denom in zip(nums, denoms):
         if denom > 0:
             best = max(best, float(num) / float(denom))
@@ -270,7 +271,7 @@ def thm20_backward(space, kernel, N, f_family, gamma=None, tol=1e-9) -> dict:
     C = 1.0 / (2.0 * cN * kap)
     fam = stack_family(space, f_family)
     lhs = orlicz_norm_batch(space, N, fam)
-    rhs = C * l1_form_batch(space, kernel, gamma, fam)
+    rhs = C * np.array([l1_form(space, kernel, gamma, f) for f in fam])
     slack = rhs - lhs
     witness = int(np.argmin(slack))
     worst = float(slack[witness])
@@ -306,20 +307,13 @@ def thm20_poincare(space, kernel, C1, C2_tilde, mode: str, f_family=None,
     premise = prof.sorted_masses - 2.0 * C1 * prof.sorted_flows - C2_tilde * prof.sorted_masses ** 2
     if np.any(premise > tol):
         raise ValueError("subset inequality does not hold at the given constants")
-    worst, witness, nviol = INF, None, 0
-    for idx, f in enumerate(f_family or []):
-        f = np.asarray(f, dtype=float)
-        lhs = float(np.sum(f * f * space.mu))
-        rhs = (C1 * l1_form(space, kernel, gamma, f * f)
-               + 2.0 * C2_tilde * float(np.sum(np.abs(f) * space.mu)) ** 2)
-        slack = rhs - lhs
-        if slack < worst:
-            worst, witness = slack, idx
-        if slack < -tol:
-            nviol += 1
+    sl = rate_slacks(space, stack_family(space, f_family or []),
+                     lambda f: l1_form(space, kernel, gamma, f * f),
+                     [C1], lambda r: 2.0 * C2_tilde, tol)
     return {"claim": "functional Poincare with C2 = 2 C2_tilde",
-            "worst_slack": worst, "witness": witness, "violations": nviol,
-            "pass": nviol == 0}
+            "worst_slack": sl["worst_slack"],
+            "witness": None if sl["witness"] is None else sl["witness"][0],
+            "violations": sl["violations"], "pass": sl["violations"] == 0}
 
 
 def layer_cake_l1(space, kernel, gamma, f) -> float:

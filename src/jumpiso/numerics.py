@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -176,6 +177,16 @@ def end_slope(x, y, end, window=0.25):
     return loglog_slope(x[keep], y[keep])
 
 
+@functools.lru_cache(maxsize=None)
+def gauss_rule(nodes: int):
+    """Gauss-Legendre (nodes, weights) on [-1, 1], built once per node count;
+    the arrays are read-only because every caller shares them."""
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def gauss_segments(a, b, n_seg, nodes=16, geometric_to=None):
     """Gauss-Legendre nodes/weights on [a, b] split into n_seg segments.
 
@@ -193,7 +204,7 @@ def gauss_segments(a, b, n_seg, nodes=16, geometric_to=None):
         else:
             edges = b - (b - a) * ratios[::-1]
             edges[-1] = b
-    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    gx, gw = gauss_rule(nodes)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = (mid[:, None] + half[:, None] * gx[None, :]).ravel()

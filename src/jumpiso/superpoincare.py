@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (KillingPotential, Semigroup, ValidationError, generator,
-                   schrodinger_energy)
+                   rate_slacks, schrodinger_energy)
 from .isoperimetry import enumerate_profile
 from .numerics import INF, inv_decreasing, safe_pow
+from .young import stack_family
 
 
 @dataclass(frozen=True)
@@ -126,20 +127,12 @@ def rate_tabulated(r_grid, values, note: str | None = None) -> RateFunction:
 def sp_verify(space, kernel, beta: RateFunction, f_family, r_grid,
               potential: KillingPotential | None = None, tol=1e-9) -> dict:
     """Check the rate inequality for every (f, r) pair; report worst slack."""
-    worst, witness, nviol = INF, None, 0
-    for fi, f in enumerate(f_family):
-        f = np.asarray(f, dtype=float)
-        l2 = float(np.sum(f * f * space.mu))
-        l1sq = float(np.sum(np.abs(f) * space.mu)) ** 2
-        en = schrodinger_energy(space, kernel, potential, f)
-        for r in r_grid:
-            slack = r * en + beta(r) * l1sq - l2
-            if slack < worst:
-                worst, witness = slack, (fi, float(r))
-            if slack < -tol:
-                nviol += 1
-    return {"claim": "super-Poincare inequality", "worst_slack": worst,
-            "witness": witness, "violations": nviol, "pass": nviol == 0}
+    sl = rate_slacks(space, stack_family(space, f_family),
+                     lambda f: schrodinger_energy(space, kernel, potential, f),
+                     r_grid, beta, tol)
+    return {"claim": "super-Poincare inequality", "worst_slack": sl["worst_slack"],
+            "witness": sl["witness"], "violations": sl["violations"],
+            "pass": sl["violations"] == 0}
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .core import (KillingPotential, Semigroup, bar_extension,
-                   dirichlet_energy, extend_by_zero, l1_form,
+                   dirichlet_energy, extend_by_zero, l1_form, rate_slacks,
                    schrodinger_energy)
 from .isoperimetry import (IsoperimetricProfile, _doubling_enumeration,
                            _subset_sums, enumerate_profile)
@@ -118,22 +118,15 @@ def lemma1_poincare(space, kernel, gamma, s, f_family, profile=None,
                 "pass": True, "vacuous": True,
                 "note": "kappa(s) = 0: inequality vacuous"}
     coeff = 0.0 if math.isinf(kap) else 1.0 / (2.0 * kap)
-    rows, nviol, worst = [], 0, INF
-    for idx, f in enumerate(f_family):
-        f = np.asarray(f, dtype=float)
-        lhs = float(np.sum(f * f * space.mu))
-        l1sq = float(np.sum(np.abs(f) * space.mu)) ** 2
-        rhs = coeff * l1_form(space, kernel, gamma, f * f) + 2.0 / s * l1sq
-        slack = rhs - lhs
-        fmin = float(np.min(np.abs(f)))
-        guaranteed = s <= space.total_mass or fmin == 0.0
-        rows.append({"f": idx, "slack": slack, "guaranteed": guaranteed})
-        worst = min(worst, slack)
-        if slack < -tol:
-            nviol += 1
+    fam = stack_family(space, f_family)
+    sl = rate_slacks(space, fam, lambda f: l1_form(space, kernel, gamma, f * f),
+                     [coeff], lambda r: 2.0 / s, tol)
+    rows = [{"f": idx, "slack": slack,
+             "guaranteed": s <= space.total_mass or float(np.min(np.abs(f))) == 0.0}
+            for idx, (f, slack) in enumerate(zip(fam, sl["slacks"][:, 0].tolist()))]
     return {"claim": "defective L2 bound", "s": s, "kappa": kap,
-            "worst_slack": worst, "violations": nviol, "rows": rows,
-            "pass": nviol == 0}
+            "worst_slack": sl["worst_slack"], "violations": sl["violations"],
+            "rows": rows, "pass": sl["violations"] == 0}
 
 
 def lemma1_sobolev(space, kernel, gamma, profile=None, f_family=(),
@@ -367,40 +360,20 @@ def thm41(N: YoungFunction, space, kernel, gamma, f_family, r_grid,
         worst1 = min(worst1, kap - bound)
     rep.add("curve lower bound 1/(2 C s N^{-1}(1/s))", worst1, tol)
 
-    beta1 = rate_from_gauge(N, C_used, lead=2.0)
-    rates = _finite_rates(r_grid, beta1)
-    worst2 = INF
-    for f in f_family:
-        f = np.asarray(f, dtype=float)
-        l2 = float(np.sum(f * f * space.mu))
-        l1sq = float(np.sum(np.abs(f) * space.mu)) ** 2
-        sq = l1_form(space, kernel, gamma, f * f)
-        for r, b in rates:
-            worst2 = min(worst2, r * sq + b * l1sq - l2)
-    rep.add("defective rate from the gauge root", worst2, tol)
+    fam = stack_family(space, f_family)
+    sl = rate_slacks(space, fam, lambda f: l1_form(space, kernel, gamma, f * f),
+                     r_grid, rate_from_gauge(N, C_used, lead=2.0), tol)
+    rep.add("defective rate from the gauge root", sl["worst_slack"], tol)
 
     c_gamma = _c_gamma(space, kernel, gamma)
     rep.derived["c_gamma"] = c_gamma
     beta = rate_from_gauge(N, 2.0 * C_used * math.sqrt(2.0 * c_gamma), lead=4.0)
-    rates = _finite_rates(r_grid, lambda r: beta(math.sqrt(r)))
-    worst3 = INF
-    for f in f_family:
-        f = np.asarray(f, dtype=float)
-        l2 = float(np.sum(f * f * space.mu))
-        l1sq = float(np.sum(np.abs(f) * space.mu)) ** 2
-        en = dirichlet_energy(space, kernel, f)
-        for r, b in rates:
-            worst3 = min(worst3, r * en + b * l1sq - l2)
-    rep.add("full rate under the kernel square bound", worst3, tol)
+    sl = rate_slacks(space, fam, lambda f: dirichlet_energy(space, kernel, f),
+                     r_grid, lambda r: beta(math.sqrt(r)), tol)
+    rep.add("full rate under the kernel square bound", sl["worst_slack"], tol)
     rep.derived["beta1"] = "2 inf{s : C N^{-1}(s)/s <= r}"
     rep.derived["beta"] = "4 inf{s : N^{-1}(s)/s <= sqrt(r)/(2 C sqrt(2 c_gamma))}"
     return rep
-
-
-def _finite_rates(r_grid, rate) -> list:
-    """(r, rate(r)) for each r of the grid where the rate is finite."""
-    pairs = [(r, rate(r)) for r in r_grid]
-    return [(r, b) for r, b in pairs if not math.isinf(b)]
 
 
 def _c_gamma(space, kernel, gamma, extra=0.0) -> float:
@@ -485,16 +458,10 @@ def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
 
     c_gamma = _c_gamma(space, kernel, gamma)
     rep.derived["c_gamma"] = c_gamma
-    rates = _finite_rates(
-        r_grid, lambda r: 2.0 * beta1(math.sqrt(r) / (2.0 * math.sqrt(2.0 * c_gamma))))
-    worst3 = INF
-    for f in fam:
-        l2 = float(np.sum(f * f * space.mu))
-        l1sq = float(np.sum(np.abs(f) * space.mu)) ** 2
-        en = dirichlet_energy(space, kernel, f)
-        for r, b in rates:
-            worst3 = min(worst3, r * en + b * l1sq - l2)
-    rep.add("full rate 2 beta1(sqrt(r)/(2 sqrt(2 c_gamma)))", worst3, tol)
+    sl = rate_slacks(
+        space, fam, lambda f: dirichlet_energy(space, kernel, f), r_grid,
+        lambda r: 2.0 * beta1(math.sqrt(r) / (2.0 * math.sqrt(2.0 * c_gamma))), tol)
+    rep.add("full rate 2 beta1(sqrt(r)/(2 sqrt(2 c_gamma)))", sl["worst_slack"], tol)
     rep.derived["N"] = "Phi^{-1}, Phi(t) = 4 int_0^t beta1^{-1}(r/2) dr"
     return rep
 
@@ -683,8 +650,8 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     rep.derived["forward_constant"] = C_KILLED
     rep.derived["theta_total_extension"] = theta_total
 
-    kept = _within_cap(space, stack_family(space, f_family),
-                       support_fraction * space2.total_mass)
+    fam = stack_family(space, f_family)
+    kept = _within_cap(space, fam, support_fraction * space2.total_mass)
     worst, emp = INF, 0.0
     for f, lhs in zip(kept, orlicz_norm_batch(space, N_bar, kept).tolist()):
         bracket = (l1_form(space, kernel, gamma, f)
@@ -717,18 +684,10 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
         rep.note("converse constant infinite (zero bracket subset): rate vacuous")
         return rep
     conv_rate = rate_from_gauge(N_conv, 2.0 * C_conv * math.sqrt(2.0 * c_bar), lead=4.0)
-    worst_conv = INF
-    for f in f_family:
-        f = np.asarray(f, dtype=float)
-        l2 = float(np.sum(f * f * space.mu))
-        l1sq = float(np.sum(np.abs(f) * space.mu)) ** 2
-        en = schrodinger_energy(space, kernel, potential, f)
-        for r in r_grid:
-            b = conv_rate(math.sqrt(r))
-            if math.isinf(b):
-                continue
-            worst_conv = min(worst_conv, r * en + b * l1sq - l2)
-    rep.add("converse killed rate", worst_conv, tol)
+    sl = rate_slacks(space, fam,
+                     lambda f: schrodinger_energy(space, kernel, potential, f),
+                     r_grid, lambda r: conv_rate(math.sqrt(r)), tol)
+    rep.add("converse killed rate", sl["worst_slack"], tol)
     rep.derived["converse_beta"] = \
         "4 inf{s : N^{-1}(s)/s <= sqrt(r)/(2 C sqrt(2 c_bar))}"
     return rep

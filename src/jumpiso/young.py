@@ -369,14 +369,6 @@ def stack_family(space: FiniteMeasureSpace, f_family) -> np.ndarray:
     return fam if fam.size else np.zeros((0, space.m))
 
 
-def l1_form_batch(space, kernel, gamma, F) -> np.ndarray:
-    """l1_form of each row of F, sharing the pair-weight matrix."""
-    g = gamma.gamma if hasattr(gamma, "gamma") else np.asarray(gamma, dtype=float)
-    w = g * kernel.j * space.mu[:, None] * space.mu[None, :]
-    F = np.asarray(F, dtype=float)
-    return np.einsum("kij,ij->k", np.abs(F[:, :, None] - F[:, None, :]), w)
-
-
 def indicator_norm(N: YoungFunction, mass: float) -> float:
     """Closed form ||1_A||_N = 1 / N^{-1}(1/mu(A))."""
     return ext_ratio(1.0, N.inv(1.0 / mass))

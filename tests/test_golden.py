@@ -18,7 +18,7 @@ MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 GOLDEN = {
     "finite_verify.json": ("verify", {
         "report.json":
-            "62a803296a8ea0413b302717af054ac6df40a71f2e58fd6658ec8e8dcd53cb7c",
+            "440cd4ad4eda8b1686248336cee29a4ab3f1ad7b253950ddd1b5639ecf62889d",
     }),
     "generate.json": ("generate", {
         "instance_0000.json":
@@ -27,6 +27,10 @@ GOLDEN = {
             "7d891e99f9164b09db01740ad3cb57fa065d4c38c9c6c243ff0b40742fb61e4a",
         "instance_0002.json":
             "9f608fb3c774d94ffd26a4a60faa98cb9d6d545fe8903169e8c8026e629e72a5",
+    }),
+    "killed_batch.json": ("verify", {
+        "report.json":
+            "fa89013ae36f4e66994cbf9472f94ce4020cb6f75568a4c308de0784f1121a5c",
     }),
     "perturbed.json": ("perturbed", {
         "report.json":
