@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .core import ValidationError, instance_from_json, instance_to_json
 from .instances import random_functions, random_instance
-from .isoperimetry import enumerate_profile, thm20_backward, thm20_forward
+from .isoperimetry import (enumerate_profile, indicator_gauge_constant,
+                           thm20_backward, thm20_forward)
 from .lattice import (p1_kernel, power_law_band, subord_weights,
                       torus_semigroup, on_diagonal_decay, gradient_decay,
                       weight_tail)
@@ -30,8 +31,7 @@ from .perturbed import example_threshold, log_weight, theorem_beta_curve
 from .radial import radial_l1_energy, sharpness_profile
 from .reports import TheoremReport, digest, summary_csv, _jsonable
 from .superpoincare import certified_rate, lemma2_bound
-from .theorems import (indicator_gauge_constant, rate_from_gauge, thm21_verify,
-                       thm41, thm42, thm43)
+from .theorems import rate_from_gauge, thm21_verify, thm41, thm42, thm43
 from .young import builtin
 
 KINDS = ("finite-verify", "theorem-batch", "lattice-subordination",

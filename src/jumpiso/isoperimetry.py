@@ -22,7 +22,7 @@ import numpy as np
 from .core import (FiniteMeasureSpace, JumpKernel, WeightFunction, l1_form,
                    rate_slacks)
 from .numerics import INF, ext_ratio
-from .young import (YoungFunction, c_N, indicator_norm, orlicz_norm_batch,
+from .young import (YoungFunction, c_N, gauge_slacks, indicator_norm,
                     stack_family)
 
 ENUM_LIMIT = 24
@@ -227,22 +227,29 @@ def kappa_orlicz(space, kernel, N: YoungFunction, gamma=None,
 # ---------------------------------------------------------------------------
 # two-way verifiers for the L1 Orlicz-Sobolev / isoperimetric equivalence
 
+def indicator_constant(N: YoungFunction, masses, brackets) -> float:
+    """sup over subsets of ||1_A||_N / bracket(A), from each subset's mass
+    and bracket (exact, by the closed form of ``indicator_norm``); 0 for no
+    subset."""
+    best = 0.0
+    for mass, bracket in zip(masses, brackets):
+        best = max(best, ext_ratio(indicator_norm(N, mass), bracket))
+    return best
+
+
+def indicator_gauge_constant(space, kernel, gamma, N,
+                             profile=None) -> float:
+    """sup over proper subsets of ||1_A||_N / l1(1_A), l1(1_A) = 2 flow(A)."""
+    prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
+    return indicator_constant(N, prof.sorted_masses, 2.0 * prof.sorted_flows)
+
+
 def empirical_l1_constant(space, kernel, N, f_family, gamma=None) -> float:
     """Best constant sup ||f||_N / l1_form(f) over family plus all indicators."""
     gamma = gamma if gamma is not None else WeightFunction.ones(space.m)
-    best = 0.0
-    prof = enumerate_profile(space, kernel, gamma)
-    for mass, flow in zip(prof.sorted_masses, prof.sorted_flows):
-        best = max(best, ext_ratio(indicator_norm(N, mass), 2.0 * flow))
-    fam = stack_family(space, f_family)
-    nums = orlicz_norm_batch(space, N, fam)
-    denoms = [l1_form(space, kernel, gamma, f) for f in fam]
-    for num, denom in zip(nums, denoms):
-        if denom > 0:
-            best = max(best, float(num) / float(denom))
-        elif num > 0:
-            best = INF
-    return best
+    sl = gauge_slacks(space, N, stack_family(space, f_family),   # constant ignores C
+                      lambda f: l1_form(space, kernel, gamma, f), 1.0)
+    return max(indicator_gauge_constant(space, kernel, gamma, N), sl["constant"])
 
 
 def thm20_forward(space, kernel, N, f_family, gamma=None, tol=1e-9) -> dict:
@@ -269,16 +276,11 @@ def thm20_backward(space, kernel, N, f_family, gamma=None, tol=1e-9) -> dict:
     if cN <= 0 or kap <= 0:
         raise ValueError("backward direction needs c_N > 0 and kappa > 0")
     C = 1.0 / (2.0 * cN * kap)
-    fam = stack_family(space, f_family)
-    lhs = orlicz_norm_batch(space, N, fam)
-    rhs = C * np.array([l1_form(space, kernel, gamma, f) for f in fam])
-    slack = rhs - lhs
-    witness = int(np.argmin(slack))
-    worst = float(slack[witness])
-    nviol = int(np.sum(slack < -tol))
+    sl = gauge_slacks(space, N, stack_family(space, f_family),
+                      lambda f: l1_form(space, kernel, gamma, f), C, tol)
     return {"claim": "||f||_N <= l1/(2 c_N kappa)", "C": C, "c_N": cN, "kappa": kap,
-            "worst_slack": worst, "witness": witness, "violations": nviol,
-            "pass": nviol == 0}
+            "worst_slack": sl["worst_slack"], "witness": sl["witness"],
+            "violations": sl["violations"], "pass": sl["violations"] == 0}
 
 
 def thm20_poincare(space, kernel, C1, C2_tilde, mode: str, f_family=None,
@@ -307,7 +309,7 @@ def thm20_poincare(space, kernel, C1, C2_tilde, mode: str, f_family=None,
     premise = prof.sorted_masses - 2.0 * C1 * prof.sorted_flows - C2_tilde * prof.sorted_masses ** 2
     if np.any(premise > tol):
         raise ValueError("subset inequality does not hold at the given constants")
-    sl = rate_slacks(space, stack_family(space, f_family or []),
+    sl = rate_slacks(space, stack_family(space, [] if f_family is None else f_family),
                      lambda f: l1_form(space, kernel, gamma, f * f),
                      [C1], lambda r: 2.0 * C2_tilde, tol)
     return {"claim": "functional Poincare with C2 = 2 C2_tilde",

@@ -82,36 +82,12 @@ def inv_increasing(fn, target, lo=1e-300, hi=1e300, rtol=1e-12, max_iter=400):
 
 
 def inv_decreasing(fn, target, lo=1e-300, hi=1e300, rtol=1e-12, max_iter=400):
-    """inf{s > 0 : fn(s) <= target} for a nonincreasing fn; inf(empty) = inf."""
-    if fn(lo) <= target:
-        return 0.0
-    a = max(lo, 1e-300)
-    b = 1.0
-    if fn(b) <= target:
-        a = b
-        while a > lo and fn(a) <= target:
-            b = a
-            a = a / 16.0
-        if fn(a) <= target:
-            return a
-    else:
-        a = b
-        while b < hi:
-            b = b * 16.0
-            if fn(b) <= target:
-                break
-            a = b
-        else:
-            return INF
-    for _ in range(max_iter):
-        mid = math.sqrt(a * b)
-        if fn(mid) <= target:
-            b = mid
-        else:
-            a = mid
-        if b - a <= rtol * b:
-            break
-    return b
+    """inf{s > 0 : fn(s) <= target} for a nonincreasing fn; inf(empty) = inf.
+
+    Negation is exact and flips every comparison, so this is
+    ``inv_increasing`` on -fn, step for step.
+    """
+    return inv_increasing(lambda s: -fn(s), -target, lo, hi, rtol, max_iter)
 
 
 def quad(fn, a, b, rtol=1e-8, atol=1e-14, limit=200):

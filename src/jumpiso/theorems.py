@@ -27,15 +27,15 @@ from .core import (KillingPotential, Semigroup, bar_extension,
                    dirichlet_energy, extend_by_zero, l1_form, rate_slacks,
                    schrodinger_energy)
 from .isoperimetry import (IsoperimetricProfile, _doubling_enumeration,
-                           _subset_sums, enumerate_profile)
+                           _subset_sums, enumerate_profile, indicator_constant,
+                           indicator_gauge_constant)
 from .numerics import (INF, cumulative_quad, end_slope, ext_ratio,
                        inv_decreasing, inv_increasing)
 from .reports import TheoremReport
 from .superpoincare import (RateFunction, certified_rate, rate_power_log,
                             rate_power_pair, require_size, sp_verify)
-from .young import (YoungFunction, _power_pair, indicator_norm,
-                    orlicz_norm_batch, piecewise_linear_young, stack_family,
-                    tabulated_young)
+from .young import (YoungFunction, _power_pair, gauge_slacks,
+                    piecewise_linear_young, stack_family, tabulated_young)
 
 C_STAR = 2.0 / (1.0 - math.exp(-1.0))      # traced constant for the
 # regularization route: the gauge comparison costs a dilation by
@@ -155,17 +155,13 @@ def lemma1_sobolev(space, kernel, gamma, profile=None, f_family=(),
     N = piecewise_linear_young(phi_knots, r_knots, cap=phi_knots[-1])
 
     fam = stack_family(space, f_family)
-    rows, nviol, worst = [], 0, INF
-    for idx, (f, lhs) in enumerate(zip(fam, orlicz_norm_batch(space, N, fam).tolist())):
-        rhs = 0.5 * l1_form(space, kernel, gamma, f)
-        slack = rhs - lhs
-        rows.append({"f": idx, "slack": slack,
-                     "grounded": bool(np.min(np.abs(f)) == 0.0)})
-        worst = min(worst, slack)
-        if slack < -tol:
-            nviol += 1
-    report = {"claim": "gauge bound from the step curve", "worst_slack": worst,
-              "violations": nviol, "rows": rows, "pass": nviol == 0,
+    sl = gauge_slacks(space, N, fam, lambda f: l1_form(space, kernel, gamma, f),
+                      0.5, tol)
+    rows = [{"f": idx, "slack": slack, "grounded": bool(np.min(np.abs(f)) == 0.0)}
+            for idx, (f, slack) in enumerate(zip(fam, sl["slacks"].tolist()))]
+    report = {"claim": "gauge bound from the step curve",
+              "worst_slack": sl["worst_slack"], "violations": sl["violations"],
+              "rows": rows, "pass": sl["violations"] == 0,
               "phi_cap": phi_knots[-1]}
     return N, report
 
@@ -231,9 +227,9 @@ def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
     if beta is None:
         beta = certified_rate(space, kernel, r_grid)
         rep.note("rate: inflated certified estimate on the r grid")
+    fam = None if f_family is None else stack_family(space, f_family)
     sp = sp_verify(space, kernel, beta,
-                   [np.asarray(f, float) for f in
-                    (list(f_family) if f_family else [])] or
+                   fam if fam is not None and len(fam) else
                    [rng.standard_normal(m) for _ in range(20)], r_grid)
     rep.add("rate inequality holds on the family", sp["worst_slack"], tol)
 
@@ -259,26 +255,19 @@ def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
     rep.derived["support_cap_mass"] = cap
     rep.derived["theta_total"] = theta_total
 
-    if f_family is None:
+    if fam is None:
         from .instances import indicators_below, small_support_functions
-        f_family = (indicators_below(space, cap) if m <= 14 else []) + \
-            small_support_functions(rng, space, cap, 40)
-    fam = stack_family(space, f_family)
+        fam = stack_family(space, (indicators_below(space, cap) if m <= 14 else [])
+                           + small_support_functions(rng, space, cap, 40))
     kept = _within_cap(space, fam, cap)
     if len(kept) < len(fam):
         rep.note(f"skipped {len(fam) - len(kept)} family members with support mass above the cap")
 
-    emp = 0.0
-    worst = INF
-    for f, lhs in zip(kept, orlicz_norm_batch(space, N, kept).tolist()):
-        denom = l1_form(space, kernel, gamma, f)
-        rhs = C_STAR * denom
-        worst = min(worst, rhs - lhs)
-        if denom > 0:
-            emp = max(emp, lhs / denom)
-    rep.add("gauge bound at the traced constant", worst, tol)
-    rep.add("empirical constant below traced", C_STAR + tol - emp, tol)
-    rep.derived["empirical_constant"] = emp
+    sl = gauge_slacks(space, N, kept, lambda f: l1_form(space, kernel, gamma, f),
+                      C_STAR, tol)
+    rep.add("gauge bound at the traced constant", sl["worst_slack"], tol)
+    rep.add("empirical constant below traced", C_STAR + tol - sl["constant"], tol)
+    rep.derived["empirical_constant"] = sl["constant"]
     rep.derived["family_size"] = len(kept)
     return rep
 
@@ -292,16 +281,6 @@ def _check_s_over_N_increasing(N: YoungFunction, lo=1e-8, hi=1e8, points=300):
     finite = np.isfinite(vals)
     v = vals[finite]
     return not np.any(np.diff(v) < -1e-10 * np.abs(v[:-1]))
-
-
-def indicator_gauge_constant(space, kernel, gamma, N,
-                             profile=None) -> float:
-    """sup over proper subsets of ||1_A||_N / l1(1_A) (exact)."""
-    prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
-    best = 0.0
-    for mass, flow in zip(prof.sorted_masses, prof.sorted_flows):
-        best = max(best, ext_ratio(indicator_norm(N, mass), 2.0 * flow))
-    return best
 
 
 def rate_from_gauge(N: YoungFunction, C: float, lead: float = 2.0) -> RateFunction:
@@ -451,10 +430,9 @@ def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
         return rep
     N = tabulated_young(vals[1:], grid[1:], family="defective_rate_inverse")
     fam = stack_family(space, f_family)
-    worst2 = INF
-    for f, lhs in zip(fam, orlicz_norm_batch(space, N, fam).tolist()):
-        worst2 = min(worst2, 0.5 * l1_form(space, kernel, gamma, f) - lhs)
-    rep.add("gauge bound at constant 1/2", worst2, tol)
+    sl = gauge_slacks(space, N, fam, lambda f: l1_form(space, kernel, gamma, f),
+                      0.5, tol)
+    rep.add("gauge bound at constant 1/2", sl["worst_slack"], tol)
 
     c_gamma = _c_gamma(space, kernel, gamma)
     rep.derived["c_gamma"] = c_gamma
@@ -652,15 +630,12 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
 
     fam = stack_family(space, f_family)
     kept = _within_cap(space, fam, support_fraction * space2.total_mass)
-    worst, emp = INF, 0.0
-    for f, lhs in zip(kept, orlicz_norm_batch(space, N_bar, kept).tolist()):
-        bracket = (l1_form(space, kernel, gamma, f)
-                   + float(np.sum(np.abs(f) * xi * potential.v * space.mu)))
-        worst = min(worst, C_KILLED * bracket - lhs)
-        if bracket > 0:
-            emp = max(emp, lhs / bracket)
-    rep.add("killed gauge bound at the traced constant", worst, tol)
-    rep.derived["empirical_forward_constant"] = emp
+    sl = gauge_slacks(space, N_bar, kept,
+                      lambda f: (l1_form(space, kernel, gamma, f)
+                                 + float(np.sum(np.abs(f) * xi * potential.v * space.mu))),
+                      C_KILLED, tol)
+    rep.add("killed gauge bound at the traced constant", sl["worst_slack"], tol)
+    rep.derived["empirical_forward_constant"] = sl["constant"]
     rep.derived["forward_family_size"] = len(kept)
 
     # converse: exact indicator constant over cemetery-free subsets,
@@ -668,15 +643,10 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     N_conv = N_converse if N_converse is not None else cor41_young(1, 2.0, 2.0)
     if not _check_s_over_N_increasing(N_conv):
         raise ValueError("converse Young function must have N(s)/s increasing")
-    m = space.m
     wE = gamma.gamma * kernel.j * space.mu[:, None] * space.mu[None, :]
     masses, flowsE = _doubling_enumeration(space.mu, wE)
     kill = _subset_sums(xi * potential.v * space.mu)
-    C_conv = 0.0
-    for mask in range(1, 1 << m):
-        bracket = 2.0 * flowsE[mask] + kill[mask]
-        C_conv = max(C_conv, ext_ratio(indicator_norm(N_conv, float(masses[mask])),
-                                       bracket))
+    C_conv = indicator_constant(N_conv, masses[1:], 2.0 * flowsE[1:] + kill[1:])
     rep.derived["converse_C"] = C_conv
     c_bar = _c_gamma(space, kernel, gamma, xi ** 2 * potential.v)
     rep.derived["c_bar"] = c_bar

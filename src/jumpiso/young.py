@@ -363,6 +363,32 @@ def orlicz_norm_batch(space: FiniteMeasureSpace, N: YoungFunction, F,
                          F.shape[0], rtol)
 
 
+def gauge_slacks(space: FiniteMeasureSpace, N: YoungFunction, F, bracket,
+                 C: float, tol=1e-9) -> dict:
+    """Slacks C B(f) - ||f||_N of a gauge inequality over the rows f of F.
+
+    The norms come from one ``orlicz_norm_batch`` call; ``bracket`` maps one
+    row to its right-hand bracket B(f) (an L1 form, possibly plus a killing
+    term) and runs once per row.  Returns the slack vector, the worst slack
+    and its witness row (the first minimum, or +inf and None for no rows),
+    the number of slacks below -tol, and the empirical constant
+    sup ||f||_N / B(f): +inf when some row has B = 0 < ||f||_N, rows with
+    B = ||f||_N = 0 are skipped, and 0 when no row counts.
+    """
+    norms = orlicz_norm_batch(space, N, F)
+    B = np.array([bracket(f) for f in F], dtype=float)
+    S = C * B - norms
+    worst, witness = INF, None
+    if S.size:
+        witness = int(np.argmin(S))
+        worst = float(S[witness])
+    pos = B > 0
+    const = INF if np.any(~pos & (norms > 0)) else \
+        float(np.max(norms[pos] / B[pos], initial=0.0))
+    return {"slacks": S, "worst_slack": worst, "witness": witness,
+            "violations": int(np.sum(S < -tol)), "constant": const}
+
+
 def stack_family(space: FiniteMeasureSpace, f_family) -> np.ndarray:
     """A function family as the rows of one float matrix (possibly empty)."""
     fam = np.array([np.asarray(f, dtype=float) for f in f_family])
@@ -413,7 +439,8 @@ def domination(N1: YoungFunction, N2: YoungFunction, lo=1e-8, hi=1e8, points=241
 
     The grid sup is reported together with fitted log-log trends of the
     ratio at both ends; a growing trend at either end flags divergence with
-    that end as witness.
+    that end as witness.  An infinite or NaN ratio is not dominated; the
+    witness is the first NaN grid point, or else the first infinite one.
     """
     s = np.geomspace(lo, hi, points)
     v1 = np.asarray(N1(s), dtype=float)
@@ -422,7 +449,7 @@ def domination(N1: YoungFunction, N2: YoungFunction, lo=1e-8, hi=1e8, points=241
     sup = float(np.max(ratio))
     witness = float(s[int(np.argmax(ratio))])
     verdict, wit_end = "dominated", None
-    if math.isinf(sup):
+    if not sup < INF:
         verdict, wit_end = "not_dominated", witness
     else:
         try:
@@ -541,8 +568,15 @@ def _phi_power_closed(profile: ProfileH, s: float) -> float:
 
     With T = t^{-1/n}, the inner integral is T^{a-k}/(a-k) below the branch
     crossover at r = 1 plus an explicit correction above it; both outer
-    pieces are power integrals.
+    pieces are power integrals.  A divergent (non-finite) value raises.
     """
+    out = _phi_power_value(profile, s)
+    if not math.isfinite(out):
+        raise ArithmeticError("divergent profile integral: profile outside the class")
+    return out
+
+
+def _phi_power_value(profile: ProfileH, s: float) -> float:
     a, n = profile.alpha, profile.n
     if profile.family == "power":
         kappa, coeff = profile.params["kappa"], profile.params["coeff"]

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from jumpiso.core import FiniteMeasureSpace
 from jumpiso.instances import random_functions, random_instance
 from jumpiso.numerics import INF
-from jumpiso.young import (builtin, c_N, domination, indicator_norm,
-                           invert_phi, log_profile, orlicz_norm,
-                           orlicz_norm_batch, phi_h, phi_h_grid,
+from jumpiso.young import (YoungFunction, builtin, c_N, domination,
+                           indicator_norm, invert_phi, log_profile,
+                           orlicz_norm, orlicz_norm_batch, phi_h, phi_h_grid,
                            piecewise_linear_young, power_pair_profile,
                            power_profile, scale_young, scaling_bound_check,
                            tabulated_young, young_from_csv, young_is_valid,
@@ -79,6 +79,12 @@ def test_phi_h_divergent_profile_reported():
     bad = power_profile(1.5, 1.0, 1)  # kappa >= alpha: inner diverges
     with pytest.raises(ArithmeticError, match="diverge"):
         phi_h(bad, 1.0)
+    # (alpha - kappa)/n = 1: finite inner integral, divergent outer one at 0
+    outer = power_profile(0.0, 1.0, 1)
+    with pytest.raises(ArithmeticError, match="diverge"):
+        phi_h(outer, 1.0)
+    with pytest.raises(ArithmeticError, match="diverge"):
+        invert_phi(outer)
 
 
 def test_invert_phi_round_trip():
@@ -356,6 +362,17 @@ def test_domination_cases():
     rep3 = domination(builtin("power", p=1.2), N2)
     assert rep3["verdict"] == "not_dominated"
     assert rep3["witness"] == "s->0"
+
+
+def test_domination_nan_is_not_dominated():
+    N2 = builtin("power", p=2)
+    s = np.geomspace(1e-8, 1e8, 241)
+    hole = float(s[100])
+    holed = YoungFunction("holed", {}, lambda x: np.where(x == hole, np.nan, x ** 2),
+                          N2.inv, N2.left_deriv)
+    for rep in (domination(holed, N2), domination(N2, holed)):
+        assert rep["verdict"] == "not_dominated"
+        assert rep["witness"] == hole
 
 
 def test_csv_round_trip():
