@@ -23,6 +23,7 @@ from .theorems import (cor41, cor41_round_trip, lemma1_core, lemma1_poincare,
                        lemma1_sobolev, thm21_verify, thm21_young, thm41,
                        thm42, thm43)
 from .young import (ProfileH, YoungFunction, builtin, c_N, domination,
-                    invert_phi, orlicz_norm, phi_h, scaling_bound_check)
+                    invert_phi, log_profile, orlicz_norm, phi_h,
+                    power_pair_profile, power_profile, scaling_bound_check)
 
 __version__ = "0.1.0"

@@ -145,9 +145,6 @@ class SemigroupKernel:
     t: float
     p: np.ndarray
 
-    def row_integrals(self) -> np.ndarray:
-        return self.p @ self.space.mu
-
     def apply(self, f) -> np.ndarray:
         return self.p @ (np.asarray(f, dtype=float) * self.space.mu)
 
@@ -366,13 +363,6 @@ def semigroup(space, kernel, potential=None, t: float = 0.0) -> SemigroupKernel:
 
 def theta_integral(space, kernel, gamma: WeightFunction, t: float, potential=None) -> float:
     return Semigroup(space, kernel, potential).theta_integral(t, gamma)
-
-
-def compose_kernels(a: SemigroupKernel, b: SemigroupKernel) -> SemigroupKernel:
-    """Chapman-Kolmogorov composition of two transition kernels."""
-    mu = a.space.mu
-    p = (a.p * mu[None, :]) @ b.p
-    return SemigroupKernel(a.space, a.t + b.t, _frozen(p))
 
 
 def bar_extension(space: FiniteMeasureSpace, kernel: JumpKernel,

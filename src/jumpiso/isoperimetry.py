@@ -244,20 +244,23 @@ def indicator_gauge_constant(space, kernel, gamma, N,
     return indicator_constant(N, prof.sorted_masses, 2.0 * prof.sorted_flows)
 
 
-def empirical_l1_constant(space, kernel, N, f_family, gamma=None) -> float:
+def empirical_l1_constant(space, kernel, N, f_family, gamma=None,
+                          profile=None) -> float:
     """Best constant sup ||f||_N / l1_form(f) over family plus all indicators."""
     gamma = gamma if gamma is not None else WeightFunction.ones(space.m)
     sl = gauge_slacks(space, N, stack_family(space, f_family),   # constant ignores C
                       lambda f: l1_form(space, kernel, gamma, f), 1.0)
-    return max(indicator_gauge_constant(space, kernel, gamma, N), sl["constant"])
+    return max(indicator_gauge_constant(space, kernel, gamma, N, profile),
+               sl["constant"])
 
 
 def thm20_forward(space, kernel, N, f_family, gamma=None, tol=1e-9) -> dict:
     """L1 Orlicz-Sobolev at empirical C forces the subset constant >= 1/(2C)."""
-    C = empirical_l1_constant(space, kernel, N, f_family, gamma)
+    prof = enumerate_profile(space, kernel, gamma)
+    C = empirical_l1_constant(space, kernel, N, f_family, gamma, prof)
     if C == 0.0:
         raise ValueError("degenerate family: empirical constant is zero")
-    kap = kappa_orlicz(space, kernel, N, gamma)
+    kap = kappa_orlicz(space, kernel, N, gamma, prof)
     bound = ext_ratio(1.0, 2.0 * C)
     return {"claim": "subset constant >= 1/(2C)", "lhs": kap, "rhs": bound,
             "slack": kap - bound, "C_emp": C, "pass": kap >= bound - tol}

@@ -81,24 +81,6 @@ def srw_step(a: np.ndarray, n: int) -> np.ndarray:
     return out / (2.0 * n)
 
 
-def srw_kernels(n: int, K: int, R: int):
-    """Simple-walk kernels q_1..q_K on the window, exact when R >= K.
-
-    Each q_k sums to one and is supported on offsets matching the parity
-    of k; the walk moves one step per tick so nothing exits the window.
-    """
-    if R < K:
-        raise ValueError(f"window half-width R={R} must be at least K={K}")
-    shape = (2 * R + 1,) * n
-    a = np.zeros(shape)
-    a[(R,) * n] = 1.0
-    out = []
-    for k in range(1, K + 1):
-        a = srw_step(a, n)
-        out.append(LatticeWindow(n, R, a.copy()))
-    return out
-
-
 @dataclass(frozen=True)
 class SubordinationWeights:
     """One-step mixture weights of the alpha/2 subordination."""

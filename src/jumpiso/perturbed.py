@@ -3,10 +3,10 @@
 The probability measure is e^{-W(x)} dx for a radial W; all quantities
 reduce to one- or two-dimensional quadrature by axial symmetry.  The module
 computes the escape profile Phi(l) (infimum of e^W / |x|^{n + alpha/2}
-outside radius l), a two-sided boundary-flow lower bound for exterior
-domains, the rate function obtained by optimizing a localization radius
-against Phi, and the ramp-function quantities that decide on which side of
-the growth threshold the defective and full rate inequalities survive.
+outside radius l), the rate function obtained by optimizing a localization
+radius against Phi, and the ramp-function quantities that decide on which
+side of the growth threshold the defective and full rate inequalities
+survive.
 """
 
 from __future__ import annotations
@@ -89,62 +89,6 @@ def phi_l_scan(weight: RadialWeight, l: float, r_max: float | None = None,
 
 def phi_l(weight: RadialWeight, l: float, r_max: float | None = None) -> float:
     return phi_l_scan(weight, l, r_max)["value"]
-
-
-# ---------------------------------------------------------------------------
-# exterior boundary-flow lower bound
-
-def _inner_exterior_integral(weight: RadialWeight, r: float, l: float,
-                             rho_segments=40, angle_nodes=48) -> float:
-    """integral over |y| < l of (e^{W(x) - W(y)} + 1) / |x - y|^{n + alpha/2}
-    for |x| = r > l, reduced by axial symmetry.
-
-    The integrand peaks where |x - y| is smallest (y near the boundary on
-    the x side), so the radial grid refines geometrically toward rho = l and
-    the angular grid toward angle 0.
-    """
-    n, a = weight.n, weight.alpha
-    e = n + a / 2.0
-    rho_pts, rho_wts = gauss_segments(0.0, l, rho_segments, 10, geometric_to="right")
-    ang_pts, ang_wts = gauss_segments(0.0, math.pi, 24, 8, geometric_to="left")
-    cosang = np.cos(ang_pts)
-    Wx = float(weight.W(r))
-    Wy = np.asarray(weight.W(rho_pts), dtype=float)
-    dist2 = (r * r + rho_pts[:, None] ** 2
-             - 2.0 * r * rho_pts[:, None] * cosang[None, :])
-    ker = dist2 ** (-e / 2.0)
-    fac = np.exp(Wx - Wy)[:, None] + 1.0
-    if n == 2:
-        # angle measure: 2 segments of [0, pi]
-        ang_total = (fac * ker) @ ang_wts * 2.0
-        return float(np.dot(rho_wts, rho_pts * ang_total))
-    if n == 3:
-        sin = np.sin(ang_pts)
-        ang_total = (fac * ker) @ (ang_wts * sin) * 2.0 * math.pi
-        return float(np.dot(rho_wts, rho_pts ** 2 * ang_total))
-    raise ValueError("exterior bound implemented for n in {2, 3}")
-
-
-def kappa_w_lower(weight: RadialWeight, l: float, eta: float = 1e-3,
-                  r_points: int = 48, r_max_factor: float = 50.0) -> dict:
-    """(1/2) inf over |x| >= l (1 + eta) of the exterior pair integral.
-
-    The margin eta keeps the quadrature away from the contact singularity at
-    |x| = l; halving it should move the result by well under a percent.
-    Reports the profile value Phi(l) and their ratio (the fitted constant of
-    the cruder closed-form bound).
-    """
-    lo = l * (1.0 + eta)
-    rs = np.geomspace(lo, r_max_factor * l, r_points)
-    vals = np.array([_inner_exterior_integral(weight, r, l) for r in rs])
-    k = int(np.argmin(vals))
-    rs2 = np.geomspace(rs[max(k - 1, 0)], rs[min(k + 1, r_points - 1)], 12)
-    vals2 = np.array([_inner_exterior_integral(weight, r, l) for r in rs2])
-    best = 0.5 * float(min(vals.min(), vals2.min()))
-    phi = phi_l(weight, l)
-    return {"value": best, "phi": phi,
-            "ratio_to_phi": best / phi if phi > 0 else INF,
-            "eta": eta, "argmin": float(rs[k])}
 
 
 # ---------------------------------------------------------------------------

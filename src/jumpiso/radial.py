@@ -1,5 +1,6 @@
-"""Radially symmetric continuum integrals: cone test functions, piecewise
-power kernels, and the boundedness/divergence dichotomy for gauge sharpness.
+"""Radially symmetric continuum integrals: the L1 energy of cone test
+functions under piecewise power kernels, and the boundedness/divergence
+dichotomy for gauge sharpness.
 
 Everything reduces to one-dimensional integrals in the radius via the exact
 surface factor n omega_n rho^{n-1}; the kernels used here are piecewise pure
@@ -9,49 +10,15 @@ powers, so their moment integrals are closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import INF, end_slope, gauss_segments
-from .young import YoungFunction, orlicz_norm
+from .numerics import INF, end_slope
+from .young import YoungFunction
 
 
 def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
-@dataclass(frozen=True)
-class RadialModel:
-    """Integration model for radial functions on R^n.
-
-    ``weight`` is a radial density (defaults to Lebesgue); ``cutoff`` bounds
-    the support of integrands passed in.
-    """
-
-    n: int
-    cutoff: float
-    weight: object = None
-    segments: int = 48
-    nodes: int = 20
-
-    def integrate(self, fn) -> float:
-        pts, wts = gauss_segments(0.0, self.cutoff, self.segments, self.nodes)
-        vals = np.asarray(fn(pts), dtype=float)
-        if self.weight is not None:
-            vals = vals * np.asarray(self.weight(pts), dtype=float)
-        surface = self.n * unit_ball_volume(self.n) * pts ** (self.n - 1)
-        return float(np.dot(wts, vals * surface))
-
-
-def cone_function(s: float):
-    """f_s(x) = (s - |x|)^+, as a radial callable."""
-    return lambda rho: np.clip(s - np.asarray(rho, dtype=float), 0.0, None)
-
-
-def cone_l2_sq(n: int, s: float) -> float:
-    """Closed form ||f_s||_2^2 = 2 omega_n s^{n+2} / ((n+1)(n+2))."""
-    return 2.0 * unit_ball_volume(n) * s ** (n + 2) / ((n + 1) * (n + 2))
 
 
 def _power_int(e: float, a: float, b: float) -> float:
@@ -113,12 +80,6 @@ def radial_l1_energy(n: int, alpha1: float, alpha2: float, mode: str,
         total += moment(e_hi, 1.0, support)
     omega = unit_ball_volume(n)
     return 2.0 * omega * s ** n * n * omega * total
-
-
-def radial_orlicz_cone(n: int, N: YoungFunction, s: float) -> float:
-    """||f_s||_N by radial quadrature plus gauge bisection."""
-    model = RadialModel(n, cutoff=s)
-    return orlicz_norm(model, N, cone_function(s))
 
 
 def sharpness_profile(n: int, alpha1: float, alpha2: float, N: YoungFunction,

@@ -272,8 +272,7 @@ def sp_decay_check(space, kernel, beta: RateFunction, f_family, t_grid, r_grid,
 
 
 def lemma2_bound(space, kernel, gamma, beta: RateFunction, s_grid,
-                 potential=None, profile=None, theta_provider=None,
-                 tol=1e-9) -> dict:
+                 potential=None, profile=None, tol=1e-9) -> dict:
     """Buser-type lower bound on the isoperimetric curve from a valid rate.
 
     For each s with finite beta^{-1}(1/(2s)) the exact enumerated kappa(s) is
@@ -281,11 +280,7 @@ def lemma2_bound(space, kernel, gamma, beta: RateFunction, s_grid,
     grid points are skipped with a note, since the bound degenerates there.
     """
     prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
-    if theta_provider is None:
-        sg = Semigroup(space, kernel, potential)
-        theta_int, _ = sg.theta_curve(gamma)
-    else:
-        theta_int = theta_provider
+    theta_int, _ = Semigroup(space, kernel, potential).theta_curve(gamma)
     rows, skipped, nviol = [], 0, 0
     worst = INF
     for s in s_grid:

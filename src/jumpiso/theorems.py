@@ -34,7 +34,7 @@ from .numerics import (INF, cumulative_quad, end_slope, ext_ratio,
 from .reports import TheoremReport
 from .superpoincare import (RateFunction, certified_rate, rate_power_log,
                             rate_power_pair, require_size, sp_verify)
-from .young import (YoungFunction, _power_pair, gauge_slacks,
+from .young import (YoungFunction, _log_family, _power_pair, gauge_slacks,
                     piecewise_linear_young, stack_family, tabulated_young)
 
 C_STAR = 2.0 / (1.0 - math.exp(-1.0))      # traced constant for the
@@ -455,30 +455,11 @@ def cor41_young(case: int, p1: float, p2: float = None, q: float = 0.0,
                 lam: float = 2.0) -> YoungFunction:
     if case in (1, 2):
         return _power_pair(p1, p2, case == 1, f"cor_case{case}", {"p1": p1, "p2": p2})
-    if case == 3:
-        def ev(s):
-            s = np.asarray(s, dtype=float)
-            with np.errstate(divide="ignore"):
-                L = np.log(lam + np.where(s > 0, 1.0 / s, INF))
-            return np.where(s > 0, s ** p1 * L ** q, 0.0)
-
-        def dv(s):
-            s = np.maximum(np.asarray(s, dtype=float), 1e-300)
-            L = np.log(lam + 1.0 / s)
-            return s ** (p1 - 1) * L ** (q - 1) * (p1 * L - q / (lam * s + 1.0))
-        iv = lambda r: inv_increasing(lambda s: float(ev(s)), r) if r > 0 else 0.0
-        return YoungFunction("cor_case3", {"p": p1, "q": q, "lambda": lam}, ev, iv, dv)
-    if case == 4:
-        def ev(s):
-            s = np.asarray(s, dtype=float)
-            return s ** p1 * np.log(lam + s) ** q
-
-        def dv(s):
-            s = np.asarray(s, dtype=float)
-            L = np.log(lam + s)
-            return s ** (p1 - 1) * L ** (q - 1) * (p1 * L + q * s / (lam + s))
-        iv = lambda r: inv_increasing(lambda s: float(ev(s)), r) if r > 0 else 0.0
-        return YoungFunction("cor_case4", {"p": p1, "q": q, "lambda": lam}, ev, iv, dv)
+    if case in (3, 4):
+        # s^p log(lam + 1/s)^q (case 3) or s^p log(lam + s)^q (case 4) is the
+        # log family (s L^{q/p})^p at the caller's lam, which is not doubled
+        return _log_family(p1, q / p1, case == 4, lam, f"cor_case{case}",
+                           {"p": p1, "q": q, "lambda": lam})
     raise ValueError("case must be 1..4")
 
 

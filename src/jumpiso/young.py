@@ -12,8 +12,6 @@ with inf(empty) = inf.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -78,9 +76,9 @@ def _alpha_exponent(n: int, alpha: float) -> float:
     return n / (n - alpha / 2.0)
 
 
-def _log_family(n: int, alpha: float, q: float, plus: bool, lam: float) -> YoungFunction:
-    P = _alpha_exponent(n, alpha)
-
+def _log_family(P: float, q: float, plus: bool, lam: float, family: str,
+                params: dict) -> YoungFunction:
+    """(s L(s)^q)^P with L(s) = log(lam + s) (plus) or log(lam + 1/s)."""
     if plus:
         def g(s):
             return s * np.log(lam + s) ** q
@@ -115,8 +113,7 @@ def _log_family(n: int, alpha: float, q: float, plus: bool, lam: float) -> Young
             return INF
         return inv_increasing(lambda s: float(ev(s)), r)
 
-    fam = "log_plus" if plus else "log_minus"
-    return YoungFunction(fam, {"n": n, "alpha": alpha, "q": q, "lambda": lam}, ev, iv, dv)
+    return YoungFunction(family, params, ev, iv, dv)
 
 
 def young_is_valid(N: YoungFunction, lo=1e-8, hi=1e8, points=400, tol=1e-9):
@@ -157,6 +154,13 @@ def builtin(name: str, **params) -> YoungFunction:
     log_plus(n, alpha, q[, lam]); log_minus(n, alpha, q[, lam]).
     For the log families lambda starts at 2 and doubles until the grid
     convexity check passes; the chosen value is recorded in the tag.
+
+    Each family except tilde is, up to constants, N_h = Phi_h^{-1} of a
+    kernel profile (``invert_phi`` dominates it and is dominated by it):
+    power with p = n/(n - alpha/2) of power_profile(0, alpha/2, n);
+    pow_min / pow_max of power_pair_profile(1 - alpha1/2, 1 - alpha2/2,
+    use_min, 1, n) with use_min True / False; log_plus / log_minus of
+    log_profile(alpha, n, q, 2, inverse_arg) with inverse_arg True / False.
     """
     if name == "power":
         return _power(params["p"])
@@ -173,8 +177,10 @@ def builtin(name: str, **params) -> YoungFunction:
     if name in ("log_plus", "log_minus"):
         n, a, q = params["n"], params["alpha"], params["q"]
         lam = float(params.get("lam", 2.0))
+        P = _alpha_exponent(n, a)
         while True:
-            N = _log_family(n, a, q, name == "log_plus", lam)
+            N = _log_family(P, q, name == "log_plus", lam, name,
+                            {"n": n, "alpha": a, "q": q, "lambda": lam})
             ok, _ = young_is_valid(N)
             if ok:
                 return N
@@ -325,22 +331,14 @@ def _gauge_search(G, rows, K: int, rtol: float) -> np.ndarray:
     return out
 
 
-def orlicz_norm(model, N: YoungFunction, f, rtol=1e-10):
-    """||f||_N over a finite space or any model exposing .integrate(fn).
+def orlicz_norm(space: FiniteMeasureSpace, N: YoungFunction, f, rtol=1e-10):
+    """||f||_N over a finite space: the one-row case of ``orlicz_norm_batch``.
 
     The mean G(r) = integral N(|f|/r) dmu is nonincreasing in r; the norm is
     located by geometric bracketing plus log bisection of G(r) = 1.  Returns
-    +inf when no finite r works and 0 for f = 0.  On a finite space this is
-    the one-row case of ``orlicz_norm_batch``.
+    +inf when no finite r works and 0 for f = 0.
     """
-    if isinstance(model, FiniteMeasureSpace):
-        return float(orlicz_norm_batch(model, N, np.asarray(f, dtype=float)[None], rtol)[0])
-
-    def G(idx, r):
-        return np.array([model.integrate(
-            lambda x: np.asarray(N(np.abs(f(x)) / r[0]), dtype=float))])
-
-    return float(_gauge_search(G, np.arange(1), 1, rtol)[0])
+    return float(orlicz_norm_batch(space, N, np.asarray(f, dtype=float)[None], rtol)[0])
 
 
 def orlicz_norm_batch(space: FiniteMeasureSpace, N: YoungFunction, F,
@@ -475,9 +473,9 @@ def domination(N1: YoungFunction, N2: YoungFunction, lo=1e-8, hi=1e8, points=241
 class ProfileH:
     """Kernel modulation profile of regularity class alpha.
 
-    Requirements: h and s/h(s) both increasing (checked on a log grid), and
-    the nested profile integral below finite.  ``family`` enables closed
-    inner integrals for pure and two-branch powers.
+    Requirements: h and s/h(s) both increasing, and the nested profile
+    integral below finite.  ``family`` selects the closed form of Phi_h for
+    pure and two-branch powers.
     """
 
     h: object
@@ -489,16 +487,6 @@ class ProfileH:
     def __post_init__(self):
         if not (0 < self.alpha < 2):
             raise ValueError("alpha must lie in (0, 2)")
-
-    def check(self, lo=1e-6, hi=1e6, points=200):
-        s = np.geomspace(lo, hi, points)
-        hv = np.asarray(self.h(s), dtype=float)
-        if np.any(np.diff(hv) < -1e-12 * hv[:-1]):
-            return False, "h not increasing"
-        ratio = s / hv
-        if np.any(np.diff(ratio) < -1e-12 * ratio[:-1]):
-            return False, "s/h(s) not increasing"
-        return True, "ok"
 
 
 def power_profile(kappa: float, alpha: float, n: int, coeff: float = 1.0) -> ProfileH:
@@ -522,32 +510,12 @@ def log_profile(alpha: float, n: int, q: float, lam: float, inverse_arg: bool) -
     return ProfileH(h, alpha, n, "log", {"q": q, "lam": lam, "inverse_arg": inverse_arg})
 
 
-def _power_piece(alpha, kappa, coeff, a, b):
-    """Integral of r^{alpha-1} / (coeff r^kappa) over [a, b], closed form."""
-    e = alpha - kappa
-    if e <= 0:
-        if a == 0.0:
-            return INF
-        if e == 0:
-            return math.log(b / a) / coeff
-        return (b ** e - a ** e) / (e * coeff)
-    return (b ** e - a ** e) / (e * coeff)
-
-
 def _inner_integral(profile: ProfileH, T: float) -> float:
-    """integral_0^T r^{alpha-1} / h(r) dr."""
+    """integral_0^T r^{alpha-1} / h(r) dr, by quadrature (power profiles
+    never get here: ``phi_h`` takes their closed form)."""
     a = profile.alpha
     if T <= 0:
         return 0.0
-    if profile.family == "power":
-        return _power_piece(a, profile.params["kappa"], profile.params["coeff"], 0.0, T)
-    if profile.family == "power_pair":
-        k1, k2 = profile.params["k1"], profile.params["k2"]
-        lo_k, hi_k = (max(k1, k2), min(k1, k2)) if profile.params["min"] else (min(k1, k2), max(k1, k2))
-        # branch below the crossover at 1 has exponent lo_k, above has hi_k
-        if T <= 1.0:
-            return _power_piece(a, lo_k, 1.0, 0.0, T)
-        return _power_piece(a, lo_k, 1.0, 0.0, 1.0) + _power_piece(a, hi_k, 1.0, 1.0, T)
     pts, wts = gauss_segments(0.0, T, n_seg=40, nodes=16, geometric_to="left")
     vals = pts ** (a - 1.0) / np.asarray(profile.h(pts), dtype=float)
     out = float(np.dot(wts, vals))
@@ -557,9 +525,11 @@ def _inner_integral(profile: ProfileH, T: float) -> float:
 
 
 def _outer_power(e: float, a: float, b: float) -> float:
-    """Integral of t^{-e} over [a, b], requiring e < 1 at a = 0."""
+    """Integral of t^{-e} over [a, b]: +inf when e >= 1 at a = 0."""
     if e >= 1.0 and a == 0.0:
         return INF
+    if e == 1.0:
+        return math.log(b / a)
     return (b ** (1.0 - e) - a ** (1.0 - e)) / (1.0 - e)
 
 
@@ -668,20 +638,3 @@ def invert_phi(profile: ProfileH, s_min=1e-10, s_max=1e10, points=400) -> YoungF
                            params={"alpha": profile.alpha, "n": profile.n,
                                    "profile": profile.family})
 
-
-# ---------------------------------------------------------------------------
-# CSV round trip for tabulated functions
-
-def young_to_csv(N: YoungFunction, s_grid) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["s", "N"])
-    for s in s_grid:
-        w.writerow([repr(float(s)), repr(float(N(s)))])
-    return buf.getvalue()
-
-
-def young_from_csv(text: str) -> YoungFunction:
-    rows = list(csv.reader(io.StringIO(text)))
-    data = np.array([[float(a), float(b)] for a, b in rows[1:]])
-    return tabulated_young(data[:, 0], data[:, 1])

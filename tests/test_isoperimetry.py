@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jumpiso.isoperimetry as isoperimetry
 from jumpiso.core import FiniteMeasureSpace, JumpKernel, WeightFunction, l1_form
 from jumpiso.instances import random_functions, random_instance
 from jumpiso.isoperimetry import (coarea_check, enumerate_profile,
@@ -126,11 +127,16 @@ def test_coarea_report():
         assert rep["worst_ratio_slack"] >= -1e-9
 
 
-def test_thm20_forward_indicator_extremality():
+def test_thm20_forward_indicator_extremality(monkeypatch):
     # with indicators alone the forward bound is tight: kappa = 1/(2C)
     space, kernel, _, _ = random_instance(2, (3, 6))
     N = builtin("power", p=2)
+    calls = []
+    real = isoperimetry.enumerate_profile
+    monkeypatch.setattr(isoperimetry, "enumerate_profile",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
     rep = thm20_forward(space, kernel, N, [])
+    assert len(calls) == 1     # both constants share one enumeration
     assert rep["pass"]
     assert rep["lhs"] == pytest.approx(rep["rhs"], rel=1e-9)
 

@@ -7,8 +7,8 @@ from scipy.special import gammaln
 import jumpiso.lattice as lattice
 from jumpiso.lattice import (P1_CHUNK, LatticeWindow, _binom_parity_blocks,
                              gradient_decay, on_diagonal_decay, p1_hybrid,
-                             p1_kernel, power_law_band, srw_kernels,
-                             subord_weights, torus_semigroup,
+                             p1_kernel, power_law_band, subord_weights,
+                             torus_semigroup,
                              truncated_crossover_curve, weight_at, weight_tail)
 from jumpiso.numerics import loglog_slope
 
@@ -46,20 +46,6 @@ def _reference_p1_exact(n: int, alpha: float, K: int, R: int) -> np.ndarray:
         x2 = np.arange(-R, R + 1)[None, :]
         acc = M[(x1 + x2) + width, (x1 - x2) + width]
     return acc
-
-
-def test_srw_oracles():
-    q = srw_kernels(1, 2, 4)
-    assert q[0].at(1) == 0.5 and q[0].at(-1) == 0.5
-    assert q[1].at(0) == 0.5 and q[1].at(2) == 0.25 and q[1].at(-2) == 0.25
-    for k, win in enumerate(srw_kernels(2, 4, 4), start=1):
-        assert win.total() == pytest.approx(1.0, abs=1e-12)
-        # parity: q_k(0, x) = 0 when |x|_1 and k differ in parity
-        grids, _ = win.offsets_and_radii()
-        l1 = sum(np.abs(g) for g in grids)
-        assert np.all(win.values[(l1 + k) % 2 == 1] == 0.0)
-    with pytest.raises(ValueError, match="at least"):
-        srw_kernels(1, 5, 4)
 
 
 def test_subordination_weight_oracles():

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from jumpiso.numerics import gauss_rule, gauss_segments, loglog_slope
-from jumpiso.perturbed import (example_threshold, gl_quantities, kappa_w_lower,
-                               log_weight, phi_l, phi_l_scan,
-                               theorem_beta_curve)
+from jumpiso.perturbed import (example_threshold, gl_quantities, log_weight,
+                               phi_l, phi_l_scan, theorem_beta_curve)
 
 
 def test_weight_normalization():
@@ -38,30 +37,6 @@ def test_phi_l_monotone_and_decreasing_tail_flag():
     scan = phi_l_scan(below, 4.0)
     assert not scan["attained"]
     assert scan["note"] is not None
-
-
-def test_kappa_w_lower_band_and_eta():
-    w = log_weight(2, 1.0, 1.0)
-    ratios = {}
-    for l in np.geomspace(1.0, 20.0, 6):
-        out = kappa_w_lower(w, float(l))
-        ratios[float(l)] = out["ratio_to_phi"]
-    # one-sided bound with a single fitted constant over the whole range
-    assert min(ratios.values()) > 0.1
-    # tightness band once both quantities are past the transition at the
-    # profile's interior minimum (the escape profile is flat below it)
-    in_regime = [v for l, v in ratios.items() if l >= 2.0]
-    assert max(in_regime) / min(in_regime) <= 3.0
-    a = kappa_w_lower(w, 4.0, eta=1e-3)
-    b = kappa_w_lower(w, 4.0, eta=5e-4)
-    assert abs(b["value"] / a["value"] - 1.0) < 0.01
-
-
-def test_kappa_w_lower_n3():
-    w = log_weight(3, 1.0, 1.0)
-    out = kappa_w_lower(w, 2.0, r_points=24)
-    assert out["value"] > 0
-    assert np.isfinite(out["value"])
 
 
 def test_gl_quantities_slopes():

@@ -5,9 +5,7 @@ import pytest
 from scipy import integrate
 
 from jumpiso.numerics import loglog_slope
-from jumpiso.radial import (RadialModel, cone_function, cone_l2_sq,
-                            radial_l1_energy, radial_orlicz_cone,
-                            sharpness_profile, unit_ball_volume)
+from jumpiso.radial import radial_l1_energy, sharpness_profile, unit_ball_volume
 from jumpiso.young import builtin
 
 
@@ -15,14 +13,6 @@ def test_unit_ball_volumes():
     assert unit_ball_volume(1) == pytest.approx(2.0)
     assert unit_ball_volume(2) == pytest.approx(math.pi)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
-
-
-def test_cone_l2_closed_form():
-    for n in (1, 2, 3):
-        s = 1.7
-        model = RadialModel(n, cutoff=s)
-        val = model.integrate(lambda r: np.clip(s - r, 0.0, None) ** 2)
-        assert val == pytest.approx(cone_l2_sq(n, s), rel=1e-12)
 
 
 def test_radial_l1_energy_against_quadrature():
@@ -68,26 +58,6 @@ def test_monotone_in_s():
     vals = [radial_l1_energy(2, 0.5, 1.5, "min_kernel", s)
             for s in np.geomspace(0.1, 10, 12)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
-    norms = [radial_orlicz_cone(1, builtin("power", p=2), s)
-             for s in np.geomspace(0.5, 5, 6)]
-    assert all(a < b for a, b in zip(norms, norms[1:]))
-
-
-def test_cone_orlicz_norm_matches_l2():
-    N = builtin("power", p=2)
-    for n in (1, 2):
-        s = 2.3
-        assert radial_orlicz_cone(n, N, s) == pytest.approx(
-            math.sqrt(cone_l2_sq(n, s)), rel=1e-8)
-
-
-def test_cone_norm_scaling_slope():
-    # ||f_s||_N for N = s^{n/(n - a/2)} scales like s^{n + 1 - a/2}
-    n, alpha = 1, 1.0
-    N = builtin("power", p=n / (n - alpha / 2))
-    ss = np.geomspace(1.0, 100.0, 8)
-    norms = [radial_orlicz_cone(n, N, float(s)) for s in ss]
-    assert loglog_slope(ss, norms) == pytest.approx(n + 1 - alpha / 2, abs=1e-2)
 
 
 def test_sharpness_dichotomy():
