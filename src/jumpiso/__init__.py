@@ -12,7 +12,7 @@ from .core import (FiniteMeasureSpace, JumpKernel, KillingPotential,
                    Semigroup, SemigroupKernel, ValidationError,
                    WeightFunction, bar_extension, dirichlet_energy,
                    generator, instance_from_json, instance_to_json, l1_form,
-                   schrodinger_energy, semigroup, theta_integral)
+                   schrodinger_energy)
 from .isoperimetry import (IsoperimetricProfile, coarea_check,
                            enumerate_profile, kappa_orlicz, sampled_profile,
                            thm20_backward, thm20_forward, thm20_poincare)

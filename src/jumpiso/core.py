@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import INF, quad
+from .numerics import INF
 
 # elements of the pair-distance temporary per chunk of stacked theta times
 THETA_CHUNK = 2 ** 15
@@ -293,33 +293,18 @@ class Semigroup:
                 out[lo:lo + step] = np.max(dist / weight, axis=1)
         return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
-    def theta_integral(self, t: float, gamma: WeightFunction) -> float:
-        """Integral of theta over [0, t] by adaptive quadrature."""
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        if t == 0:
-            return 0.0
-        return quad(lambda s: self.theta(s, gamma) if s > 0 else self._theta0(gamma), 0.0, t)
-
-    def _theta0(self, gamma: WeightFunction) -> float:
-        m = self.space.m
-        if m == 1:
-            return 0.0
-        off = ~np.eye(m, dtype=bool)
-        return float(np.max(2.0 / gamma.gamma[off]))
-
-    def theta_curve(self, gamma: WeightFunction, t_max: float | None = None, n: int = 240):
+    def theta_curve(self, gamma: WeightFunction):
         """Cumulative Theta on a log time grid plus an exact-rate tail bound.
 
-        Returns (ThetaFn, theta_infinity).  Beyond the grid the tail is
+        Returns (ThetaFn, theta_infinity).  The grid has 240 points up to
+        t_max = 50/gap (1e6 when the gap is 0).  Beyond it the tail is
         integrated analytically from theta(t) <= theta(t_max) e^{-gap (t-t_max)}
         (the spectral gap controls the decay); on disconnected spaces with
         gap 0 the tail is infinite.
         """
         g = self.gap
-        if t_max is None:
-            t_max = 50.0 / g if g > 0 else 1e6
-        ts = np.geomspace(max(t_max * 1e-8, 1e-12), t_max, n)
+        t_max = 50.0 / g if g > 0 else 1e6
+        ts = np.geomspace(max(t_max * 1e-8, 1e-12), t_max, 240)
         thetas = self.theta(ts, gamma)
         gx, gw = np.polynomial.legendre.leggauss(8)
 
@@ -354,15 +339,6 @@ class Semigroup:
             return float(cum[k - 1] + segment(ts[k - 1], t))
 
         return theta_int, total
-
-
-def semigroup(space, kernel, potential=None, t: float = 0.0) -> SemigroupKernel:
-    """One-shot transition kernel at time t (builds the spectral cache)."""
-    return Semigroup(space, kernel, potential).kernel_at(t)
-
-
-def theta_integral(space, kernel, gamma: WeightFunction, t: float, potential=None) -> float:
-    return Semigroup(space, kernel, potential).theta_integral(t, gamma)
 
 
 def bar_extension(space: FiniteMeasureSpace, kernel: JumpKernel,

@@ -13,51 +13,55 @@ from .core import (FiniteMeasureSpace, JumpKernel, KillingPotential,
                    WeightFunction)
 
 
-def random_space(rng, m: int, mass_range=(0.1, 10.0)) -> FiniteMeasureSpace:
-    lo, hi = np.log(mass_range[0]), np.log(mass_range[1])
+def random_space(rng, m: int) -> FiniteMeasureSpace:
+    """Masses log-uniform on [0.1, 10]."""
+    lo, hi = np.log(0.1), np.log(10.0)
     return FiniteMeasureSpace(np.exp(rng.uniform(lo, hi, size=m)))
 
 
-def random_kernel(rng, space: FiniteMeasureSpace, extra_edges: float = 0.5,
-                  rate_range=(0.1, 10.0)) -> JumpKernel:
-    """Connected sparse symmetric kernel: spanning tree plus random edges."""
+def random_kernel(rng, space: FiniteMeasureSpace) -> JumpKernel:
+    """Connected sparse symmetric kernel: spanning tree plus about half an
+    extra edge per point, rates log-uniform on [0.1, 10]."""
     m = space.m
     j = np.zeros((m, m))
-    lo, hi = np.log(rate_range[0]), np.log(rate_range[1])
+    lo, hi = np.log(0.1), np.log(10.0)
     order = rng.permutation(m)
     for k in range(1, m):
         a, b = order[k], order[rng.integers(0, k)]
         j[a, b] = j[b, a] = np.exp(rng.uniform(lo, hi))
     for a in range(m):
         for b in range(a + 1, m):
-            if j[a, b] == 0 and rng.random() < extra_edges / max(m - 1, 1):
+            if j[a, b] == 0 and rng.random() < 0.5 / max(m - 1, 1):
                 j[a, b] = j[b, a] = np.exp(rng.uniform(lo, hi))
     return JumpKernel(space, j)
 
 
-def random_gamma(rng, m: int, spread=(0.5, 2.0)) -> WeightFunction:
-    lo, hi = np.log(spread[0]), np.log(spread[1])
+def random_gamma(rng, m: int) -> WeightFunction:
+    """Symmetric weights, geometric means of log-uniform draws on [0.5, 2]."""
+    lo, hi = np.log(0.5), np.log(2.0)
     g = np.exp(rng.uniform(lo, hi, size=(m, m)))
     g = np.sqrt(g * g.T)
     np.fill_diagonal(g, 1.0)
     return WeightFunction(g)
 
 
-def random_potential(rng, m: int, v_range=(0.1, 5.0), xi_range=(0.5, 2.0),
-                     sparsity: float = 0.5) -> KillingPotential:
+def random_potential(rng, m: int) -> KillingPotential:
+    """Killing rates log-uniform on [0.1, 5] at about half the points (one
+    at least), xi log-uniform on [0.5, 2]."""
+    v_range = (0.1, 5.0)
     v = np.exp(rng.uniform(np.log(v_range[0]), np.log(v_range[1]), size=m))
-    v *= rng.random(m) < sparsity
+    v *= rng.random(m) < 0.5
     if not np.any(v > 0):
         v[rng.integers(0, m)] = np.exp(rng.uniform(*np.log(v_range)))
-    xi = np.exp(rng.uniform(np.log(xi_range[0]), np.log(xi_range[1]), size=m))
+    xi = np.exp(rng.uniform(np.log(0.5), np.log(2.0), size=m))
     return KillingPotential(v, xi)
 
 
-def random_instance(seed: int, m_range=(3, 10), mass_range=(0.1, 10.0),
-                    with_gamma: bool = False, with_potential: bool = False):
+def random_instance(seed: int, m_range=(3, 10), with_gamma: bool = False,
+                    with_potential: bool = False):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(m_range[0], m_range[1] + 1))
-    space = random_space(rng, m, mass_range)
+    space = random_space(rng, m)
     kernel = random_kernel(rng, space)
     gamma = random_gamma(rng, m) if with_gamma else WeightFunction.ones(m)
     potential = random_potential(rng, m) if with_potential else None

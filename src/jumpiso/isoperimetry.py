@@ -26,6 +26,7 @@ from .young import (YoungFunction, c_N, gauge_slacks, indicator_norm,
                     stack_family)
 
 ENUM_LIMIT = 24
+TOL = 1e-9   # slack tolerance of thm20_poincare and coarea_check
 
 
 def _pair_weights(space, kernel, gamma) -> np.ndarray:
@@ -287,7 +288,7 @@ def thm20_backward(space, kernel, N, f_family, gamma=None, tol=1e-9) -> dict:
 
 
 def thm20_poincare(space, kernel, C1, C2_tilde, mode: str, f_family=None,
-                   gamma=None, tol=1e-9) -> dict:
+                   gamma=None) -> dict:
     """Two-way link between the L1 Poincare form and its subset version.
 
     forward:  check mu(A) <= 2 C1 flow-sum(A) + C2_tilde mu(A)^2 on every
@@ -305,16 +306,16 @@ def thm20_poincare(space, kernel, C1, C2_tilde, mode: str, f_family=None,
         return {"claim": "subset Poincare with C2_tilde = C2",
                 "worst_slack": float(slack[k]),
                 "witness": int(prof.sorted_masks[k]),
-                "pass": bool(slack[k] >= -tol)}
+                "pass": bool(slack[k] >= -TOL)}
     if mode != "backward":
         raise ValueError("mode must be forward or backward")
     # premise: subset inequality at (C1, C2_tilde); conclusion at C2 = 2 C2_tilde
     premise = prof.sorted_masses - 2.0 * C1 * prof.sorted_flows - C2_tilde * prof.sorted_masses ** 2
-    if np.any(premise > tol):
+    if np.any(premise > TOL):
         raise ValueError("subset inequality does not hold at the given constants")
     sl = rate_slacks(space, stack_family(space, [] if f_family is None else f_family),
                      lambda f: l1_form(space, kernel, gamma, f * f),
-                     [C1], lambda r: 2.0 * C2_tilde, tol)
+                     [C1], lambda r: 2.0 * C2_tilde, TOL)
     return {"claim": "functional Poincare with C2 = 2 C2_tilde",
             "worst_slack": sl["worst_slack"],
             "witness": None if sl["witness"] is None else sl["witness"][0],
@@ -336,7 +337,7 @@ def layer_cake_l1(space, kernel, gamma, f) -> float:
     return 2.0 * total
 
 
-def coarea_check(space, kernel, f_family, gamma=None, tol=1e-9) -> dict:
+def coarea_check(space, kernel, f_family, gamma=None) -> dict:
     """Level-set decomposition of the L1 form and the subset infimum bound.
 
     The layer-cake identity is checked for every nonnegative f; the bound
@@ -355,7 +356,7 @@ def coarea_check(space, kernel, f_family, gamma=None, tol=1e-9) -> dict:
         cake = layer_cake_l1(space, kernel, gamma, f)
         err = abs(direct - cake) / max(1.0, abs(direct))
         worst_id = max(worst_id, err)
-        if err > tol:
+        if err > TOL:
             nviol += 1
         if f.min() > 0.0:
             unsupported += 1
@@ -363,7 +364,7 @@ def coarea_check(space, kernel, f_family, gamma=None, tol=1e-9) -> dict:
         mass = float(np.sum(f * space.mu))
         if mass > 0:
             worst_ratio = min(worst_ratio, direct / mass - floor)
-            if direct / mass < floor - tol:
+            if direct / mass < floor - TOL:
                 nviol += 1
     # the minimizing indicator achieves the subset infimum
     witness = prof.min_witness()
@@ -375,4 +376,4 @@ def coarea_check(space, kernel, f_family, gamma=None, tol=1e-9) -> dict:
             "worst_identity_error": worst_id, "worst_ratio_slack": worst_ratio,
             "indicator_gap": ind_gap, "violations": nviol,
             "skipped_unsupported": unsupported,
-            "pass": nviol == 0 and ind_gap <= tol}
+            "pass": nviol == 0 and ind_gap <= TOL}

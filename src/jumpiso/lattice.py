@@ -218,18 +218,17 @@ def _tail_formula(n: int, alpha: float, K1: int, radii_sq: np.ndarray) -> np.nda
     return vals
 
 
-def p1_hybrid(n: int, alpha: float, R: int, K1: int = 20000,
-              exact_radius: int | None = None) -> LatticeWindow:
+def p1_hybrid(n: int, alpha: float, R: int, K1: int = 20000) -> LatticeWindow:
     """p1 on a wide window: exact mixture up to K1 steps plus the closed
     incomplete-gamma tail for all later steps.
 
-    The exact part is only materialized inside ``exact_radius`` (beyond it
-    the k <= K1 walk mass at such distances is double-exponentially small),
-    which keeps the binomial tables affordable on windows far wider than
-    any feasible convolution depth.
+    The exact part is only materialized inside the radius
+    min(R, max(32, 3 sqrt(K1/n))) (beyond it the k <= K1 walk mass at such
+    distances is double-exponentially small), which keeps the binomial
+    tables affordable on windows far wider than any feasible convolution
+    depth.
     """
-    if exact_radius is None:
-        exact_radius = min(R, max(32, int(math.sqrt(K1 / max(n, 1)) * 3)))
+    exact_radius = min(R, max(32, int(math.sqrt(K1 / max(n, 1)) * 3)))
     inner, _ = p1_kernel(n, alpha, K1, exact_radius, method="exact")
     _, rad = LatticeWindow(n, R, np.zeros((2 * R + 1,) * n)).offsets_and_radii()
     vals = _tail_formula(n, alpha, K1, rad ** 2)
@@ -239,20 +238,21 @@ def p1_hybrid(n: int, alpha: float, R: int, K1: int = 20000,
                          note=f"hybrid exact<=K1={K1} + gamma tail")
 
 
-def torus_semigroup(n: int, alpha: float, R: int, t_grid, K1: int = 20000,
-                    images: int = 2):
+def torus_semigroup(n: int, alpha: float, R: int, t_grid, K1: int = 20000):
     """Poissonized semigroup rows on the torus of side L = 2R + 1, exactly.
 
-    The single-step kernel is periodized (power-law images evaluated in
-    closed form), renormalized to a probability, and exponentiated in
-    Fourier space: p_t = IFFT exp(-t (1 - FFT p1)).  One transform per time
-    value; no truncation of the Poisson series at all.  Wrap-around images
-    bias entries by O(t / L^{n + alpha}), reported as ``leak``.
+    The single-step kernel is periodized (power-law images up to two periods
+    away per axis, in closed form), renormalized to a probability, and
+    exponentiated in Fourier space: p_t = IFFT exp(-t (1 - FFT p1)).  One
+    transform per time value; no truncation of the Poisson series at all.
+    Wrap-around images bias entries by O(t / L^{n + alpha}), reported as
+    ``leak``.
     """
     win = p1_hybrid(n, alpha, R, K1)
     vals = win.values.copy()
     L = 2 * R + 1
     grids, _ = win.offsets_and_radii()
+    images = 2
     for shift in np.ndindex(*(2 * images + 1,) * n):
         off = np.array(shift) - images
         if not off.any():

@@ -42,11 +42,12 @@ def ext_ratio(a: float, b: float) -> float:
     return a / b
 
 
-def inv_increasing(fn, target, lo=1e-300, hi=1e300, rtol=1e-12, max_iter=400):
+def inv_increasing(fn, target, lo=1e-300, hi=1e300):
     """inf{s > 0 : fn(s) >= target} for a nondecreasing fn, by log bisection.
 
     Returns 0.0 when already satisfied arbitrarily close to 0, and inf when
-    the target is never reached below ``hi``.
+    the target is never reached below ``hi``.  Bisection stops once the
+    bracket is within relative 1e-12, or after 400 steps.
     """
     if target <= fn(lo):
         return 0.0
@@ -70,36 +71,30 @@ def inv_increasing(fn, target, lo=1e-300, hi=1e300, rtol=1e-12, max_iter=400):
             a = b
         else:
             return INF
-    for _ in range(max_iter):
+    for _ in range(400):
         mid = math.sqrt(a * b)
         if fn(mid) >= target:
             b = mid
         else:
             a = mid
-        if b - a <= rtol * b:
+        if b - a <= 1e-12 * b:
             break
     return b
 
 
-def inv_decreasing(fn, target, lo=1e-300, hi=1e300, rtol=1e-12, max_iter=400):
+def inv_decreasing(fn, target, lo=1e-300, hi=1e300):
     """inf{s > 0 : fn(s) <= target} for a nonincreasing fn; inf(empty) = inf.
 
     Negation is exact and flips every comparison, so this is
     ``inv_increasing`` on -fn, step for step.
     """
-    return inv_increasing(lambda s: -fn(s), -target, lo, hi, rtol, max_iter)
+    return inv_increasing(lambda s: -fn(s), -target, lo, hi)
 
 
-def quad(fn, a, b, rtol=1e-8, atol=1e-14, limit=200):
-    """Adaptive Gauss-Kronrod quadrature (QUADPACK) with package defaults."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(fn, a, b, epsrel=rtol, epsabs=atol, limit=limit)
-    return val
-
-
-def cumulative_quad(fn, grid, rtol=1e-8, atol=1e-14, power_head=False):
-    """Integral of fn from grid[0] to each grid point, by segment quadrature.
+def cumulative_quad(fn, grid, rtol=1e-8, power_head=False):
+    """Integral of fn from grid[0] to each grid point, by adaptive
+    Gauss-Kronrod quadrature (QUADPACK) on each segment, to relative
+    ``rtol`` or absolute 1e-14.
 
     With ``power_head`` and grid[0] == 0, the first segment is integrated by
     a local power-law fit of fn instead of quadrature: adaptive rules lose
@@ -119,8 +114,12 @@ def cumulative_quad(fn, grid, rtol=1e-8, atol=1e-14, power_head=False):
             if q > -1.0:
                 out[1] = f0 * t0 / (1.0 + q)
                 start = 2
-    for i in range(start, len(grid)):
-        out[i] = out[i - 1] + quad(fn, grid[i - 1], grid[i], rtol=rtol, atol=atol, limit=60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for i in range(start, len(grid)):
+            val, _ = integrate.quad(fn, grid[i - 1], grid[i], epsrel=rtol,
+                                    epsabs=1e-14, limit=60)
+            out[i] = out[i - 1] + val
     return out
 
 

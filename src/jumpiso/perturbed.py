@@ -56,9 +56,9 @@ def log_weight(n: int, alpha: float, eps: float) -> RadialWeight:
                         params={"eps": eps, "norm_shift": c})
 
 
-def phi_l_scan(weight: RadialWeight, l: float, r_max: float | None = None,
-               points: int = 600) -> dict:
-    """Escape profile inf_{r >= l} e^{W(r)} / r^{n + alpha/2} by a log grid.
+def phi_l_scan(weight: RadialWeight, l: float) -> dict:
+    """Escape profile inf_{r >= l} e^{W(r)} / r^{n + alpha/2} by a 600-point
+    log grid on [l, r_max], r_max = max(1e6, 1e4 l).
 
     The tail direction is classified from the last decade: an increasing
     objective pins the infimum inside the window; a decreasing one means the
@@ -68,8 +68,8 @@ def phi_l_scan(weight: RadialWeight, l: float, r_max: float | None = None,
     if l < 1:
         raise ValueError("l must be at least 1")
     e = weight.n + weight.alpha / 2.0
-    if r_max is None:
-        r_max = max(1e6, l * 1e4)
+    r_max = max(1e6, l * 1e4)
+    points = 600
     rs = np.geomspace(l, r_max, points)
     obj = np.exp(np.asarray(weight.W(rs), dtype=float)) / rs ** e
     k = int(np.argmin(obj))
@@ -87,47 +87,43 @@ def phi_l_scan(weight: RadialWeight, l: float, r_max: float | None = None,
             "objective still decreasing at r_max: window value is an upper reading"}
 
 
-def phi_l(weight: RadialWeight, l: float, r_max: float | None = None) -> float:
-    return phi_l_scan(weight, l, r_max)["value"]
+def phi_l(weight: RadialWeight, l: float) -> float:
+    return phi_l_scan(weight, l)["value"]
 
 
 # ---------------------------------------------------------------------------
 # localized rate function
 
-def theorem_beta(weight: RadialWeight, r: float, c1: float = 1.0,
-                 c2: float = 0.25, c3: float = 1.0, phi_cache=None,
-                 l_grid=None, s_points: int = 240) -> float:
+def theorem_beta(weight: RadialWeight, r: float, phi_cache: dict) -> float:
     """Rate value by optimizing the localization pair (s, l):
 
         min 2 c1 (s^{-2n/alpha} + s^{-n}) sup_{|z| <= l+1} e^{W/2}
         s.t. s + 1/Phi(l-1) <= c2 (r ^ 1)  and
-             sup_{|z| <= l+2} e^{2 |grad W|} <= c3 / s.
+             sup_{|z| <= l+2} e^{2 |grad W|} <= c3 / s
 
-    Infeasible grids give +inf.  c1 carries the constant of the truncated
-    comparison inequality symbolically; c2, c3 are bookkeeping constants.
-    The decay exponent in r is independent of all three.
+    over 220 log-spaced l in [2, 1e10].  Infeasible grids give +inf.  The
+    constants are fixed at c1 = 1, c2 = 1/4 and c3 = 1: c1 carries the
+    constant of the truncated comparison inequality symbolically, c2 and c3
+    are bookkeeping constants, and the decay exponent in r is independent
+    of all three.  ``phi_cache`` holds Phi(l-1) by l across calls.
     """
     n, alpha = weight.n, weight.alpha
-    if l_grid is None:
-        l_grid = np.geomspace(2.0, 1e10, 220)
-    if phi_cache is None:
-        phi_cache = {}
-    budget = c2 * min(r, 1.0)
+    budget = 0.25 * min(r, 1.0)
     best = INF
-    for l in l_grid:
+    for l in np.geomspace(2.0, 1e10, 220):
         if l not in phi_cache:
             phi_cache[l] = phi_l(weight, max(l - 1.0, 1.0))
         phi = phi_cache[l]
         if phi <= 0 or 1.0 / phi >= budget:
             continue
         grad_cap = _sup_grad(weight, l + 2.0)
-        s_hi = min(budget - 1.0 / phi, c3 / math.exp(2.0 * grad_cap))
+        s_hi = min(budget - 1.0 / phi, 1.0 / math.exp(2.0 * grad_cap))
         if s_hi <= 0:
             continue
         sup_w = _sup_exp_half_w(weight, l + 1.0)
         # objective decreasing in s: the best s is the largest feasible
         s = s_hi
-        val = 2.0 * c1 * (s ** (-2.0 * n / alpha) + s ** (-n)) * sup_w
+        val = 2.0 * (s ** (-2.0 * n / alpha) + s ** (-n)) * sup_w
         best = min(best, val)
     return best
 
@@ -142,10 +138,9 @@ def _sup_exp_half_w(weight: RadialWeight, radius: float) -> float:
     return float(np.exp(0.5 * np.max(np.asarray(weight.W(rs), dtype=float))))
 
 
-def theorem_beta_curve(weight: RadialWeight, r_grid, **kwargs):
+def theorem_beta_curve(weight: RadialWeight, r_grid):
     cache = {}
-    return np.array([theorem_beta(weight, r, phi_cache=cache, **kwargs)
-                     for r in r_grid])
+    return np.array([theorem_beta(weight, r, cache) for r in r_grid])
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +150,20 @@ def _ramp_sq(rho, l: float):
     return np.clip((np.asarray(rho, dtype=float) - l) / l, 0.0, 1.0) ** 2
 
 
-def ramp_inner_integral(weight: RadialWeight, r: float, l: float,
-                        s_segments: int = 44, angle_nodes: int = 40) -> float:
+def ramp_inner_integral(weight: RadialWeight, r: float, l: float) -> float:
     """integral |g_l^2(y) - g_l^2(x)| / |x-y|^{n + alpha/2} dy at |x| = r
     (n = 2), in polar coordinates around x; the far field beyond the grid is
-    bounded analytically and included."""
+    bounded analytically and included.
+
+    The rule is fixed: in the distance s, 44 segments of 10 Gauss nodes on
+    [1e-7 l, 2e3 l]; in the angle, 18 segments of 8 nodes on [0, pi]; both
+    refine geometrically toward their left end."""
     n, a = weight.n, weight.alpha
     if n != 2:
         raise ValueError("ramp quantities implemented for n = 2")
     gx = float(_ramp_sq(r, l))
     s_max = 2e3 * l
-    s_pts, s_wts = gauss_segments(1e-7 * l, s_max, s_segments, 10, geometric_to="left")
+    s_pts, s_wts = gauss_segments(1e-7 * l, s_max, 44, 10, geometric_to="left")
     ang_pts, ang_wts = gauss_segments(0.0, math.pi, 18, 8, geometric_to="left")
     cosang = np.cos(ang_pts)
     dist = np.sqrt(np.maximum(r * r + s_pts[:, None] ** 2
@@ -194,8 +192,7 @@ def gl_quantities(weight: RadialWeight, l: float, r_points: int = 40) -> dict:
     return {"inner_sup": inner_sup, "mass": mass, "l1mass": l1mass}
 
 
-def example_threshold(n: int, alpha: float, eps_grid, l_grid=None,
-                      phi_l_grid=None, tol_factor: float = 16.0) -> dict:
+def example_threshold(n: int, alpha: float, eps_grid) -> dict:
     """Classify each growth exponent against the stability threshold.
 
     For every eps: the escape-profile trend decides whether the full rate
@@ -203,12 +200,14 @@ def example_threshold(n: int, alpha: float, eps_grid, l_grid=None,
     below suffices); the ramp-function necessity ratio
     inner_sup / (mass - l1mass^2) decays exactly when eps is below the
     threshold alpha/2.  The report states both verdicts per eps.
+
+    The grids are fixed: the escape-profile slope is fitted at 12 log-spaced
+    l in [10^1.5, 1e3], the ratio slope at 6 log-spaced l in [4, 64], and a
+    slope counts as nonzero beyond alpha/16.
     """
-    if l_grid is None:
-        l_grid = np.geomspace(4.0, 64.0, 6)
-    if phi_l_grid is None:
-        phi_l_grid = np.geomspace(10.0 ** 1.5, 1e3, 12)
-    tol = alpha / tol_factor
+    l_grid = np.geomspace(4.0, 64.0, 6)
+    phi_l_grid = np.geomspace(10.0 ** 1.5, 1e3, 12)
+    tol = alpha / 16.0
     rows = []
     for eps in eps_grid:
         w = log_weight(n, alpha, eps)

@@ -83,15 +83,16 @@ def radial_l1_energy(n: int, alpha1: float, alpha2: float, mode: str,
 
 
 def sharpness_profile(n: int, alpha1: float, alpha2: float, N: YoungFunction,
-                      s_grid, c9: float = 1.0):
-    """The normalized gauge obstruction s^n N(c9 (s^{a1/2-n} v s^{a2/2-n})).
+                      s_grid):
+    """The normalized gauge obstruction s^n N(s^{a1/2-n} v s^{a2/2-n}),
+    at the comparison constant c9 = 1.
 
     Bounded over all scales exactly for the critical Young function; any
     function not dominated by it blows up along one end.  Returns the grid
     values with fitted end trends.
     """
     s = np.asarray(s_grid, dtype=float)
-    arg = c9 * np.maximum(s ** (alpha1 / 2.0 - n), s ** (alpha2 / 2.0 - n))
+    arg = np.maximum(s ** (alpha1 / 2.0 - n), s ** (alpha2 / 2.0 - n))
     vals = s ** n * np.asarray(N(arg), dtype=float)
     return {
         "s": s, "values": vals,

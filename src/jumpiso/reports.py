@@ -67,8 +67,12 @@ class TheoremReport:
 
     @property
     def worst_slack(self) -> float:
+        """The least finite or -inf slack; NaN when any slack is NaN (a
+        failed check), whatever the order of the rows."""
         slacks = [row["slack"] for row in self.checks
                   if isinstance(row["slack"], (int, float)) and row["slack"] != math.inf]
+        if any(math.isnan(s) for s in slacks):
+            return math.nan
         return min(slacks) if slacks else math.inf
 
     def to_dict(self) -> dict:

@@ -227,13 +227,17 @@ def certified_rate(space, kernel, r_grid, potential=None) -> RateFunction:
 # decay equivalence and the isoperimetric lower bound
 
 def sp_decay_check(space, kernel, beta: RateFunction, f_family, t_grid, r_grid,
-                   potential=None, tol=1e-9) -> dict:
+                   potential=None) -> dict:
     """The rate inequality in exponential-decay form.
 
     Checks ||P_t f||_2^2 <= ||f||_2^2 e^{-2t/r} + beta(r) ||f||_1^2 (1 - e^{-2t/r})
     for all (f, t, r), plus the same specialization for indicator functions of
     every proper subset (at half time) on spaces of at most ``SIZE_LIMIT`` points.
+    A slack below -1e-9 counts as a violation.  A negative rate value (killed
+    forms can have one) enters as 0, still a valid rate: the decay form needs
+    beta >= 0, as its right side tends to beta ||f||_1^2.
     """
+    tol = 1e-9
     sg = Semigroup(space, kernel, potential)
     worst, witness, nviol = INF, None, 0
     for fi, f in enumerate(f_family):
@@ -245,7 +249,7 @@ def sp_decay_check(space, kernel, beta: RateFunction, f_family, t_grid, r_grid,
             lhs = float(np.sum(pf * pf * space.mu))
             for r in r_grid:
                 decay = math.exp(-2.0 * t / r)
-                slack = l2 * decay + beta(r) * l1sq * (1.0 - decay) - lhs
+                slack = l2 * decay + max(beta(r), 0.0) * l1sq * (1.0 - decay) - lhs
                 if slack < worst:
                     worst, witness = slack, ("f", fi, float(t), float(r))
                 if slack < -tol:
@@ -261,7 +265,7 @@ def sp_decay_check(space, kernel, beta: RateFunction, f_family, t_grid, r_grid,
             lhs = np.einsum("im,i->m", half * half, space.mu)
             for r in r_grid:
                 decay = math.exp(-t / r)
-                rhs = masses * decay + beta(r) * masses ** 2 * (1.0 - decay)
+                rhs = masses * decay + max(beta(r), 0.0) * masses ** 2 * (1.0 - decay)
                 slack = rhs - lhs
                 k = int(np.argmin(slack))
                 if slack[k] < worst:

@@ -42,6 +42,8 @@ C_STAR = 2.0 / (1.0 - math.exp(-1.0))      # traced constant for the
 # 4/(1-1/e) of the argument and the layer-cake bound carries 1/2.
 C_KILLED = 2.0 * C_STAR                    # killed route: the extended
 # L1 form double-counts the killing term relative to the target bracket.
+SUPPORT_FRACTION = 0.45                    # regularization-route test
+# functions live on subsets of at most this share of the total mass.
 
 
 def _kappa_step_data(profile: IsoperimetricProfile):
@@ -170,15 +172,14 @@ def lemma1_sobolev(space, kernel, gamma, profile=None, f_family=(),
 # rate -> gauge (regularization route)
 
 def thm21_young(beta: RateFunction, theta_integral_fn, s_max: float,
-                r_floor: float = 0.0, s_min: float | None = None,
-                points: int = 160) -> dict:
+                r_floor: float = 0.0, points: int = 160) -> dict:
     """Young function from the regularization profile of a valid rate.
 
     Phi(s) = integral_0^s Theta(beta^{-1}(max(r, r_floor))) dr, inverted on
-    a cached log grid.  With r_floor = 0 and a rate that never descends
-    below some positive floor, the inner time horizon is infinite from the
-    start: the profile is reported as infinite (hypothesis failure), not an
-    error.
+    a log grid over [1e-10 s_max, s_max].  With r_floor = 0 and a rate that
+    never descends below some positive floor, the inner time horizon is
+    infinite from the start: the profile is reported as infinite (hypothesis
+    failure), not an error.
     """
     probe_r = r_floor if r_floor > 0 else max(s_max * 1e-12, 1e-300)
     horizon = beta.inv(probe_r)
@@ -193,8 +194,7 @@ def thm21_young(beta: RateFunction, theta_integral_fn, s_max: float,
     def integrand(r):
         return theta_integral_fn(beta.inv(max(r, r_floor)))
 
-    s_lo = s_min if s_min is not None else s_max * 1e-10
-    grid = np.concatenate([[0.0], np.geomspace(s_lo, s_max, points)])
+    grid = np.concatenate([[0.0], np.geomspace(s_max * 1e-10, s_max, points)])
     vals = cumulative_quad(integrand, grid, rtol=1e-9, power_head=True)
     # trim the flat tail (where the rate inverse has collapsed to zero) so
     # the log-log tabulation keeps strictly increasing knots
@@ -207,7 +207,7 @@ def thm21_young(beta: RateFunction, theta_integral_fn, s_max: float,
 
 
 def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
-                 support_fraction: float = 0.45, r_grid=None, seed: int = 0,
+                 support_fraction: float = SUPPORT_FRACTION, seed: int = 0,
                  tol=1e-9) -> TheoremReport:
     """Rate-to-gauge inequality at the traced constant.
 
@@ -215,15 +215,15 @@ def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
     checks ||f||_N <= C* l1_gamma(f) with C* = 2/(1 - 1/e) over functions
     supported on subsets of at most ``support_fraction`` of the total mass
     (the finite-model stand-in for compact support; see the report notes for
-    the matching rate-argument floor).  The empirical best constant is
+    the matching rate-argument floor).  The rate is checked on 25 log-spaced
+    r in [1e-3, 1e3] / total mass.  The empirical best constant is
     recorded and must not exceed C*.
     """
     rep = TheoremReport("thm21")
     m = space.m
     total = space.total_mass
     rng = np.random.default_rng(seed)
-    if r_grid is None:
-        r_grid = np.geomspace(1e-3 / total, 1e3 / total, 25)
+    r_grid = np.geomspace(1e-3 / total, 1e3 / total, 25)
     if beta is None:
         beta = certified_rate(space, kernel, r_grid)
         rep.note("rate: inflated certified estimate on the r grid")
@@ -275,8 +275,8 @@ def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
 # ---------------------------------------------------------------------------
 # gauge -> rate (and back): the monotone-root constructions
 
-def _check_s_over_N_increasing(N: YoungFunction, lo=1e-8, hi=1e8, points=300):
-    s = np.geomspace(lo, hi, points)
+def _check_s_over_N_increasing(N: YoungFunction):
+    s = np.geomspace(1e-8, 1e8, 300)
     vals = np.asarray(N(s), dtype=float) / s
     finite = np.isfinite(vals)
     v = vals[finite]
@@ -308,7 +308,7 @@ def rate_from_gauge(N: YoungFunction, C: float, lead: float = 2.0) -> RateFuncti
 
 
 def thm41(N: YoungFunction, space, kernel, gamma, f_family, r_grid,
-          C: float | None = None, s_grid=None, tol=1e-9) -> TheoremReport:
+          C: float | None = None, tol=1e-9) -> TheoremReport:
     """From the L1 gauge inequality at constant C to: (1) a pointwise lower
     bound on the isoperimetric curve, (2) a defective L2 rate, and (3) a
     full rate under the square-integrability bound on the weighted kernel.
@@ -325,11 +325,10 @@ def thm41(N: YoungFunction, space, kernel, gamma, f_family, r_grid,
     rep.derived["C_used"] = C_used
     rep.derived["C_indicator"] = C_ind
 
-    if s_grid is None:
-        masses = prof.sorted_masses
-        s_grid = np.unique(np.concatenate([masses * 1.0001, masses * 0.9999,
-                                           np.geomspace(masses[0] * 0.5,
-                                                        masses[-1] * 2.0, 16)]))
+    masses = prof.sorted_masses
+    s_grid = np.unique(np.concatenate([masses * 1.0001, masses * 0.9999,
+                                       np.geomspace(masses[0] * 0.5,
+                                                    masses[-1] * 2.0, 16)]))
     worst1 = INF
     for s in s_grid:
         bound = ext_ratio(1.0, 2.0 * C_used * s * N.inv(1.0 / s))
@@ -361,8 +360,7 @@ def _c_gamma(space, kernel, gamma, extra=0.0) -> float:
                         + extra))
 
 
-def subset_rate_check(space, kernel, gamma, beta1, r_values, profile=None,
-                      tol=1e-9) -> float:
+def subset_rate_check(space, kernel, gamma, beta1, r_values, profile=None) -> float:
     """Worst slack of mu(A) <= 2 r flow(A) + beta1(r) mu(A)^2 over subsets."""
     prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
     worst = INF
@@ -379,7 +377,7 @@ def subset_rate_check(space, kernel, gamma, beta1, r_values, profile=None,
 
 
 def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
-          s_grid=None, tol=1e-9) -> TheoremReport:
+          tol=1e-9) -> TheoremReport:
     """From a defective L2 rate to: (1) an isoperimetric lower bound,
     (2) a gauge inequality with N = Phi^{-1}, Phi(t) = 4 int_0^t
     beta1^{-1}(r/2) dr, at constant 1/2, and (3) a full rate.
@@ -390,11 +388,10 @@ def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
     """
     rep = TheoremReport("thm42")
     prof = enumerate_profile(space, kernel, gamma)
-    if s_grid is None:
-        masses = prof.sorted_masses
-        s_grid = np.unique(np.concatenate([masses * 1.0001,
-                                           np.geomspace(masses[0] * 0.5,
-                                                        masses[-1] * 2.0, 12)]))
+    masses = prof.sorted_masses
+    s_grid = np.unique(np.concatenate([masses * 1.0001,
+                                       np.geomspace(masses[0] * 0.5,
+                                                    masses[-1] * 2.0, 12)]))
     r_stars = []
     worst1, skipped = INF, 0
     for s in s_grid:
@@ -508,12 +505,12 @@ def cor41(case: int, direction: str, params: dict, C: float = 1.0,
     raise ValueError("direction must be to_rate or to_young")
 
 
-def cor41_round_trip(case: int, params: dict, tol_slope: float = 1e-3) -> dict:
+def cor41_round_trip(case: int, params: dict) -> dict:
     """N -> beta1 -> N' and compare fitted end slopes of N'/N.
 
     The windows sit deep in both tails (around 1e-40 and 1e40) so the
     slowly-varying second-order corrections of the log-modified families are
-    below the slope tolerance.
+    below the slope tolerance 1e-3.
     """
     fwd = cor41(case, "to_rate", params)
     back = cor41(case, "to_young", params, C=fwd["fitted_c"] / 2.0)
@@ -525,8 +522,8 @@ def cor41_round_trip(case: int, params: dict, tol_slope: float = 1e-3) -> dict:
         slope = end_slope(s, ratio, "high" if endname == "high" else "low", window=1.0)
         out[f"slope_gap_{endname}"] = slope
         out[f"constant_band_{endname}"] = [float(ratio.min()), float(ratio.max())]
-    out["pass"] = (abs(out["slope_gap_low"]) <= tol_slope
-                   and abs(out["slope_gap_high"]) <= tol_slope)
+    out["pass"] = (abs(out["slope_gap_low"]) <= 1e-3
+                   and abs(out["slope_gap_high"]) <= 1e-3)
     return out
 
 
@@ -535,7 +532,7 @@ def cor41_round_trip(case: int, params: dict, tol_slope: float = 1e-3) -> dict:
 
 def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
           f_family=None, r_grid=None, N_converse: YoungFunction | None = None,
-          seed: int = 0, support_fraction: float = 0.45, tol=1e-9) -> TheoremReport:
+          seed: int = 0, tol=1e-9) -> TheoremReport:
     """Killed-form gauge inequality and its converse rate.
 
     Forward: extend the state space by a cemetery atom, build the
@@ -560,7 +557,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     if not np.any(potential.v > 0):
         rep.note("no killing: reduces to the plain regularization route")
         inner = thm21_verify(space, kernel, gamma, beta=beta, f_family=f_family,
-                             support_fraction=support_fraction, seed=seed, tol=tol)
+                             seed=seed, tol=tol)
         rep.checks = inner.checks
         rep.derived = inner.derived
         rep.notes += inner.notes
@@ -574,7 +571,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     if f_family is None:
         from .instances import small_support_functions
         f_family = small_support_functions(rng, space,
-                                           support_fraction * (total + 1.0), 40)
+                                           SUPPORT_FRACTION * (total + 1.0), 40)
 
     # hypothesis check: the supplied (or estimated) rate for the killed form
     if beta is None:
@@ -597,7 +594,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     bar_beta = certified_rate(space2, kernel2, r_grid)
     sg2 = Semigroup(space2, kernel2)
     theta_int, theta_total = sg2.theta_curve(gamma2)
-    s_cap = (support_fraction + 0.01) * space2.total_mass
+    s_cap = (SUPPORT_FRACTION + 0.01) * space2.total_mass
     r_floor = 1.0 / (2.0 * s_cap)
     built = thm21_young(bar_beta, theta_int,
                         s_max=100.0 / float(space.mu.min()), r_floor=r_floor)
@@ -610,7 +607,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     rep.derived["theta_total_extension"] = theta_total
 
     fam = stack_family(space, f_family)
-    kept = _within_cap(space, fam, support_fraction * space2.total_mass)
+    kept = _within_cap(space, fam, SUPPORT_FRACTION * space2.total_mass)
     sl = gauge_slacks(space, N_bar, kept,
                       lambda f: (l1_form(space, kernel, gamma, f)
                                  + float(np.sum(np.abs(f) * xi * potential.v * space.mu))),

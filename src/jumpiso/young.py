@@ -116,8 +116,9 @@ def _log_family(P: float, q: float, plus: bool, lam: float, family: str,
     return YoungFunction(family, params, ev, iv, dv)
 
 
-def young_is_valid(N: YoungFunction, lo=1e-8, hi=1e8, points=400, tol=1e-9):
-    """Grid check: N(0)=0, increasing, midpoint-convex on a log grid.
+def young_is_valid(N: YoungFunction, lo=1e-8, hi=1e8):
+    """Grid check: N(0)=0, increasing, midpoint-convex on a 400-point log
+    grid, each up to 1e-9 max(1, |N|).
 
     Min-type branch families carry a declared crossover in params["kink"];
     the single interval containing it is exempt from the midpoint test,
@@ -128,7 +129,8 @@ def young_is_valid(N: YoungFunction, lo=1e-8, hi=1e8, points=400, tol=1e-9):
     """
     if float(N(0.0)) != 0.0:
         return False, "N(0) != 0"
-    s = np.geomspace(lo, hi, points)
+    tol = 1e-9
+    s = np.geomspace(lo, hi, 400)
     v = np.asarray(N(s), dtype=float)
     finite = np.isfinite(v)
     if np.any(np.diff(v[finite]) < -tol * np.maximum(1.0, np.abs(v[finite][:-1]))):
@@ -286,14 +288,14 @@ def piecewise_linear_young(knots_s, knots_v, cap=INF) -> YoungFunction:
 # ---------------------------------------------------------------------------
 # Orlicz gauge norm
 
-def _gauge_search(G, rows, K: int, rtol: float) -> np.ndarray:
+def _gauge_search(G, rows, K: int) -> np.ndarray:
     """Per-row solution hi of G(r) = 1 for a nonincreasing mean G.
 
     G(idx, r) evaluates the rows ``idx`` at the radii ``r``.  Every row
     follows the same rules on its own: hi doubles from 1 until G(hi) <= 1
     (+inf when 2400 doublings do not bracket), lo halves from hi until
     G(lo) > 1 (0 once lo < 1e-300), then at most 200 geometric bisection
-    steps until hi - lo <= rtol hi.  A row leaves ``idx`` when it stops, so
+    steps until hi - lo <= 1e-10 hi.  A row leaves ``idx`` when it stops, so
     each step evaluates G once on the rows still searching.  Rows outside
     ``rows`` are 0.
     """
@@ -326,23 +328,22 @@ def _gauge_search(G, rows, K: int, rtol: float) -> np.ndarray:
         below = G(idx, mid) <= 1.0
         hi[idx[below]] = mid[below]
         lo[idx[~below]] = mid[~below]
-        idx = idx[~(hi[idx] - lo[idx] <= rtol * hi[idx])]
+        idx = idx[~(hi[idx] - lo[idx] <= 1e-10 * hi[idx])]
     out[searching] = hi[searching]
     return out
 
 
-def orlicz_norm(space: FiniteMeasureSpace, N: YoungFunction, f, rtol=1e-10):
+def orlicz_norm(space: FiniteMeasureSpace, N: YoungFunction, f):
     """||f||_N over a finite space: the one-row case of ``orlicz_norm_batch``.
 
     The mean G(r) = integral N(|f|/r) dmu is nonincreasing in r; the norm is
-    located by geometric bracketing plus log bisection of G(r) = 1.  Returns
-    +inf when no finite r works and 0 for f = 0.
+    located by geometric bracketing plus log bisection of G(r) = 1 to
+    relative 1e-10.  Returns +inf when no finite r works and 0 for f = 0.
     """
-    return float(orlicz_norm_batch(space, N, np.asarray(f, dtype=float)[None], rtol)[0])
+    return float(orlicz_norm_batch(space, N, np.asarray(f, dtype=float)[None])[0])
 
 
-def orlicz_norm_batch(space: FiniteMeasureSpace, N: YoungFunction, F,
-                      rtol=1e-10) -> np.ndarray:
+def orlicz_norm_batch(space: FiniteMeasureSpace, N: YoungFunction, F) -> np.ndarray:
     """Gauge norms of the rows of F: equal, bit for bit, to mapping
     ``orlicz_norm`` over the rows.
 
@@ -358,7 +359,7 @@ def orlicz_norm_batch(space: FiniteMeasureSpace, N: YoungFunction, F,
             return np.sum(np.asarray(N(F[idx] / r[:, None]), dtype=float) * mu, axis=1)
 
     return _gauge_search(G, np.flatnonzero(F.max(axis=1, initial=0.0) != 0.0),
-                         F.shape[0], rtol)
+                         F.shape[0])
 
 
 def gauge_slacks(space: FiniteMeasureSpace, N: YoungFunction, F, bracket,
@@ -398,11 +399,12 @@ def indicator_norm(N: YoungFunction, mass: float) -> float:
     return ext_ratio(1.0, N.inv(1.0 / mass))
 
 
-def c_N(N: YoungFunction, lo=1e-8, hi=1e8, points=400, refine=4) -> float:
-    """inf over s of N(s) / (s N'_-(s)), by log grid with local refinement."""
-    a, b, n = lo, hi, points
+def c_N(N: YoungFunction) -> float:
+    """inf over s of N(s) / (s N'_-(s)), by a 400-point log grid on
+    [1e-8, 1e8] and four 80-point refinements around the grid minimum."""
+    a, b, n = 1e-8, 1e8, 400
     best = INF
-    for _ in range(refine + 1):
+    for _ in range(5):
         s = np.geomspace(a, b, n)
         num = np.asarray(N(s), dtype=float)
         den = s * np.asarray(N.left_deriv(s), dtype=float)
@@ -432,15 +434,17 @@ def scaling_bound_check(space: FiniteMeasureSpace, N: YoungFunction, c: float,
             "worst_lower_slack": worst_lo, "worst_upper_slack": worst_hi}
 
 
-def domination(N1: YoungFunction, N2: YoungFunction, lo=1e-8, hi=1e8, points=241) -> dict:
-    """Decide whether sup N1/N2 looks finite on a wide log grid.
+def domination(N1: YoungFunction, N2: YoungFunction) -> dict:
+    """Decide whether sup N1/N2 looks finite on a 241-point log grid over
+    [1e-8, 1e8].
 
     The grid sup is reported together with fitted log-log trends of the
     ratio at both ends; a growing trend at either end flags divergence with
     that end as witness.  An infinite or NaN ratio is not dominated; the
     witness is the first NaN grid point, or else the first infinite one.
     """
-    s = np.geomspace(lo, hi, points)
+    lo, hi = 1e-8, 1e8
+    s = np.geomspace(lo, hi, 241)
     v1 = np.asarray(N1(s), dtype=float)
     v2 = np.asarray(N2(s), dtype=float)
     ratio = np.array([ext_ratio(a, b) for a, b in zip(v1, v2)])
@@ -489,9 +493,9 @@ class ProfileH:
             raise ValueError("alpha must lie in (0, 2)")
 
 
-def power_profile(kappa: float, alpha: float, n: int, coeff: float = 1.0) -> ProfileH:
-    return ProfileH(lambda r: coeff * np.asarray(r, dtype=float) ** kappa, alpha, n,
-                    "power", {"kappa": kappa, "coeff": coeff})
+def power_profile(kappa: float, alpha: float, n: int) -> ProfileH:
+    return ProfileH(lambda r: np.asarray(r, dtype=float) ** kappa, alpha, n,
+                    "power", {"kappa": kappa})
 
 
 def power_pair_profile(k1: float, k2: float, use_min: bool, alpha: float, n: int) -> ProfileH:
@@ -549,11 +553,11 @@ def _phi_power_closed(profile: ProfileH, s: float) -> float:
 def _phi_power_value(profile: ProfileH, s: float) -> float:
     a, n = profile.alpha, profile.n
     if profile.family == "power":
-        kappa, coeff = profile.params["kappa"], profile.params["coeff"]
+        kappa = profile.params["kappa"]
         if a - kappa <= 0:
             raise ArithmeticError("divergent inner integral: profile outside the class")
         e = (a - kappa) / n
-        return _outer_power(e, 0.0, s) / (coeff * (a - kappa))
+        return _outer_power(e, 0.0, s) / (a - kappa)
 
     k1, k2 = profile.params["k1"], profile.params["k2"]
     if profile.params["min"]:
@@ -630,9 +634,9 @@ def phi_h_grid(profile: ProfileH, s_grid) -> np.ndarray:
     return out
 
 
-def invert_phi(profile: ProfileH, s_min=1e-10, s_max=1e10, points=400) -> YoungFunction:
-    """N_h = Phi_h^{-1} as a tabulated Young function on a cached log grid."""
-    s = np.geomspace(s_min, s_max, points)
+def invert_phi(profile: ProfileH, s_min=1e-10, s_max=1e10) -> YoungFunction:
+    """N_h = Phi_h^{-1} as a tabulated Young function on a 400-point log grid."""
+    s = np.geomspace(s_min, s_max, 400)
     vals = phi_h_grid(profile, s)
     return tabulated_young(vals, s, family="inverted_profile",
                            params={"alpha": profile.alpha, "n": profile.n,

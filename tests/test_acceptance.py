@@ -11,13 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from jumpiso.core import (FiniteMeasureSpace, JumpKernel, Semigroup,
-                          WeightFunction, bar_extension, dirichlet_energy,
-                          extend_by_zero, schrodinger_energy)
-from jumpiso.instances import (random_functions, random_instance,
-                               random_potential)
-from jumpiso.isoperimetry import (enumerate_profile, kappa_orlicz,
-                                  thm20_backward, thm20_forward)
+from jumpiso.core import (bar_extension, dirichlet_energy, extend_by_zero,
+                          schrodinger_energy)
+from jumpiso.instances import random_functions, random_instance
+from jumpiso.isoperimetry import (enumerate_profile, thm20_backward,
+                                  thm20_forward)
 from jumpiso.lattice import (gradient_decay, on_diagonal_decay, p1_kernel,
                              power_law_band, subord_weights, torus_semigroup,
                              truncated_crossover_curve, weight_at, weight_tail)
@@ -25,7 +23,7 @@ from jumpiso.numerics import loglog_slope
 from jumpiso.perturbed import (example_threshold, gl_quantities, log_weight,
                                phi_l, theorem_beta_curve)
 from jumpiso.radial import radial_l1_energy, sharpness_profile
-from jumpiso.superpoincare import certified_rate, lemma2_bound, sp_verify
+from jumpiso.superpoincare import certified_rate, lemma2_bound
 from jumpiso.theorems import (C_STAR, cor41_round_trip, cor41_young,
                               lemma1_core, lemma1_poincare, lemma1_sobolev,
                               rate_from_gauge, thm21_verify, thm41, thm42,

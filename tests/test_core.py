@@ -126,11 +126,12 @@ def test_theta_duality_sampling():
 def test_theta_integral_two_point(two_point):
     space, kernel = two_point
     ones = WeightFunction.ones(2)
-    sg = Semigroup(space, kernel)
+    theta_int, _ = Semigroup(space, kernel).theta_curve(ones)
     t = 0.8
-    assert sg.theta_integral(t, ones) == pytest.approx((1 - math.exp(-6.0 * t)) / 3.0, rel=1e-8)
-    assert sg.theta_integral(0.0, ones) == 0.0
-    assert sg.theta_integral(0.5, ones) <= sg.theta_integral(1.5, ones)
+    assert theta_int(t) == pytest.approx((1 - math.exp(-6.0 * t)) / 3.0, rel=1e-12)
+    assert theta_int(0.0) == 0.0
+    ts = np.geomspace(1e-6, 50.0, 200)
+    assert np.all(np.diff([theta_int(t) for t in ts]) >= 0.0)
 
 
 def test_theta_curve_matches_quadrature(two_point):
@@ -139,8 +140,8 @@ def test_theta_curve_matches_quadrature(two_point):
     sg = Semigroup(space, kernel)
     theta_int, total = sg.theta_curve(ones)
     for t in (0.05, 0.3, 2.0, 30.0):
-        assert theta_int(t) == pytest.approx((1 - math.exp(-6.0 * t)) / 3.0, rel=1e-3)
-    assert total == pytest.approx(1.0 / 3.0, rel=1e-3)
+        assert theta_int(t) == pytest.approx((1 - math.exp(-6.0 * t)) / 3.0, rel=1e-12)
+    assert total == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def _theta_reference(sg, t, gamma):

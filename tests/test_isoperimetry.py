@@ -120,9 +120,9 @@ def test_layer_cake_identity():
 def test_coarea_report():
     rng = np.random.default_rng(1)
     for seed in range(6):
-        space, kernel, _, _ = random_instance(seed, (3, 10))
+        space, kernel, gamma, _ = random_instance(seed, (3, 10), with_gamma=True)
         fam = [np.abs(f) for f in random_functions(rng, space.m, 30, grounded=True)]
-        rep = coarea_check(space, kernel, fam)
+        rep = coarea_check(space, kernel, fam, gamma if seed % 2 else None)
         assert rep["pass"], rep
         assert rep["worst_ratio_slack"] >= -1e-9
 

@@ -58,8 +58,7 @@ TARGETS = [-INF, INF, 0.0, 1e-30, 1e-3, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 1e30]
 def test_inv_decreasing_equals_reference_bisection(name):
     fn = FUNCTIONS[name]
     for target in TARGETS:
-        for kw in ({}, {"lo": 1e-3}, {"lo": 1e-3, "hi": 1e3},
-                   {"rtol": 1e-6, "max_iter": 7}):
+        for kw in ({}, {"lo": 1e-3}, {"lo": 1e-3, "hi": 1e3}):
             got = inv_decreasing(fn, target, **kw)
             want = ref_inv_decreasing(fn, target, **kw)
             assert float(got).hex() == float(want).hex(), (target, kw)

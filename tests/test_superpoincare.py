@@ -309,6 +309,19 @@ def test_decay_check_random_instances():
         assert rep0["worst_slack"] >= -1e-12
 
 
+def test_decay_check_killed():
+    rng = np.random.default_rng(12)
+    for seed in range(4):
+        space, kernel, _, pot = random_instance(seed, (3, 8), with_potential=True)
+        M = space.total_mass
+        r_grid = np.geomspace(1e-2 / M, 1e2 / M, 6)
+        beta = certified_rate(space, kernel, r_grid, potential=pot)
+        fam = random_functions(rng, space.m, 30)
+        t_grid = np.geomspace(1e-2, 20.0, 6)
+        rep = sp_decay_check(space, kernel, beta, fam, t_grid, r_grid, potential=pot)
+        assert rep["pass"], (seed, rep)
+
+
 def test_lemma2_two_point_closed_form(two_point):
     space, kernel = two_point
     ones = WeightFunction.ones(2)

@@ -163,6 +163,9 @@ def test_thm41_closed_form_two_point():
     assert rep.derived["C_indicator"] == pytest.approx(1.0 / 6.0, rel=1e-9)
     # c_gamma = max_i sum_k j mu = 3
     assert rep.derived["c_gamma"] == pytest.approx(3.0)
+    # a supplied C above the indicator constant is the one used, and holds
+    rep = thm41(N, space, kernel, ones, fam, r_grid, C=0.5)
+    assert rep.passed and rep.derived["C_used"] == 0.5
 
 
 def test_thm41_thm42_chain_random():
