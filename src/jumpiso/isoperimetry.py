@@ -15,6 +15,7 @@ equivalent of Gray-code single-bit updates: O(m 2^m) work overall.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,12 +57,12 @@ class IsoperimetricProfile:
         self.sorted_masks = self.masks[order]
         self.runmin_ratio = np.minimum.accumulate(self.sorted_flows / self.sorted_masses)
 
-    def kappa(self, s: float) -> float:
-        """inf{flow/mass : mass < s}; +inf when no subset qualifies."""
-        idx = int(np.searchsorted(self.sorted_masses, s, side="left"))
-        if idx == 0:
-            return INF
-        return float(self.runmin_ratio[idx - 1])
+    def kappa(self, s):
+        """inf{flow/mass : mass < s} at each s; +inf where no subset
+        qualifies.  A float gives a float, an array an array."""
+        idx = np.searchsorted(self.sorted_masses, s, side="left")
+        kap = np.concatenate(([INF], self.runmin_ratio))[idx]
+        return float(kap) if np.ndim(kap) == 0 else kap
 
     def kappa_steps(self):
         """Distinct masses M_j and kappa values on (M_j, M_{j+1}].
@@ -225,6 +226,55 @@ def kappa_orlicz(space, kernel, N: YoungFunction, gamma=None,
     return best
 
 
+def curve_slacks(profile: IsoperimetricProfile, s, bound, tol) -> dict:
+    """Slacks kappa(s) - bound(s) of a lower bound on the isoperimetric curve.
+
+    ``bound`` runs once per grid point s, in order; a NaN bound marks a
+    skipped point.  The slack is +inf there and wherever kappa(s) = +inf.
+    Returns s with its kappa, bounds and slacks, the worst slack and its
+    witness s (the first minimum; +inf and None when no slack is below
+    +inf), the skipped count and the number of slacks below -tol.
+    """
+    s = np.asarray(s, dtype=float)
+    b = np.array([bound(x) for x in s], dtype=float)
+    kap = profile.kappa(s)
+    skip = np.isnan(b)
+    S = np.subtract(kap, b, out=np.full_like(kap, INF), where=~(skip | np.isinf(kap)))
+    worst, witness = INF, None
+    if S.size and S.min() < INF:
+        k = int(np.argmin(S))
+        worst, witness = float(S[k]), float(s[k])
+    return {"s": s, "kappa": kap, "bound": b, "slacks": S, "worst_slack": worst,
+            "witness": witness, "skipped": int(np.sum(skip)),
+            "violations": int(np.sum(S < -tol))}
+
+
+def subset_rate_slacks(profile: IsoperimetricProfile, r_values, rate, tol) -> dict:
+    """Slacks 2 r flow(A) + beta(r) mu(A)^2 - mu(A) of a subset-form rate
+    (or Poincare) inequality over every subset A and every r with r and
+    beta(r) finite.  ``rate`` runs once per such r, in order, and each r
+    scans one vector over the subsets, so memory stays O(2^m).  Returns the
+    worst slack, its witness (mask, r) (the first minimum, r by r, then in
+    sorted subset order; +inf and None when no r counts) and the number of
+    slacks below -tol.
+    """
+    masses, flows = profile.sorted_masses, profile.sorted_flows
+    sq = masses ** 2
+    worst, witness, nviol = INF, None, 0
+    for r in r_values:
+        if math.isinf(r):
+            continue
+        b = rate(r)
+        if math.isinf(b):
+            continue
+        slack = 2.0 * r * flows + b * sq - masses
+        k = int(np.argmin(slack))
+        if slack[k] < worst:
+            worst, witness = float(slack[k]), (int(profile.sorted_masks[k]), float(r))
+        nviol += int(np.sum(slack < -tol))
+    return {"worst_slack": worst, "witness": witness, "violations": nviol}
+
+
 # ---------------------------------------------------------------------------
 # two-way verifiers for the L1 Orlicz-Sobolev / isoperimetric equivalence
 
@@ -298,20 +348,16 @@ def thm20_poincare(space, kernel, C1, C2_tilde, mode: str, f_family=None,
     """
     gamma = gamma if gamma is not None else WeightFunction.ones(space.m)
     prof = enumerate_profile(space, kernel, gamma)
+    subset = subset_rate_slacks(prof, [C1], lambda r: C2_tilde, TOL)
     if mode == "forward":
-        lhs = prof.sorted_masses
-        rhs = 2.0 * C1 * prof.sorted_flows + C2_tilde * prof.sorted_masses ** 2
-        slack = rhs - lhs
-        k = int(np.argmin(slack))
         return {"claim": "subset Poincare with C2_tilde = C2",
-                "worst_slack": float(slack[k]),
-                "witness": int(prof.sorted_masks[k]),
-                "pass": bool(slack[k] >= -TOL)}
+                "worst_slack": subset["worst_slack"],
+                "witness": None if subset["witness"] is None else subset["witness"][0],
+                "pass": subset["violations"] == 0}
     if mode != "backward":
         raise ValueError("mode must be forward or backward")
     # premise: subset inequality at (C1, C2_tilde); conclusion at C2 = 2 C2_tilde
-    premise = prof.sorted_masses - 2.0 * C1 * prof.sorted_flows - C2_tilde * prof.sorted_masses ** 2
-    if np.any(premise > TOL):
+    if subset["violations"]:
         raise ValueError("subset inequality does not hold at the given constants")
     sl = rate_slacks(space, stack_family(space, [] if f_family is None else f_family),
                      lambda f: l1_form(space, kernel, gamma, f * f),

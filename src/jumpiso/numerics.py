@@ -91,21 +91,21 @@ def inv_decreasing(fn, target, lo=1e-300, hi=1e300):
     return inv_increasing(lambda s: -fn(s), -target, lo, hi)
 
 
-def cumulative_quad(fn, grid, rtol=1e-8, power_head=False):
+def cumulative_quad(fn, grid, rtol=1e-8):
     """Integral of fn from grid[0] to each grid point, by adaptive
     Gauss-Kronrod quadrature (QUADPACK) on each segment, to relative
     ``rtol`` or absolute 1e-14.
 
-    With ``power_head`` and grid[0] == 0, the first segment is integrated by
-    a local power-law fit of fn instead of quadrature: adaptive rules lose
-    digits at algebraic endpoint singularities, while integrands here are
-    asymptotically pure powers below the first positive grid point.
+    When grid[0] == 0, the first segment is integrated by a local power-law
+    fit of fn instead of quadrature: adaptive rules lose digits at algebraic
+    endpoint singularities, while integrands here are asymptotically pure
+    powers below the first positive grid point.
     """
     grid = np.asarray(grid, dtype=float)
     out = np.empty_like(grid)
     out[0] = 0.0
     start = 1
-    if power_head and grid[0] == 0.0 and len(grid) > 1:
+    if grid[0] == 0.0 and len(grid) > 1:
         t0 = grid[1]
         f0, fh = fn(t0), fn(t0 / 2.0)
         if f0 > 0 and fh > 0:
@@ -162,23 +162,13 @@ def gauss_rule(nodes: int):
     return rule
 
 
-def gauss_segments(a, b, n_seg, nodes=16, geometric_to=None):
-    """Gauss-Legendre nodes/weights on [a, b] split into n_seg segments.
-
-    With ``geometric_to`` set to "left" or "right", segment endpoints
-    accumulate geometrically toward that end (for integrable endpoint
-    singularities).  Returns flat (points, weights) arrays.
+def gauss_segments(a, b, n_seg, nodes=16):
+    """Gauss-Legendre nodes/weights on [a, b] split into n_seg segments whose
+    endpoints accumulate geometrically toward a (for an integrable endpoint
+    singularity there).  Returns flat (points, weights) arrays.
     """
-    if geometric_to is None:
-        edges = np.linspace(a, b, n_seg + 1)
-    else:
-        ratios = np.geomspace(1e-8, 1.0, n_seg + 1)
-        if geometric_to == "left":
-            edges = a + (b - a) * ratios
-            edges[0] = a
-        else:
-            edges = b - (b - a) * ratios[::-1]
-            edges[-1] = b
+    edges = a + (b - a) * np.geomspace(1e-8, 1.0, n_seg + 1)
+    edges[0] = a
     gx, gw = gauss_rule(nodes)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])

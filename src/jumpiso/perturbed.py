@@ -163,8 +163,8 @@ def ramp_inner_integral(weight: RadialWeight, r: float, l: float) -> float:
         raise ValueError("ramp quantities implemented for n = 2")
     gx = float(_ramp_sq(r, l))
     s_max = 2e3 * l
-    s_pts, s_wts = gauss_segments(1e-7 * l, s_max, 44, 10, geometric_to="left")
-    ang_pts, ang_wts = gauss_segments(0.0, math.pi, 18, 8, geometric_to="left")
+    s_pts, s_wts = gauss_segments(1e-7 * l, s_max, 44, 10)
+    ang_pts, ang_wts = gauss_segments(0.0, math.pi, 18, 8)
     cosang = np.cos(ang_pts)
     dist = np.sqrt(np.maximum(r * r + s_pts[:, None] ** 2
                               + 2.0 * r * s_pts[:, None] * cosang[None, :], 0.0))

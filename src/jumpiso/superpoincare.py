@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import (KillingPotential, Semigroup, ValidationError, generator,
                    rate_slacks, schrodinger_energy)
-from .isoperimetry import enumerate_profile
+from .isoperimetry import curve_slacks, enumerate_profile
 from .numerics import INF, inv_decreasing, safe_pow
 from .young import stack_family
 
@@ -285,25 +285,19 @@ def lemma2_bound(space, kernel, gamma, beta: RateFunction, s_grid,
     """
     prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
     theta_int, _ = Semigroup(space, kernel, potential).theta_curve(gamma)
-    rows, skipped, nviol = [], 0, 0
-    worst = INF
-    for s in s_grid:
+
+    def bound(s):
         b = beta.inv(1.0 / (2.0 * s))
         if math.isinf(b):
-            skipped += 1
-            rows.append({"s": float(s), "skipped": True,
-                         "note": "beta inverse infinite at 1/(2s)"})
-            continue
+            return math.nan
         theta_val = theta_int(b)
-        bound = (1.0 - math.exp(-1.0)) / (2.0 * theta_val) if theta_val > 0 else INF
-        kap = prof.kappa(s)
-        slack = INF if math.isinf(kap) else kap - bound
-        if not math.isinf(slack):
-            worst = min(worst, slack)
-        if slack < -tol:
-            nviol += 1
-        rows.append({"s": float(s), "kappa": kap, "bound": bound, "slack": slack,
-                     "skipped": False})
+        return (1.0 - math.exp(-1.0)) / (2.0 * theta_val) if theta_val > 0 else INF
+
+    curve = curve_slacks(prof, s_grid, bound, tol)
+    rows = [{"s": float(s), "skipped": True, "note": "beta inverse infinite at 1/(2s)"}
+            if math.isnan(b) else {"s": float(s), "kappa": float(k), "bound": float(b),
+                                   "slack": float(sl), "skipped": False}
+            for s, k, b, sl in zip(curve["s"], curve["kappa"], curve["bound"], curve["slacks"])]
     return {"claim": "rate-to-isoperimetry lower bound", "rows": rows,
-            "worst_slack": worst, "skipped": skipped, "violations": nviol,
-            "pass": nviol == 0}
+            "worst_slack": curve["worst_slack"], "skipped": curve["skipped"],
+            "violations": curve["violations"], "pass": curve["violations"] == 0}

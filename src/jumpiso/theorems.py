@@ -26,9 +26,9 @@ import numpy as np
 from .core import (KillingPotential, Semigroup, bar_extension,
                    dirichlet_energy, extend_by_zero, l1_form, rate_slacks,
                    schrodinger_energy)
-from .isoperimetry import (IsoperimetricProfile, _doubling_enumeration,
-                           _subset_sums, enumerate_profile, indicator_constant,
-                           indicator_gauge_constant)
+from .isoperimetry import (_doubling_enumeration, _subset_sums, curve_slacks,
+                           enumerate_profile, indicator_constant,
+                           indicator_gauge_constant, subset_rate_slacks)
 from .numerics import (INF, cumulative_quad, end_slope, ext_ratio,
                        inv_decreasing, inv_increasing)
 from .reports import TheoremReport
@@ -44,11 +44,6 @@ C_KILLED = 2.0 * C_STAR                    # killed route: the extended
 # L1 form double-counts the killing term relative to the target bracket.
 SUPPORT_FRACTION = 0.45                    # regularization-route test
 # functions live on subsets of at most this share of the total mass.
-
-
-def _kappa_step_data(profile: IsoperimetricProfile):
-    levels, kappas = profile.kappa_steps()
-    return np.asarray(levels, dtype=float), np.asarray(kappas, dtype=float)
 
 
 def _within_cap(space, fam: np.ndarray, cap: float) -> np.ndarray:
@@ -82,7 +77,7 @@ def lemma1_core(space, kernel, gamma, G, f, G_inv=None, profile=None,
     fs = scale * f
 
     prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
-    levels, kappas = _kappa_step_data(prof)
+    levels, kappas = prof.kappa_steps()
     if G_inv is None:
         G_inv = lambda r: inv_increasing(lambda s: float(G(s)), r)
     # s-breakpoints, descending with mass level
@@ -141,7 +136,7 @@ def lemma1_sobolev(space, kernel, gamma, profile=None, f_family=(),
     (N, report).
     """
     prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
-    levels, kappas = _kappa_step_data(prof)
+    levels, kappas = prof.kappa_steps()
     if kappas[-1] <= 0.0:
         raise ValueError("kappa hits 0 (disconnected support): profile primitive diverges")
     # ascending r-breakpoints 1/levels reversed; slope 1/kappa on each piece
@@ -195,7 +190,7 @@ def thm21_young(beta: RateFunction, theta_integral_fn, s_max: float,
         return theta_integral_fn(beta.inv(max(r, r_floor)))
 
     grid = np.concatenate([[0.0], np.geomspace(s_max * 1e-10, s_max, points)])
-    vals = cumulative_quad(integrand, grid, rtol=1e-9, power_head=True)
+    vals = cumulative_quad(integrand, grid, rtol=1e-9)
     # trim the flat tail (where the rate inverse has collapsed to zero) so
     # the log-log tabulation keeps strictly increasing knots
     inc = np.flatnonzero(np.diff(vals) > 1e-14 * max(vals[-1], 1e-300))
@@ -329,14 +324,9 @@ def thm41(N: YoungFunction, space, kernel, gamma, f_family, r_grid,
     s_grid = np.unique(np.concatenate([masses * 1.0001, masses * 0.9999,
                                        np.geomspace(masses[0] * 0.5,
                                                     masses[-1] * 2.0, 16)]))
-    worst1 = INF
-    for s in s_grid:
-        bound = ext_ratio(1.0, 2.0 * C_used * s * N.inv(1.0 / s))
-        kap = prof.kappa(float(s))
-        if math.isinf(kap):
-            continue
-        worst1 = min(worst1, kap - bound)
-    rep.add("curve lower bound 1/(2 C s N^{-1}(1/s))", worst1, tol)
+    curve = curve_slacks(prof, s_grid,
+                         lambda s: ext_ratio(1.0, 2.0 * C_used * s * N.inv(1.0 / s)), tol)
+    rep.add("curve lower bound 1/(2 C s N^{-1}(1/s))", curve["worst_slack"], tol)
 
     fam = stack_family(space, f_family)
     sl = rate_slacks(space, fam, lambda f: l1_form(space, kernel, gamma, f * f),
@@ -360,22 +350,6 @@ def _c_gamma(space, kernel, gamma, extra=0.0) -> float:
                         + extra))
 
 
-def subset_rate_check(space, kernel, gamma, beta1, r_values, profile=None) -> float:
-    """Worst slack of mu(A) <= 2 r flow(A) + beta1(r) mu(A)^2 over subsets."""
-    prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
-    worst = INF
-    for r in r_values:
-        if math.isinf(r):
-            continue
-        b = beta1(r)
-        if math.isinf(b):
-            continue
-        slack = (2.0 * r * prof.sorted_flows + b * prof.sorted_masses ** 2
-                 - prof.sorted_masses)
-        worst = min(worst, float(slack.min()))
-    return worst
-
-
 def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
           tol=1e-9) -> TheoremReport:
     """From a defective L2 rate to: (1) an isoperimetric lower bound,
@@ -393,23 +367,20 @@ def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
                                        np.geomspace(masses[0] * 0.5,
                                                     masses[-1] * 2.0, 12)]))
     r_stars = []
-    worst1, skipped = INF, 0
-    for s in s_grid:
+
+    def bound(s):
         r_star = beta1.inv(1.0 / (2.0 * float(s)))
         if math.isinf(r_star):
-            skipped += 1
-            continue
-        r_stars.append(r_star)
-        kap = prof.kappa(float(s))
-        bound = ext_ratio(1.0, 4.0 * r_star)
-        if math.isinf(kap):
-            continue
-        worst1 = min(worst1, kap - bound)
-    premise = subset_rate_check(space, kernel, gamma, beta1, r_stars, prof)
-    rep.add("subset defective rate at the used arguments", premise, tol)
-    rep.add("curve lower bound 1/(4 beta1^{-1}(1/(2s)))", worst1, tol)
-    if skipped:
-        rep.note(f"skipped {skipped} grid points with degenerate rate inverse")
+            return math.nan
+        r_stars.append(r_star)   # the premise is checked at each used argument
+        return ext_ratio(1.0, 4.0 * r_star)
+
+    curve = curve_slacks(prof, s_grid, bound, tol)
+    premise = subset_rate_slacks(prof, r_stars, beta1, tol)
+    rep.add("subset defective rate at the used arguments", premise["worst_slack"], tol)
+    rep.add("curve lower bound 1/(4 beta1^{-1}(1/(2s)))", curve["worst_slack"], tol)
+    if curve["skipped"]:
+        rep.note(f"skipped {curve['skipped']} grid points with degenerate rate inverse")
 
     # gauge side: Phi(t) = 4 int_0^t beta1^{-1}(r/2) dr
     horizon = beta1.inv(max(r_grid[0], 1e-300) / 2.0)
@@ -419,8 +390,7 @@ def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
         return rep
     t_max = 10.0 / float(space.mu.min())
     grid = np.concatenate([[0.0], np.geomspace(t_max * 1e-12, t_max, 140)])
-    vals = cumulative_quad(lambda r: 4.0 * beta1.inv(r / 2.0), grid, rtol=1e-9,
-                           power_head=True)
+    vals = cumulative_quad(lambda r: 4.0 * beta1.inv(r / 2.0), grid, rtol=1e-9)
     if not np.all(np.isfinite(vals)):
         rep.note("profile divergent on the grid")
         rep.add("profile finite", -INF, tol)
@@ -498,8 +468,7 @@ def cor41(case: int, direction: str, params: dict, C: float = 1.0,
         # the grid must reach far enough that the primitive's values cover
         # the slope-measurement windows without extrapolation
         grid = np.concatenate([[0.0], np.geomspace(1e-100, 1e100, 1100)])
-        vals = cumulative_quad(lambda r: 4.0 * target.inv(r / 2.0), grid, rtol=1e-10,
-                               power_head=True)
+        vals = cumulative_quad(lambda r: 4.0 * target.inv(r / 2.0), grid, rtol=1e-10)
         N = tabulated_young(vals[1:], grid[1:], family="cor_young")
         return {"rate": target, "young": N, "constant": 0.5}
     raise ValueError("direction must be to_rate or to_young")

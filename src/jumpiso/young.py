@@ -520,7 +520,7 @@ def _inner_integral(profile: ProfileH, T: float) -> float:
     a = profile.alpha
     if T <= 0:
         return 0.0
-    pts, wts = gauss_segments(0.0, T, n_seg=40, nodes=16, geometric_to="left")
+    pts, wts = gauss_segments(0.0, T, n_seg=40, nodes=16)
     vals = pts ** (a - 1.0) / np.asarray(profile.h(pts), dtype=float)
     out = float(np.dot(wts, vals))
     if not math.isfinite(out):
@@ -599,7 +599,7 @@ def phi_h(profile: ProfileH, s: float) -> float:
     probe = inner(min(s, 1.0) * 1e-6)
     if not math.isfinite(probe):
         raise ArithmeticError("divergent inner integral: profile violates the finiteness condition")
-    pts, wts = gauss_segments(0.0, s, n_seg=60, nodes=20, geometric_to="left")
+    pts, wts = gauss_segments(0.0, s, n_seg=60, nodes=20)
     vals = np.array([inner(t) for t in pts])
     out = float(np.dot(wts, vals))
     if not math.isfinite(out):
@@ -619,7 +619,7 @@ def phi_h_grid(profile: ProfileH, s_grid) -> np.ndarray:
         return np.array([_phi_power_closed(profile, s) for s in s_grid])
     n = profile.n
     inner = lambda t: _inner_integral(profile, t ** (-1.0 / n))
-    head_pts, head_wts = gauss_segments(0.0, s_grid[0], 36, 12, geometric_to="left")
+    head_pts, head_wts = gauss_segments(0.0, s_grid[0], 36, 12)
     total = float(np.dot(head_wts, [inner(t) for t in head_pts]))
     out = np.empty(len(s_grid))
     out[0] = total

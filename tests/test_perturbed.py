@@ -84,18 +84,11 @@ def test_theorem_beta_decay_and_monotone():
     assert big[0] == pytest.approx(big[1], rel=1e-9)
 
 
-def _reference_gauss_segments(a, b, n_seg, nodes=16, geometric_to=None):
+def _reference_gauss_segments(a, b, n_seg, nodes=16):
     """gauss_segments as it was before the rule cache: leggauss per call."""
-    if geometric_to is None:
-        edges = np.linspace(a, b, n_seg + 1)
-    else:
-        ratios = np.geomspace(1e-8, 1.0, n_seg + 1)
-        if geometric_to == "left":
-            edges = a + (b - a) * ratios
-            edges[0] = a
-        else:
-            edges = b - (b - a) * ratios[::-1]
-            edges[-1] = b
+    ratios = np.geomspace(1e-8, 1.0, n_seg + 1)
+    edges = a + (b - a) * ratios
+    edges[0] = a
     gx, gw = np.polynomial.legendre.leggauss(nodes)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -104,12 +97,11 @@ def _reference_gauss_segments(a, b, n_seg, nodes=16, geometric_to=None):
     return pts, wts
 
 
-@pytest.mark.parametrize("geometric_to", [None, "left", "right"])
-def test_gauss_segments_cached_rule_equals_direct_construction(geometric_to):
+def test_gauss_segments_cached_rule_equals_direct_construction():
     for nodes in (8, 10, 12, 16, 20):
         for _ in range(2):   # the second call reads the cache
-            pts, wts = gauss_segments(1e-7, 3.5, 24, nodes, geometric_to=geometric_to)
-            ref_pts, ref_wts = _reference_gauss_segments(1e-7, 3.5, 24, nodes, geometric_to)
+            pts, wts = gauss_segments(1e-7, 3.5, 24, nodes)
+            ref_pts, ref_wts = _reference_gauss_segments(1e-7, 3.5, 24, nodes)
             assert np.array_equal(pts, ref_pts) and np.array_equal(wts, ref_wts)
         gx, gw = gauss_rule(nodes)
         assert gauss_rule(nodes)[0] is gx

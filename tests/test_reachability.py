@@ -1,16 +1,20 @@
 """Every top-level function and class of the package is reached by the package,
-and every option of a package function is set by some caller.
+every option of a package function is set by some caller, and every function
+the benchmark's tracer wraps exists.
 
 A name counts as reached when it appears, as a whole word, outside its own
 definition: in a module of ``jumpiso`` (the package ``__init__`` included)
 or in the acceptance suite outside its import statements.  Code that only
 the unit tests call is dead weight in the package; it belongs in the tests
 or goes.  Likewise a defaulted parameter that no call passes is a constant
-dressed up as a setting.
+dressed up as a setting.  The tracer (``perfbench/tracer.py``) raises on a
+traced name that is gone, so a rename must update its ``TARGETS`` too.
 """
 
 import ast
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -113,3 +117,23 @@ def test_every_option_is_set_by_some_caller():
         unset += [f"{label}({name})" for position, name in options
                   if not any(_passes(c, name, position) for c in named)]
     assert not unset, f"{len(unset)} options that no call sets: {unset}"
+
+
+def test_every_traced_target_resolves():
+    """Resolve each (module, attribute path) of the tracer's TARGETS the way
+    ``Tracer.install`` does, after importing the program as the benchmark
+    does (``jumpiso.cli``)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    import jumpiso.cli  # noqa: F401
+    missing = []
+    for module, path, _, _ in tracer.TARGETS:
+        owner = sys.modules.get(f"{tracer.PACKAGE}.{module}")
+        *cls_path, attr = path.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part, None)
+        if owner is None or attr not in owner.__dict__:
+            missing.append(f"{module}.{path}")
+    assert tracer.TARGETS and not missing, f"traced but not defined: {missing}"
