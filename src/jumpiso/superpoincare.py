@@ -201,8 +201,8 @@ def sp_estimate(space, kernel, r: float, potential=None) -> float:
 
 
 def certified_rate(space, kernel, r_grid, potential=None) -> RateFunction:
-    """The optimal rate on the grid inflated by ``INFLATE``, tabulated and
-    extended constantly on both sides.
+    """The optimal rate on the grid raised by ``INFLATE`` (divided by it
+    where negative), tabulated and extended constantly on both sides.
 
     The table stays valid between grid points: the optimal rate
     beta*(r) = sup_f (||f||_2^2 - r E(f,f)) / ||f||_1^2 is a supremum of
@@ -219,7 +219,7 @@ def certified_rate(space, kernel, r_grid, potential=None) -> RateFunction:
             break
         rs.append(rs[-1] * 10.0)
         est.append(sp_estimate(space, kernel, rs[-1], potential))
-    return rate_tabulated(rs, [INFLATE * v for v in est],
+    return rate_tabulated(rs, [max(INFLATE * v, v / INFLATE) for v in est],
                           note=f"inflated x{INFLATE} estimate")
 
 

@@ -322,6 +322,25 @@ def test_decay_check_killed():
         assert rep["pass"], (seed, rep)
 
 
+def test_certified_killed_rate_dominates_estimate():
+    """A killed form's optimal rate can be negative at large r; the
+    certified table must still lie on or above it at every table point."""
+    negative = 0
+    for seed in range(4):
+        space, kernel, _, pot = random_instance(seed, (3, 8), with_potential=True)
+        M = space.total_mass
+        r_grid = np.geomspace(1e-2 / M, 1e2 / M, 6)
+        beta = certified_rate(space, kernel, r_grid, potential=pot)
+        table = [beta.params["r_min"]] + list(r_grid)
+        while table[-1] < beta.params["r_max"]:
+            table.append(table[-1] * 10.0)
+        for r in table:
+            est = sp_estimate(space, kernel, r, pot)
+            negative += est < 0
+            assert beta(r) >= est, (seed, r, beta(r), est)
+    assert negative > 0
+
+
 def test_lemma2_two_point_closed_form(two_point):
     space, kernel = two_point
     ones = WeightFunction.ones(2)
