@@ -13,6 +13,7 @@ downstream compare against [value - leak, value + leak].
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,12 +53,13 @@ class LatticeWindow:
         return grids, rad
 
     def to_csv(self) -> str:
-        grids, _ = self.offsets_and_radii()
-        cols = [g.ravel() for g in grids]
+        axis = range(-self.R, self.R + 1)
+        rows = np.asarray(self.values, dtype=float).reshape(-1, len(axis))
         lines = [",".join([f"x{i}" for i in range(self.n)] + ["value"])]
-        for idx in range(cols[0].size):
-            coords = ",".join(str(int(c[idx])) for c in cols)
-            lines.append(f"{coords},{float(self.values.ravel()[idx])!r}")
+        for prefix, row in zip(itertools.product(axis, repeat=self.n - 1), rows):
+            head = "".join(f"{c}," for c in prefix)
+            lines.append("\n".join(f"{head}{x},{v!r}"
+                                   for x, v in zip(axis, row.tolist())))
         return "\n".join(lines) + "\n"
 
 

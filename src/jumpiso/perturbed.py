@@ -29,11 +29,6 @@ class RadialWeight:
     alpha: float
     W: object = field(repr=False)
     Wprime: object = field(repr=False)
-    family: str = "custom"
-    params: dict = field(default_factory=dict)
-
-    def density(self, rho):
-        return np.exp(-np.asarray(self.W(rho), dtype=float))
 
     def radial_integral(self, fn, lo=0.0) -> float:
         surf = self.n * unit_ball_volume(self.n)
@@ -52,8 +47,7 @@ def log_weight(n: int, alpha: float, eps: float) -> RadialWeight:
     c = math.log(surf * z0)
     W = lambda r: half * np.log1p(np.asarray(r, dtype=float) ** 2) + c
     Wp = lambda r: (n + eps) * np.asarray(r, dtype=float) / (1.0 + np.asarray(r, dtype=float) ** 2)
-    return RadialWeight(n, alpha, W, Wp, family="log",
-                        params={"eps": eps, "norm_shift": c})
+    return RadialWeight(n, alpha, W, Wp)
 
 
 def phi_l_scan(weight: RadialWeight, l: float) -> dict:
@@ -94,7 +88,7 @@ def phi_l(weight: RadialWeight, l: float) -> float:
 # ---------------------------------------------------------------------------
 # localized rate function
 
-def theorem_beta(weight: RadialWeight, r: float, phi_cache: dict) -> float:
+def theorem_beta(weight: RadialWeight, r: float, cache: dict) -> float:
     """Rate value by optimizing the localization pair (s, l):
 
         min 2 c1 (s^{-2n/alpha} + s^{-n}) sup_{|z| <= l+1} e^{W/2}
@@ -105,37 +99,27 @@ def theorem_beta(weight: RadialWeight, r: float, phi_cache: dict) -> float:
     constants are fixed at c1 = 1, c2 = 1/4 and c3 = 1: c1 carries the
     constant of the truncated comparison inequality symbolically, c2 and c3
     are bookkeeping constants, and the decay exponent in r is independent
-    of all three.  ``phi_cache`` holds Phi(l-1) by l across calls.
+    of all three.  ``cache`` holds, by l and across calls, the three
+    r-free pieces: Phi(l-1), the gradient cap c3 / sup e^{2 |grad W|} on s
+    and sup e^{W/2}.
     """
     n, alpha = weight.n, weight.alpha
     budget = 0.25 * min(r, 1.0)
     best = INF
     for l in np.geomspace(2.0, 1e10, 220):
-        if l not in phi_cache:
-            phi_cache[l] = phi_l(weight, max(l - 1.0, 1.0))
-        phi = phi_cache[l]
+        if l not in cache:
+            grad = np.max(np.abs(weight.Wprime(np.linspace(0.0, l + 2.0, 200))))
+            half_w = 0.5 * np.max(weight.W(np.linspace(0.0, l + 1.0, 200)))
+            cache[l] = (phi_l(weight, max(l - 1.0, 1.0)),
+                        1.0 / math.exp(2.0 * float(grad)), float(np.exp(half_w)))
+        phi, grad_cap, sup_w = cache[l]
         if phi <= 0 or 1.0 / phi >= budget:
             continue
-        grad_cap = _sup_grad(weight, l + 2.0)
-        s_hi = min(budget - 1.0 / phi, 1.0 / math.exp(2.0 * grad_cap))
-        if s_hi <= 0:
-            continue
-        sup_w = _sup_exp_half_w(weight, l + 1.0)
         # objective decreasing in s: the best s is the largest feasible
-        s = s_hi
-        val = 2.0 * (s ** (-2.0 * n / alpha) + s ** (-n)) * sup_w
-        best = min(best, val)
+        s = min(budget - 1.0 / phi, grad_cap)
+        if s > 0:
+            best = min(best, 2.0 * (s ** (-2.0 * n / alpha) + s ** (-n)) * sup_w)
     return best
-
-
-def _sup_grad(weight: RadialWeight, radius: float) -> float:
-    rs = np.linspace(0.0, radius, 200)
-    return float(np.max(np.abs(np.asarray(weight.Wprime(rs), dtype=float))))
-
-
-def _sup_exp_half_w(weight: RadialWeight, radius: float) -> float:
-    rs = np.linspace(0.0, radius, 200)
-    return float(np.exp(0.5 * np.max(np.asarray(weight.W(rs), dtype=float))))
 
 
 def theorem_beta_curve(weight: RadialWeight, r_grid):
@@ -146,50 +130,58 @@ def theorem_beta_curve(weight: RadialWeight, r_grid):
 # ---------------------------------------------------------------------------
 # ramp reference functions
 
-def _ramp_sq(rho, l: float):
-    return np.clip((np.asarray(rho, dtype=float) - l) / l, 0.0, 1.0) ** 2
+def _ramp(rho: float, l: float) -> float:
+    """g_l at one radius.  Square it with ``** 2`` (libm pow), not g * g,
+    which differs in the last bit on some radii."""
+    return min(max((rho - l) / l, 0.0), 1.0)
 
 
-def ramp_inner_integral(weight: RadialWeight, r: float, l: float) -> float:
-    """integral |g_l^2(y) - g_l^2(x)| / |x-y|^{n + alpha/2} dy at |x| = r
-    (n = 2), in polar coordinates around x; the far field beyond the grid is
-    bounded analytically and included.
+def ramp_inner_sup(n: int, alpha: float, l: float, r_points: int) -> float:
+    """sup over |x| = r of the ramp pair integral
 
-    The rule is fixed: in the distance s, 44 segments of 10 Gauss nodes on
+        int |g_l^2(y) - g_l^2(x)| / |x-y|^{n + alpha/2} dy   (n = 2),
+
+    over r_points radii evenly in [0, 4l] and six radii at the two kinks.
+    Only the ramp and the kernel enter, not the weight, so the value does
+    not depend on the growth exponent eps.
+
+    Each integral is taken in polar coordinates around x; the far field
+    beyond the grid is bounded analytically and included.  The rule is
+    fixed: in the distance s, 44 segments of 10 Gauss nodes on
     [1e-7 l, 2e3 l]; in the angle, 18 segments of 8 nodes on [0, pi]; both
-    refine geometrically toward their left end."""
-    n, a = weight.n, weight.alpha
+    refine geometrically toward their left end.
+    """
     if n != 2:
         raise ValueError("ramp quantities implemented for n = 2")
-    gx = float(_ramp_sq(r, l))
     s_max = 2e3 * l
     s_pts, s_wts = gauss_segments(1e-7 * l, s_max, 44, 10)
     ang_pts, ang_wts = gauss_segments(0.0, math.pi, 18, 8)
-    cosang = np.cos(ang_pts)
-    dist = np.sqrt(np.maximum(r * r + s_pts[:, None] ** 2
-                              + 2.0 * r * s_pts[:, None] * cosang[None, :], 0.0))
-    vals = np.abs(_ramp_sq(dist, l) - gx)
-    ang_total = vals @ ang_wts * 2.0
+    s_col = s_pts[:, None]
+    cosang = np.cos(ang_pts)[None, :]
     # kernel s^{-(n + a/2)} times the polar Jacobian s leaves s^{-1 - a/2}
-    main = float(np.dot(s_wts, s_pts ** (-1.0 - a / 2.0) * ang_total))
-    tail = 2.0 * math.pi * max(1.0 - gx, gx) * (2.0 / a) * s_max ** (-a / 2.0)
-    return main + tail
-
-
-def gl_quantities(weight: RadialWeight, l: float, r_points: int = 40) -> dict:
-    """(inner_sup, mass, l1mass) of the radial ramp at scale l.
-
-    inner_sup maximizes the pair integral over base radii in [0, 4l]; the
-    masses are the weighted integrals of g^2 and g.
-    """
+    kernel = s_pts ** (-1.0 - alpha / 2.0)
     rs = np.concatenate([np.linspace(0.0, 4.0 * l, r_points),
                          l * np.array([0.999, 1.0, 1.001, 1.9, 2.0, 2.1])])
-    vals = np.array([ramp_inner_integral(weight, r, l) for r in np.sort(rs)])
-    inner_sup = float(vals.max())
-    g = lambda rho: np.sqrt(_ramp_sq(rho, l))
-    mass = weight.radial_integral(lambda rho: float(_ramp_sq(rho, l)), lo=l)
-    l1mass = weight.radial_integral(lambda rho: float(g(rho)), lo=l)
-    return {"inner_sup": inner_sup, "mass": mass, "l1mass": l1mass}
+    best = -INF
+    for r in rs:
+        gx = _ramp(float(r), float(l)) ** 2
+        dist = np.sqrt(np.maximum(r * r + s_col ** 2 + 2.0 * r * s_col * cosang, 0.0))
+        vals = np.abs(np.clip((dist - l) / l, 0.0, 1.0) ** 2 - gx)
+        ang_total = vals @ ang_wts * 2.0
+        main = float(np.dot(s_wts, kernel * ang_total))
+        tail = (2.0 * math.pi * max(1.0 - gx, gx) * (2.0 / alpha)
+                * s_max ** (-alpha / 2.0))
+        best = max(best, main + tail)
+    return best
+
+
+def ramp_masses(weight: RadialWeight, l: float) -> tuple:
+    """(mass, l1mass): the weighted integrals of g_l^2 and g_l."""
+    l = float(l)
+    mass = weight.radial_integral(lambda rho: _ramp(rho, l) ** 2, lo=l)
+    l1mass = weight.radial_integral(
+        lambda rho: math.sqrt(_ramp(rho, l) ** 2), lo=l)
+    return mass, l1mass
 
 
 def example_threshold(n: int, alpha: float, eps_grid) -> dict:
@@ -199,7 +191,9 @@ def example_threshold(n: int, alpha: float, eps_grid) -> dict:
     inequality can hold (divergence needed) or the defective one (bounded
     below suffices); the ramp-function necessity ratio
     inner_sup / (mass - l1mass^2) decays exactly when eps is below the
-    threshold alpha/2.  The report states both verdicts per eps.
+    threshold alpha/2.  The report states both verdicts per eps.  The ramp
+    pair integral does not depend on eps, so inner_sup is computed once per
+    l; only the masses are per eps.
 
     The grids are fixed: the escape-profile slope is fitted at 12 log-spaced
     l in [10^1.5, 1e3], the ratio slope at 6 log-spaced l in [4, 64], and a
@@ -208,17 +202,18 @@ def example_threshold(n: int, alpha: float, eps_grid) -> dict:
     l_grid = np.geomspace(4.0, 64.0, 6)
     phi_l_grid = np.geomspace(10.0 ** 1.5, 1e3, 12)
     tol = alpha / 16.0
+    inner_sups = [ramp_inner_sup(n, alpha, l, 28) for l in l_grid]
     rows = []
     for eps in eps_grid:
         w = log_weight(n, alpha, eps)
         phis = np.array([phi_l(w, l) for l in phi_l_grid])
         phi_slope = loglog_slope(phi_l_grid, phis)
         bare, corrected = [], []
-        for l in l_grid:
-            q = gl_quantities(w, l, r_points=28)
-            bare.append(q["inner_sup"] / q["mass"])
-            denom = q["mass"] - q["l1mass"] ** 2
-            corrected.append(q["inner_sup"] / denom if denom > 0 else INF)
+        for l, inner_sup in zip(l_grid, inner_sups):
+            mass, l1mass = ramp_masses(w, l)
+            bare.append(inner_sup / mass)
+            denom = mass - l1mass ** 2
+            corrected.append(inner_sup / denom if denom > 0 else INF)
         # the bare ratio has the clean power trend eps - alpha/2; the
         # corrected one shares its limit but converges slower
         ratio_slope = loglog_slope(l_grid, np.array(bare))

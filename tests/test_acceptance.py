@@ -20,8 +20,8 @@ from jumpiso.lattice import (gradient_decay, on_diagonal_decay, p1_kernel,
                              power_law_band, subord_weights, torus_semigroup,
                              truncated_crossover_curve, weight_at, weight_tail)
 from jumpiso.numerics import loglog_slope
-from jumpiso.perturbed import (example_threshold, gl_quantities, log_weight,
-                               phi_l, theorem_beta_curve)
+from jumpiso.perturbed import (example_threshold, log_weight, phi_l,
+                               ramp_inner_sup, ramp_masses, theorem_beta_curve)
 from jumpiso.radial import radial_l1_energy, sharpness_profile
 from jumpiso.superpoincare import certified_rate, lemma2_bound
 from jumpiso.theorems import (C_STAR, cor41_round_trip, cor41_young,
@@ -322,13 +322,14 @@ def test_criterion_10_perturbed_example():
     details.append("phi slopes ok")
     lgrid = np.geomspace(4.0, 64.0, 6)
     for alpha in (0.5, 1.0, 1.5):
+        # the ramp pair integral does not involve eps: one sup per (alpha, l)
+        sups = [ramp_inner_sup(2, alpha, float(l), 24) for l in lgrid]
+        ok &= abs(loglog_slope(lgrid, sups) + alpha / 2) <= 0.05
         for eps in (alpha / 4, alpha / 2, alpha):
             w = log_weight(2, alpha, eps)
-            rows = [gl_quantities(w, float(l), r_points=24) for l in lgrid]
-            ok &= abs(loglog_slope(lgrid, [r["inner_sup"] for r in rows])
-                      + alpha / 2) <= 0.05
-            ok &= abs(loglog_slope(lgrid, [r["mass"] for r in rows]) + eps) <= 0.02
-            ok &= abs(loglog_slope(lgrid, [r["l1mass"] ** 2 for r in rows])
+            masses = [ramp_masses(w, float(l)) for l in lgrid]
+            ok &= abs(loglog_slope(lgrid, [m for m, _ in masses]) + eps) <= 0.02
+            ok &= abs(loglog_slope(lgrid, [l1 ** 2 for _, l1 in masses])
                       + 2 * eps) <= 0.04
         rep = example_threshold(2, alpha, [alpha / 4, alpha / 2, alpha])
         classes = [row["class"] for row in rep["rows"]]

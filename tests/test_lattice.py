@@ -168,6 +168,29 @@ def test_truncated_crossover_slopes():
     assert out["stable_points"] >= 4 and out["diffusive_points"] >= 4
 
 
+def _reference_to_csv(win):
+    # the per-entry writer before rows were written at once, kept verbatim
+    grids, _ = win.offsets_and_radii()
+    cols = [g.ravel() for g in grids]
+    lines = [",".join([f"x{i}" for i in range(win.n)] + ["value"])]
+    for idx in range(cols[0].size):
+        coords = ",".join(str(int(c[idx])) for c in cols)
+        lines.append(f"{coords},{float(win.values.ravel()[idx])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_window_csv_equals_per_entry_reference():
+    rng = np.random.default_rng(7)
+    for n, R in [(1, 0), (1, 5), (2, 0), (2, 4), (3, 2)]:
+        shape = (2 * R + 1,) * n
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        win = LatticeWindow(n, R, values)
+        assert win.to_csv() == _reference_to_csv(win)
+    for n in (1, 2):
+        win, _ = p1_kernel(n, 1.0, 40, 6)
+        assert win.to_csv() == _reference_to_csv(win)
+
+
 def test_window_csv():
     win, _ = p1_kernel(1, 1.0, 4, 4)
     text = win.to_csv()

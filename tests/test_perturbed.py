@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from jumpiso.numerics import gauss_rule, gauss_segments, loglog_slope
-from jumpiso.perturbed import (example_threshold, gl_quantities, log_weight,
-                               phi_l, phi_l_scan, theorem_beta_curve)
+from jumpiso.numerics import INF, gauss_rule, gauss_segments, loglog_slope
+from jumpiso.perturbed import (example_threshold, log_weight, phi_l, phi_l_scan,
+                               ramp_inner_sup, ramp_masses, theorem_beta_curve)
 
 
 def test_weight_normalization():
@@ -42,22 +44,153 @@ def test_phi_l_monotone_and_decreasing_tail_flag():
 def test_gl_quantities_slopes():
     ls = np.geomspace(4.0, 64.0, 6)
     for (alpha, eps) in [(1.0, 0.5), (0.5, 0.25)]:
+        sups = [ramp_inner_sup(2, alpha, float(l), 24) for l in ls]
+        assert loglog_slope(ls, sups) == pytest.approx(-alpha / 2.0, abs=0.05)
         w = log_weight(2, alpha, eps)
-        rows = [gl_quantities(w, float(l), r_points=24) for l in ls]
-        assert loglog_slope(ls, [r["inner_sup"] for r in rows]) == \
-            pytest.approx(-alpha / 2.0, abs=0.05)
-        assert loglog_slope(ls, [r["mass"] for r in rows]) == \
+        masses = [ramp_masses(w, float(l)) for l in ls]
+        assert loglog_slope(ls, [m for m, _ in masses]) == \
             pytest.approx(-eps, abs=0.02)
-        assert loglog_slope(ls, [r["l1mass"] ** 2 for r in rows]) == \
+        assert loglog_slope(ls, [l1 ** 2 for _, l1 in masses]) == \
             pytest.approx(-2.0 * eps, abs=0.04)
 
 
 def test_ramp_support():
     w = log_weight(2, 1.0, 0.5)
-    q = gl_quantities(w, 8.0, r_points=16)
+    mass, l1mass = ramp_masses(w, 8.0)
     # g vanishes inside the ball: masses bounded by the outside weight
     outside = w.radial_integral(lambda r: 1.0, lo=8.0)
-    assert 0 < q["mass"] <= q["l1mass"] <= outside + 1e-12
+    assert 0 < mass <= l1mass <= outside + 1e-12
+
+
+# The ramp quantities and the threshold loop as they were before the pair
+# integral was hoisted out of the eps loop, kept verbatim as the oracle.
+
+def _reference_ramp_sq(rho, l):
+    return np.clip((np.asarray(rho, dtype=float) - l) / l, 0.0, 1.0) ** 2
+
+
+def _reference_ramp_inner_integral(weight, r, l):
+    n, a = weight.n, weight.alpha
+    if n != 2:
+        raise ValueError("ramp quantities implemented for n = 2")
+    gx = float(_reference_ramp_sq(r, l))
+    s_max = 2e3 * l
+    s_pts, s_wts = gauss_segments(1e-7 * l, s_max, 44, 10)
+    ang_pts, ang_wts = gauss_segments(0.0, math.pi, 18, 8)
+    cosang = np.cos(ang_pts)
+    dist = np.sqrt(np.maximum(r * r + s_pts[:, None] ** 2
+                              + 2.0 * r * s_pts[:, None] * cosang[None, :], 0.0))
+    vals = np.abs(_reference_ramp_sq(dist, l) - gx)
+    ang_total = vals @ ang_wts * 2.0
+    main = float(np.dot(s_wts, s_pts ** (-1.0 - a / 2.0) * ang_total))
+    tail = 2.0 * math.pi * max(1.0 - gx, gx) * (2.0 / a) * s_max ** (-a / 2.0)
+    return main + tail
+
+
+def _reference_gl_quantities(weight, l, r_points=40):
+    rs = np.concatenate([np.linspace(0.0, 4.0 * l, r_points),
+                         l * np.array([0.999, 1.0, 1.001, 1.9, 2.0, 2.1])])
+    vals = np.array([_reference_ramp_inner_integral(weight, r, l)
+                     for r in np.sort(rs)])
+    inner_sup = float(vals.max())
+    g = lambda rho: np.sqrt(_reference_ramp_sq(rho, l))
+    mass = weight.radial_integral(lambda rho: float(_reference_ramp_sq(rho, l)), lo=l)
+    l1mass = weight.radial_integral(lambda rho: float(g(rho)), lo=l)
+    return {"inner_sup": inner_sup, "mass": mass, "l1mass": l1mass}
+
+
+def _reference_example_threshold(n, alpha, eps_grid):
+    l_grid = np.geomspace(4.0, 64.0, 6)
+    phi_l_grid = np.geomspace(10.0 ** 1.5, 1e3, 12)
+    tol = alpha / 16.0
+    rows = []
+    for eps in eps_grid:
+        w = log_weight(n, alpha, eps)
+        phis = np.array([phi_l(w, l) for l in phi_l_grid])
+        phi_slope = loglog_slope(phi_l_grid, phis)
+        bare, corrected = [], []
+        for l in l_grid:
+            q = _reference_gl_quantities(w, l, r_points=28)
+            bare.append(q["inner_sup"] / q["mass"])
+            denom = q["mass"] - q["l1mass"] ** 2
+            corrected.append(q["inner_sup"] / denom if denom > 0 else INF)
+        ratio_slope = loglog_slope(l_grid, np.array(bare))
+        if ratio_slope < -tol:
+            cls = "below"
+        elif phi_slope > tol:
+            cls = "above"
+        else:
+            cls = "at"
+        rows.append({
+            "eps": float(eps), "class": cls,
+            "phi_slope": phi_slope, "expected_phi_slope": eps - alpha / 2.0,
+            "ratio_slope": ratio_slope,
+            "expected_ratio_slope": eps - alpha / 2.0,
+            "corrected_ratio": [float(x) for x in corrected],
+            "defective_holds": cls != "below",
+            "full_holds": cls == "above",
+        })
+    return {"alpha": alpha, "n": n, "rows": rows}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_example_threshold_equals_per_eps_reference(alpha):
+    eps_grid = [alpha / 4, alpha / 2, alpha]
+    assert example_threshold(2, alpha, eps_grid) == \
+        _reference_example_threshold(2, alpha, eps_grid)
+
+
+def test_ramp_quantities_equal_reference_and_inner_sup_is_eps_free():
+    for l in (4.0, np.geomspace(4.0, 64.0, 6)[3], 64.0):
+        sup = ramp_inner_sup(2, 1.0, l, 20)
+        for eps in (0.25, 1.0):
+            w = log_weight(2, 1.0, eps)
+            ref = _reference_gl_quantities(w, l, r_points=20)
+            assert ref["inner_sup"] == sup
+            assert ramp_masses(w, l) == (ref["mass"], ref["l1mass"])
+    with pytest.raises(ValueError):
+        ramp_inner_sup(3, 1.0, 4.0, 20)
+
+
+def _sup_grad(weight, radius):
+    rs = np.linspace(0.0, radius, 200)
+    return float(np.max(np.abs(np.asarray(weight.Wprime(rs), dtype=float))))
+
+
+def _sup_exp_half_w(weight, radius):
+    rs = np.linspace(0.0, radius, 200)
+    return float(np.exp(0.5 * np.max(np.asarray(weight.W(rs), dtype=float))))
+
+
+def _reference_theorem_beta(weight, r, phi_cache):
+    # the scan before the r-free sups were cached per l, kept verbatim
+    n, alpha = weight.n, weight.alpha
+    budget = 0.25 * min(r, 1.0)
+    best = INF
+    for l in np.geomspace(2.0, 1e10, 220):
+        if l not in phi_cache:
+            phi_cache[l] = phi_l(weight, max(l - 1.0, 1.0))
+        phi = phi_cache[l]
+        if phi <= 0 or 1.0 / phi >= budget:
+            continue
+        grad_cap = _sup_grad(weight, l + 2.0)
+        s_hi = min(budget - 1.0 / phi, 1.0 / math.exp(2.0 * grad_cap))
+        if s_hi <= 0:
+            continue
+        sup_w = _sup_exp_half_w(weight, l + 1.0)
+        s = s_hi
+        val = 2.0 * (s ** (-2.0 * n / alpha) + s ** (-n)) * sup_w
+        best = min(best, val)
+    return best
+
+
+def test_theorem_beta_curve_equals_uncached_loop():
+    r_grid = np.concatenate([np.geomspace(2e-2, 0.5, 6), [1.0, 3.0]])
+    for (alpha, eps) in [(1.0, 1.0), (0.5, 0.5), (1.5, 0.375)]:
+        w = log_weight(2, alpha, eps)
+        cache = {}
+        ref = np.array([_reference_theorem_beta(w, r, cache) for r in r_grid])
+        assert np.array_equal(theorem_beta_curve(w, r_grid), ref)
 
 
 def test_threshold_classification():
