@@ -210,12 +210,15 @@ def certified_rate(space, kernel, r_grid, potential=None) -> RateFunction:
     above it.  The constant extensions stay valid because the optimum at
     r = 0+ (the inverse smallest mass) is appended on the left and the grid
     is stretched right by decades until the estimate flattens onto its
-    large-r floor.  Spaces above ``SIZE_LIMIT`` points are refused.
+    large-r floor, or until it is nonpositive: beta* is nonincreasing, so
+    on a killed form, whose optimum falls without a floor, the last value
+    bounds everything to its right.  Spaces above ``SIZE_LIMIT`` points are
+    refused.
     """
     rs = [float(r_grid[0]) * 1e-9] + [float(r) for r in r_grid]
     est = [sp_estimate(space, kernel, r, potential) for r in rs]
     for _ in range(12):
-        if est[-2] - est[-1] <= 1e-6 * est[-1]:
+        if est[-1] <= 0 or est[-2] - est[-1] <= 1e-6 * est[-1]:
             break
         rs.append(rs[-1] * 10.0)
         est.append(sp_estimate(space, kernel, rs[-1], potential))

@@ -341,6 +341,31 @@ def test_certified_killed_rate_dominates_estimate():
     assert negative > 0
 
 
+def test_killed_table_stops_at_first_nonpositive_estimate():
+    """The stretch past the grid ends at the first nonpositive estimate, so
+    a killed table has at most one nonpositive entry past the grid, and the
+    table still lies on or above the optimum at each of its points."""
+    stopped = 0
+    for seed in range(6):
+        space, kernel, _, pot = random_instance(seed, (3, 8), with_potential=True)
+        M = space.total_mass
+        r_grid = np.geomspace(1e-3 / M, 1e2 / M, 10)
+        beta = certified_rate(space, kernel, r_grid, potential=pot)
+        past = [float(r_grid[-1])]
+        while past[-1] < beta.params["r_max"]:
+            past.append(past[-1] * 10.0)
+        past = past[1:]
+        assert len(past) <= 12
+        nonpositive = [r for r in past if beta(r) <= 0]
+        assert len(nonpositive) <= 1, (seed, nonpositive)
+        if nonpositive:
+            assert nonpositive[0] == past[-1]
+            stopped += 1
+        for r in [beta.params["r_min"], *r_grid, *past]:
+            assert beta(r) >= sp_estimate(space, kernel, r, pot), (seed, r)
+    assert stopped > 0
+
+
 def test_lemma2_two_point_closed_form(two_point):
     space, kernel = two_point
     ones = WeightFunction.ones(2)
