@@ -17,14 +17,13 @@ threads.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import INF
+from .numerics import INF, gauss_rule
 
 # elements of the pair-distance temporary per chunk of stacked theta times
 THETA_CHUNK = 2 ** 15
@@ -296,49 +295,83 @@ class Semigroup:
     def theta_curve(self, gamma: WeightFunction):
         """Cumulative Theta on a log time grid plus an exact-rate tail bound.
 
-        Returns (ThetaFn, theta_infinity).  The grid has 240 points up to
-        t_max = 50/gap (1e6 when the gap is 0).  Beyond it the tail is
+        Returns (ThetaIntegral, theta_infinity).  The grid has 240 points up
+        to t_max = 50/gap (1e6 when the gap is 0).  Beyond it the tail is
         integrated analytically from theta(t) <= theta(t_max) e^{-gap (t-t_max)}
         (the spectral gap controls the decay); on disconnected spaces with
         gap 0 the tail is infinite.
         """
-        g = self.gap
+        curve = ThetaIntegral(self, gamma)
+        return curve, curve.total
+
+
+class ThetaIntegral:
+    """t -> int_0^t Theta(tau) d tau, tabulated by ``Semigroup.theta_curve``.
+
+    Alongside cum[k] = int_0^{ts[k]} Theta it keeps the first moment
+    cum_m[k] = int_0^{ts[k]} tau Theta(tau) d tau, from the same Theta node
+    values, so the primitive of the integral, t int_0^t Theta - (first
+    moment), is known in closed form (``moments``).  Between grid points
+    both are the table value plus one 8-node Gauss segment; calling the
+    object at a float t gives the integral alone.
+    """
+
+    def __init__(self, sg: Semigroup, gamma: WeightFunction):
+        self._theta = lambda t: sg.theta(t, gamma)
+        g = self.gap = sg.gap
         t_max = 50.0 / g if g > 0 else 1e6
-        ts = np.geomspace(max(t_max * 1e-8, 1e-12), t_max, 240)
-        thetas = self.theta(ts, gamma)
-        gx, gw = np.polynomial.legendre.leggauss(8)
+        ts = self.ts = np.geomspace(max(t_max * 1e-8, 1e-12), t_max, 240)
+        self.theta_end = self._theta(ts[-1])
+        seg, seg_m = self._segments(np.concatenate([[0.0], ts[:-1]]), ts)
+        cum, cum_m = np.cumsum(seg), np.cumsum(seg_m)
+        # left end and table value of the partial segment ending at t
+        self._lower = np.concatenate([[0.0], ts])
+        self._cum = np.concatenate([[0.0], cum])
+        self._cum_m = np.concatenate([[0.0], cum_m])
+        tail = self.theta_end / g if g > 0 else (INF if self.theta_end > 0 else 0.0)
+        self.total = cum[-1] + tail
 
-        def segments(a, b):
-            """8-point Gauss rule on each [a_i, b_i], nodes summed in order."""
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            vals = gw * self.theta(mid[:, None] + half[:, None] * gx, gamma)
-            acc = vals[:, 0]
-            for k in range(1, len(gw)):
-                acc = acc + vals[:, k]
-            return half * acc
+    def _segments(self, a, b):
+        """8-point Gauss rules on each [a_i, b_i] for Theta and tau Theta,
+        nodes summed in order.  A node of a subnormal segment [0, b] that
+        rounds to 0 is read at the least positive float instead."""
+        gx, gw = gauss_rule(8)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        x = np.maximum(mid[:, None] + half[:, None] * gx, math.ulp(0.0))
+        vals = gw * self._theta(x)
+        acc, acc_m = vals[:, 0], x[:, 0] * vals[:, 0]
+        for k in range(1, len(gw)):
+            acc = acc + vals[:, k]
+            acc_m = acc_m + x[:, k] * vals[:, k]
+        return half * acc, half * acc_m
 
-        def segment(a, b):
-            return segments(np.array([a]), np.array([b]))[0]
+    def moments(self, t):
+        """(int_0^t Theta, int_0^t tau Theta(tau) d tau) on an array of
+        finite times, one stacked Theta call for the partial segments."""
+        t = np.asarray(t, dtype=float)
+        ts, g, th = self.ts, self.gap, self.theta_end
+        out, out_m = np.zeros(t.shape), np.zeros(t.shape)
+        inner = (t > 0) & (t < ts[-1])
+        k = np.searchsorted(ts, t[inner])
+        seg, seg_m = self._segments(self._lower[k], t[inner])
+        out[inner] = self._cum[k] + seg
+        out_m[inner] = self._cum_m[k] + seg_m
+        far = t >= ts[-1]
+        if g > 0:
+            d = t[far] - ts[-1]
+            decay = np.array([math.exp(-g * x) for x in d])
+            out[far] = self._cum[-1] + th / g * (1 - decay)
+            out_m[far] = self._cum_m[-1] + th / g * (
+                ts[-1] * (1 - decay) + (1 - decay) / g - d * decay)
+        else:
+            out[far] = self._cum[-1] + (INF if th > 0 else 0.0)
+            out_m[far] = self._cum_m[-1] + (INF if th > 0 else 0.0)
+        return out, out_m
 
-        cum = np.cumsum(segments(np.concatenate([[0.0], ts[:-1]]), ts))
-        tail = thetas[-1] / g if g > 0 else (INF if thetas[-1] > 0 else 0.0)
-        total = cum[-1] + tail
-
-        @functools.lru_cache(maxsize=None)
-        def theta_int(t: float) -> float:
-            if t <= 0:
-                return 0.0
-            if t <= ts[0]:
-                return segment(0.0, t)
-            if t >= ts[-1]:
-                if math.isinf(t):
-                    return total
-                return cum[-1] + (thetas[-1] / g * (1 - math.exp(-g * (t - ts[-1])))
-                                  if g > 0 else (INF if thetas[-1] > 0 else 0.0))
-            k = int(np.searchsorted(ts, t))
-            return float(cum[k - 1] + segment(ts[k - 1], t))
-
-        return theta_int, total
+    def __call__(self, t: float) -> float:
+        if t == INF:
+            return self.total
+        return float(self.moments(np.array([t]))[0][0])
 
 
 def bar_extension(space: FiniteMeasureSpace, kernel: JumpKernel,

@@ -162,7 +162,7 @@ def gauss_rule(nodes: int):
     return rule
 
 
-def gauss_segments(a, b, n_seg, nodes=16):
+def gauss_segments(a, b, n_seg, nodes):
     """Gauss-Legendre nodes/weights on [a, b] split into n_seg segments whose
     endpoints accumulate geometrically toward a (for an integrable endpoint
     singularity there).  Returns flat (points, weights) arrays.

@@ -27,10 +27,14 @@ from .young import stack_family
 
 @dataclass(frozen=True)
 class RateFunction:
+    """A rate beta with its generalized inverse; ``knots`` is the read-only
+    (r, beta(r)) table of a tabulated rate and None for the other families."""
+
     family: str
     params: dict
     _eval: object = field(repr=False)
     _inv: object = field(repr=False)
+    knots: tuple | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, r: float) -> float:
         return self._eval(float(r))
@@ -85,7 +89,8 @@ def rate_tabulated(r_grid, values, note: str | None = None) -> RateFunction:
 
     Values are repaired to be nonincreasing by a running minimum (recorded in
     the params when a repair actually changed something); the inverse follows
-    the left-continuous convention inf{s : beta(s) <= u}.
+    the left-continuous convention inf{s : beta(s) <= u}.  The sorted,
+    repaired table is the rate's ``knots``.
     """
     r = np.asarray(r_grid, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -94,6 +99,8 @@ def rate_tabulated(r_grid, values, note: str | None = None) -> RateFunction:
     repaired = np.minimum.accumulate(v)
     did_repair = bool(np.any(repaired < v))
     v = repaired
+    r.setflags(write=False)
+    v.setflags(write=False)
 
     def ev(x: float) -> float:
         if x <= r[0]:
@@ -118,7 +125,7 @@ def rate_tabulated(r_grid, values, note: str | None = None) -> RateFunction:
     params = {"r_min": float(r[0]), "r_max": float(r[-1]), "repaired": did_repair}
     if note:
         params["note"] = note
-    return RateFunction("tabulated", params, ev, iv)
+    return RateFunction("tabulated", params, ev, iv, knots=(r, v))
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ import math
 
 import numpy as np
 
-from .core import (KillingPotential, Semigroup, bar_extension,
-                   dirichlet_energy, extend_by_zero, l1_form, rate_slacks,
-                   schrodinger_energy)
+from .core import (KillingPotential, Semigroup, ThetaIntegral, ValidationError,
+                   bar_extension, dirichlet_energy, extend_by_zero, l1_form,
+                   rate_slacks, schrodinger_energy)
 from .isoperimetry import (_doubling_enumeration, _subset_sums, curve_slacks,
                            enumerate_profile, indicator_constant,
                            indicator_gauge_constant, subset_rate_slacks)
@@ -166,31 +166,54 @@ def lemma1_sobolev(space, kernel, gamma, profile=None, f_family=(),
 # ---------------------------------------------------------------------------
 # rate -> gauge (regularization route)
 
-def thm21_young(beta: RateFunction, theta_integral_fn, s_max: float,
-                r_floor: float = 0.0, points: int = 160) -> dict:
-    """Young function from the regularization profile of a valid rate.
+def thm21_young(beta: RateFunction, theta: ThetaIntegral, s_max: float,
+                r_floor: float, points: int = 160) -> dict:
+    """Young function from the regularization profile of a tabulated rate.
 
-    Phi(s) = integral_0^s Theta(beta^{-1}(max(r, r_floor))) dr, inverted on
-    a log grid over [1e-10 s_max, s_max].  With r_floor = 0 and a rate that
-    never descends below some positive floor, the inner time horizon is
-    infinite from the start: the profile is reported as infinite (hypothesis
-    failure), not an error.
+    Phi(s) = integral_0^s Theta_int(beta^{-1}(max(u, r_floor))) du, with
+    Theta_int(t) = integral_0^t Theta, inverted on a log grid over
+    [1e-10 s_max, s_max].  Phi is summed in closed form piece by piece over
+    the grid, the table values above r_floor and r_floor itself.  Below
+    r_floor the integrand is the constant Theta_int(beta^{-1}(r_floor)); from
+    the largest table value on it is 0; between two consecutive table values
+    t = beta^{-1}(u) is linear in u, so the piece is (du/dt) [F(t_1) - F(t_2)]
+    with F(t) = t Theta_int(t) - integral_0^t tau Theta(tau) d tau, read off
+    ``theta.moments``.  Each piece takes its slope from its own table segment,
+    so flat (repaired) stretches, where beta^{-1} jumps, need no care.  A rate
+    that never descends to r_floor leaves the inner time horizon infinite:
+    the profile is reported as infinite (hypothesis failure), not an error.
     """
-    probe_r = r_floor if r_floor > 0 else max(s_max * 1e-12, 1e-300)
-    horizon = beta.inv(probe_r)
+    if beta.knots is None:
+        raise ValidationError(f"the regularization profile needs a tabulated rate, "
+                              f"got family {beta.family!r}")
+    if not r_floor > 0:
+        raise ValueError("r_floor must be positive")
+    horizon = beta.inv(r_floor)
     if math.isinf(horizon):
         return {"ok": False, "N": None, "Phi": None,
-                "note": f"profile infinite: rate inverse diverges at r={probe_r!r}"}
-    theta_at_floor = theta_integral_fn(horizon)
+                "note": f"profile infinite: rate inverse diverges at r={r_floor!r}"}
+    theta_at_floor = theta(horizon)
     if math.isinf(theta_at_floor):
         return {"ok": False, "N": None, "Phi": None,
                 "note": "profile infinite: Theta diverges on the needed horizon"}
 
-    def integrand(r):
-        return theta_integral_fn(beta.inv(max(r, r_floor)))
-
+    r, v = beta.knots
     grid = np.concatenate([[0.0], np.geomspace(s_max * 1e-10, s_max, points)])
-    vals = cumulative_quad(integrand, grid, rtol=1e-9)
+    edges = np.union1d(grid, np.append(v[v > r_floor], r_floor))
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    pieces = np.where(hi <= r_floor, (hi - lo) * theta_at_floor, 0.0)
+    ramp = np.flatnonzero((lo >= r_floor) & (mid < v[0]))
+    # table segment (i - 1, i) holding each piece: v[i] < mid < v[i - 1]
+    i = np.searchsorted(-v, -mid[ramp])
+    r0, r1, v0, v1 = r[i - 1], r[i], v[i - 1], v[i]
+    t_lo = r0 + (r1 - r0) * (v0 - lo[ramp]) / (v0 - v1)
+    t_hi = r0 + (r1 - r0) * (v0 - hi[ramp]) / (v0 - v1)
+    ts = np.concatenate([t_lo, t_hi])
+    cum, cum_m = theta.moments(ts)
+    F = ts * cum - cum_m
+    pieces[ramp] = (F[:len(ramp)] - F[len(ramp):]) * (v0 - v1) / (r1 - r0)
+    vals = np.concatenate([[0.0], np.cumsum(pieces)])[np.searchsorted(edges, grid)]
     # trim the flat tail (where the rate inverse has collapsed to zero) so
     # the log-log tabulation keeps strictly increasing knots
     inc = np.flatnonzero(np.diff(vals) > 1e-14 * max(vals[-1], 1e-300))

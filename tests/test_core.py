@@ -237,14 +237,6 @@ def test_theta_curve_matches_reference_loop(m, weighted_killed):
     assert total == ref_int(math.inf) == theta_int(math.inf)
 
 
-def test_theta_integral_is_memoized():
-    sg, gamma = _semigroup_case(6, True, seed=7)
-    theta_int, _ = sg.theta_curve(gamma)
-    for t in (1e-9, 0.3, 2.5, 1e4):
-        first = theta_int(t)
-        assert theta_int(t) is first
-
-
 def test_bar_extension_identities():
     rng = np.random.default_rng(2)
     for seed in range(100):

@@ -25,7 +25,8 @@ from jumpiso.isoperimetry import (empirical_l1_constant, enumerate_profile,
                                   thm20_backward, thm20_poincare,
                                   _doubling_enumeration, _subset_sums)
 from jumpiso.numerics import INF, ext_ratio
-from jumpiso.superpoincare import certified_rate, rate_power, sp_verify
+from jumpiso.superpoincare import (certified_rate, rate_power, rate_tabulated,
+                                   sp_verify)
 from jumpiso.theorems import (C_KILLED, C_STAR, cor41_young, lemma1_poincare,
                               lemma1_sobolev, rate_from_gauge, thm21_verify,
                               thm41, thm42, thm43)
@@ -383,6 +384,9 @@ def test_matrix_family_gives_list_family_report():
         == bits(thm20_backward(space, kernel, builtin("power", p=2), fam, gamma))
 
 
+LAW_R = np.geomspace(1e-8, 1e8, 161)   # a table of beta(r) = 1/r
+
+
 def test_thm21_zero_bracket_row_gives_infinite_empirical_constant():
     """A kept row with B = 0 < ||f||_N (an isolated point): its gauge row
     already fails, and its empirical constant is +inf, so that row fails
@@ -390,7 +394,8 @@ def test_thm21_zero_bracket_row_gives_infinite_empirical_constant():
     space = FiniteMeasureSpace([1.0, 1.0, 1.0])
     j = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     rep = thm21_verify(space, JumpKernel(space, j), WeightFunction.ones(3),
-                       beta=rate_power(1.0, 1.0), f_family=[np.array([0.0, 0.0, 1.0])],
+                       beta=rate_tabulated(LAW_R, 1.0 / LAW_R),
+                       f_family=[np.array([0.0, 0.0, 1.0])],
                        support_fraction=0.5)
     slacks = report_slacks(rep)
     assert rep.derived["empirical_constant"] == INF

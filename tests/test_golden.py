@@ -30,7 +30,7 @@ GOLDEN = {
     }),
     "killed_batch.json": ("verify", {
         "report.json":
-            "fa89013ae36f4e66994cbf9472f94ce4020cb6f75568a4c308de0784f1121a5c",
+            "e6056ddbfb56e5f30e341ff96eb3159e9d9f16f309cbcd98ce31f831f5115a76",
     }),
     "perturbed.json": ("perturbed", {
         "report.json":
@@ -46,7 +46,7 @@ GOLDEN = {
     }),
     "theorem_batch.json": ("verify", {
         "report.json":
-            "3571bf45315f224f3fe2ac227a17c84e463d612bd178ebdfef64b88ef30579e9",
+            "60398f584a005680246abcc1a7db9b3dea432bfbd5fcd924a6e1e90be433a8cd",
     }),
 }
 

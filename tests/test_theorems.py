@@ -8,8 +8,8 @@ from jumpiso.core import (FiniteMeasureSpace, JumpKernel, KillingPotential,
 from jumpiso.instances import random_functions, random_instance
 from jumpiso.isoperimetry import enumerate_profile
 from jumpiso.numerics import INF, inv_decreasing, safe_pow
-from jumpiso.superpoincare import (certified_rate, rate_power, rate_power_log,
-                                   rate_power_pair)
+from jumpiso.superpoincare import (certified_rate, rate_power_log,
+                                   rate_power_pair, rate_tabulated)
 from jumpiso.theorems import (C_KILLED, C_STAR, _check_s_over_N_increasing,
                               cor41, cor41_round_trip, cor41_young,
                               lemma1_core, lemma1_poincare, lemma1_sobolev,
@@ -94,22 +94,39 @@ def test_thm21_traced_constant():
     assert C_KILLED == pytest.approx(2.0 * C_STAR)
 
 
+# 20,001 log-spaced points on [1e-8, 1e8]: linear interpolation of a power
+# law between them errs by at most about 4.2e-7 relative in beta^{-1}
+LAW_GRID = np.geomspace(1e-8, 1e8, 20001)
+
+
+def _law_table(c, a):
+    """rate_tabulated table of beta(r) = c r^{-a}."""
+    return rate_tabulated(LAW_GRID, c * LAW_GRID ** -a)
+
+
 def test_thm21_two_point_closed_form_profile():
     # beta(r) = c/r on the symmetric two-point space: Phi has a closed form
     space = FiniteMeasureSpace([1.0, 1.0])
     kernel = JumpKernel(space, [[0.0, 3.0], [3.0, 0.0]])
     sg = Semigroup(space, kernel)
     theta_int, _ = sg.theta_curve(WeightFunction.ones(2))
-    c, j = 2.0, 3.0
-    built = thm21_young(rate_power(c, 1.0), theta_int, s_max=5.0, points=220)
+    c, j, r_floor = 2.0, 3.0, 1e-3
+    built = thm21_young(_law_table(c, 1.0), theta_int, s_max=5.0,
+                        r_floor=r_floor, points=220)
     assert built["ok"]
     from scipy.integrate import quad
-    # hand-computable closed form, matched at construction grid points
+    theta_closed = lambda t: (1 - math.exp(-2 * j * t)) / j
+    # hand-computable closed form, matched at construction grid points:
+    # the constant theta_closed(c / r_floor) below r_floor, then the law
     for k in (60, 140, 219):
         s = float(built["grid"][k])
-        ref, _ = quad(lambda r: (1 - math.exp(-2 * j * c / r)) / j, 0, s,
-                      epsrel=1e-11, epsabs=1e-300)
-        assert built["values"][k] == pytest.approx(ref, rel=1e-6)
+        head = min(s, r_floor) * theta_closed(c / r_floor)
+        ramp = 0.0
+        if s > r_floor:
+            ramp, _ = quad(lambda r: theta_closed(c / r), r_floor, s,
+                           epsrel=1e-11, epsabs=1e-300)
+        assert built["values"][k] == pytest.approx(head + ramp, rel=1e-6)
+    assert built["grid"][140] > r_floor > built["grid"][60]
     assert built["Phi"](0.0) == 0.0
 
 
@@ -117,10 +134,10 @@ def test_thm21_young_monotone_in_beta():
     space, kernel, gamma, _ = random_instance(5, (3, 6))
     sg = Semigroup(space, kernel)
     theta_int, _ = sg.theta_curve(gamma)
-    base = rate_power(1.0, 1.2)
-    bigger = base.scaled(2.0)
-    a = thm21_young(base, theta_int, s_max=10.0, points=120)
-    b = thm21_young(bigger, theta_int, s_max=10.0, points=120)
+    base = _law_table(1.0, 1.2)
+    bigger = _law_table(2.0, 1.2)
+    a = thm21_young(base, theta_int, s_max=10.0, r_floor=1e-3, points=120)
+    b = thm21_young(bigger, theta_int, s_max=10.0, r_floor=1e-3, points=120)
     # pointwise larger rate -> larger profile -> smaller Young function
     assert np.all(np.asarray(b["values"]) >= np.asarray(a["values"]) - 1e-12)
     for u in np.geomspace(1e-3, 1.0, 8):
@@ -131,8 +148,9 @@ def test_thm21_degenerate_rate_reports_hypothesis():
     space, kernel, gamma, _ = random_instance(6, (3, 6))
     sg = Semigroup(space, kernel)
     theta_int, _ = sg.theta_curve(gamma)
-    floor = rate_power(1.0, 0.0)  # constant rate: inverse degenerates at once
-    built = thm21_young(floor, theta_int, s_max=10.0)
+    floor = rate_tabulated(LAW_GRID, np.ones_like(LAW_GRID))  # constant rate
+    # the inverse degenerates at once below the rate's floor
+    built = thm21_young(floor, theta_int, s_max=10.0, r_floor=0.5)
     assert not built["ok"]
     assert "infinite" in built["note"]
 
