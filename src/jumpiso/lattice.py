@@ -142,6 +142,10 @@ def p1_kernel(n: int, alpha: float, K: int, R: int, method: str = "auto"):
     permits K far beyond R and is what the far-field power-law checks need.
     The exact routes take every binomial from one log-factorial vector, a
     chunk of rows at a time as two parity blocks, so memory does not grow with K.
+    For n = 2, p1(x) = Q(|x1 + x2|, |x1 - x2|) with Q(u, v) = sum_k c(k) q_k(u) q_k(v)
+    symmetric, as q_k(-j) = q_k(j): the table keeps the columns j >= 0, the
+    product fills the strip u <= R of the quadrant, and Q is read at (min, max),
+    so p1 is exactly invariant under the eight symmetries of the square.
     Returns (window, per_entry_tail_bound).
     """
     w = subord_weights(alpha, K)
@@ -162,17 +166,21 @@ def p1_kernel(n: int, alpha: float, K: int, R: int, method: str = "auto"):
             raise ValueError("exact route implemented for n in {1, 2}")
         width = R if n == 1 else 2 * R
         logfact = np.pad(gammaln(np.arange(K + 1.0) + 1), width, constant_values=np.inf)
-        M = np.zeros((2 * width + 1,) * n)
+        M = np.zeros(2 * width + 1 if n == 1 else (R + 1, width + 1))
         chunk = max(1, P1_CHUNK // (2 * width + 1))
         for lo in range(0, K, chunk):
             hi = min(K, lo + chunk)
-            for par, k0, T in _binom_parity_blocks(logfact, lo + 1, hi, width):
+            for par, k0, T in _binom_parity_blocks(logfact, lo + 1, hi, width,
+                                                   -width if n == 1 else 0):
                 cT = w.c[k0 - 1:hi:2, None] * T
-                # n = 1 sums row by row, not by BLAS: threaded gemv splits the
-                # k axis, so its rounding would depend on the thread count
-                M[(slice(par, None, 2),) * n] += cT.sum(axis=0) if n == 1 else T.T @ cT
-        x = np.arange(-R, R + 1)
-        acc = M if n == 1 else M[np.add.outer(x, x) + width, np.subtract.outer(x, x) + width]
+                if n == 1:
+                    # row by row, not by BLAS: threaded gemv splits the k axis,
+                    # so its rounding would depend on the thread count
+                    M[par::2] += cT.sum(axis=0)
+                else:
+                    M[par::2, par::2] += T[:, :(R - par) // 2 + 1].T @ cT
+        a = np.abs(np.arange(-R, R + 1))
+        acc = M if n == 1 else M[np.abs(np.subtract.outer(a, a)), np.add.outer(a, a)]
     else:
         raise ValueError("method must be conv, exact or auto")
     # beyond-K mass can sit anywhere with q_k <= sup_k>K q_k(0,0)
@@ -181,19 +189,21 @@ def p1_kernel(n: int, alpha: float, K: int, R: int, method: str = "auto"):
                          note=f"weights truncated at K={K}"), per_entry
 
 
-def _binom_parity_blocks(logfact: np.ndarray, k_lo: int, k_hi: int, width: int):
-    """Yield (par, k0, block): the walk table q_k(j), j = -width..width, on rows
-    k0, k0 + 2, ... <= k_hi and columns par::2, where their nonzero entries lie.
-    Row k reads log(u!) from a strided window S of ``logfact`` (log(i!), +inf
-    padded) and log((k - u)!) from its reverse; exp(-inf) = 0 masks |j| > k.
+def _binom_parity_blocks(logfact: np.ndarray, k_lo: int, k_hi: int, width: int, j_lo: int):
+    """Yield (par, k0, block): the walk table q_k(j), j_lo <= j <= width, on rows
+    k0, k0 + 2, ... <= k_hi and columns j = width + par (mod 2), where their
+    nonzero entries lie. Row k reads log(u!) from a strided window S of
+    ``logfact`` (log(i!), +inf padded) and log((k - u)!) from its reverse, both
+    sliced from j_lo on; exp(-inf) = 0 masks |j| > k.
     """
     for par in (0, 1):
         k0 = k_lo + (width + par - k_lo) % 2
         ks = np.arange(k0, k_hi + 1, 2, dtype=float)[:, None]
         S = np.lib.stride_tricks.sliding_window_view(logfact, width + 1 - par)
         S = S[(k0 + width + par) // 2:][:ks.shape[0]]
+        first = (j_lo + width - par + 1) // 2
         logk = logfact[width + k0:width + k_hi + 1:2, None]
-        yield par, k0, np.exp(logk - S - S[:, ::-1] - ks * math.log(2.0))
+        yield par, k0, np.exp(logk - S[:, first:] - S[:, ::-1][:, first:] - ks * math.log(2.0))
 
 
 def _tail_formula(n: int, alpha: float, K1: int, radii_sq: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -89,11 +90,18 @@ def test_parity_blocks_equal_reference_table(width):
                        (150, 151), (200, 331), (399, 400)]:
         ref = _reference_binom_table_rows(k_lo, k_hi, width)
         full = np.full_like(ref, np.nan)
-        for par, k0, block in _binom_parity_blocks(logfact, k_lo, k_hi, width):
+        for par, k0, block in _binom_parity_blocks(logfact, k_lo, k_hi, width, -width):
             assert k0 in (k_lo, k_lo + 1) and (k0 - width - par) % 2 == 0
             full[k0 - k_lo::2, par::2] = block
             full[k0 - k_lo::2, 1 - par::2] = 0.0
         assert np.array_equal(full, ref)
+        # the j >= 0 blocks are the matching columns of the same table
+        half = np.full_like(ref[:, width:], np.nan)
+        for par, k0, block in _binom_parity_blocks(logfact, k_lo, k_hi, width, 0):
+            j0 = (width + par) % 2
+            half[k0 - k_lo::2, j0::2] = block
+            half[k0 - k_lo::2, 1 - j0::2] = 0.0
+        assert np.array_equal(half, ref[:, width:])
 
 
 @pytest.mark.parametrize("K,R", [(60000, 40), (30, 64)])
@@ -117,13 +125,43 @@ def test_p1_hybrid_equals_reference_route(monkeypatch):
     assert np.array_equal(new.values, ref.values) and new.leak == ref.leak
 
 
-@pytest.mark.parametrize("K,R", [(20000, 40), (12, 20)])
+@pytest.mark.parametrize("K,R", [(20000, 40), (12, 20), (81920, 128)])
 def test_p1_exact_n2_within_tolerance_of_reference_route(K, R):
+    # 2e-13 at the continuum workload's size, 1e-13 at the smaller ones
+    bound = 2e-13 if (K, R) == (81920, 128) else 1e-13
     new, _ = p1_kernel(2, 1.3, K, R, method="exact")
     ref = _reference_p1_exact(2, 1.3, K, R)
     nz = ref != 0.0
     assert np.all(new.values[~nz] == 0.0)
-    assert np.max(np.abs(new.values[nz] - ref[nz]) / ref[nz]) <= 1e-13
+    assert np.max(np.abs(new.values[nz] - ref[nz]) / ref[nz]) <= bound
+
+
+@pytest.mark.parametrize("alpha,K,R", [(1.3, 20000, 40), (0.5, 12, 20), (1.0, 7, 7),
+                                       (1.5, 5000, 1), (0.8, 81920, 128)])
+def test_p1_exact_n2_dihedral_symmetric(alpha, K, R):
+    # K = 20000 and 81920 span several chunks; K = 12 sits below R, K = 7 at R
+    v = p1_kernel(2, alpha, K, R, method="exact")[0].values
+    assert np.array_equal(v, v.T) and np.array_equal(v, v[::-1])
+    assert np.array_equal(v, v[:, ::-1])
+
+
+def test_p1_exact_n2_against_mpmath_sum():
+    # p1(x) = sum_k c(k) q_k(x1 + x2) q_k(x1 - x2) with exact weights and
+    # binomials at 30 digits, at the origin, on an axis, a diagonal, a corner
+    alpha, K, R = 0.5, 3000, 12
+    new = p1_kernel(2, alpha, K, R, method="exact")[0]
+    ref = _reference_p1_exact(2, alpha, K, R)
+    with mpmath.workdps(30):
+        for x1, x2 in [(0, 0), (7, 0), (5, 5), (12, -12)]:
+            u, v = abs(x1 + x2), abs(x1 - x2)
+            c, total = mpmath.mpf(alpha) / 2, mpmath.mpf(0)
+            for k in range(1, K + 1):
+                if k >= max(u, v) and (k - u) % 2 == 0:
+                    total += (c * mpmath.binomial(k, (k + u) // 2)
+                              * mpmath.binomial(k, (k + v) // 2) / mpmath.mpf(4) ** k)
+                c *= (k - mpmath.mpf(alpha) / 2) / (k + 1)
+            for got in (new.at((x1, x2)), ref[x1 + R, x2 + R]):
+                assert abs(got - total) <= 5e-12 * total
 
 
 def test_p1_symmetry_and_mass():
