@@ -11,6 +11,7 @@ keys, shortest-roundtrip float formatting.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,8 +22,9 @@ import numpy as np
 from . import __version__
 from .core import ValidationError, instance_from_json, instance_to_json
 from .instances import random_functions, random_instance
-from .isoperimetry import (enumerate_profile, indicator_gauge_constant,
-                           thm20_backward, thm20_forward)
+from .isoperimetry import (coarea_check, enumerate_profile,
+                           indicator_gauge_constant, thm20_backward,
+                           thm20_forward, thm20_poincare)
 from .lattice import (p1_kernel, power_law_band, subord_weights,
                       torus_semigroup, on_diagonal_decay, gradient_decay,
                       weight_tail)
@@ -30,12 +32,14 @@ from .numerics import loglog_slope
 from .perturbed import example_threshold, log_weight, theorem_beta_curve
 from .radial import radial_l1_energy, sharpness_profile
 from .reports import TheoremReport, digest, summary_csv, _jsonable
-from .superpoincare import certified_rate, lemma2_bound
+from .superpoincare import certified_rate, lemma2_bound, sp_decay_check
 from .theorems import rate_from_gauge, thm21_verify, thm41, thm42, thm43
 from .young import builtin
 
 KINDS = ("finite-verify", "theorem-batch", "lattice-subordination",
          "sharpness-scan", "perturbed-threshold")
+# the r_grid point at which thm20_poincare takes C1 = r and C2~ = beta(r)
+POINCARE_INDEX = 5
 
 
 class ManifestError(ValueError):
@@ -58,6 +62,31 @@ def load_manifest(path: str, kinds) -> dict:
         if not (isinstance(val, (int, float)) and val > 0):
             raise ManifestError(f"tolerance {key!r} must be positive")
     return doc
+
+
+def _checked(doc: dict, name: str, default, allowed, expect: str):
+    """doc[name], or ``default`` when it is absent (None: the field is
+    required); a value that ``allowed`` refuses is a ManifestError that
+    names the field."""
+    val = doc.get(name, default)
+    if val is None:
+        raise ManifestError(f"field {name!r} is required")
+    if isinstance(val, bool) or not allowed(val):
+        raise ManifestError(f"field {name!r}: got {val!r}, expected {expect}")
+    return val
+
+
+def _alpha(doc: dict, name: str, default):
+    """A stable index in (0, 2)."""
+    return _checked(doc, name, default,
+                    lambda a: isinstance(a, (int, float)) and 0 < a < 2,
+                    "a number in (0, 2)")
+
+
+def _dim(doc: dict, dims: tuple):
+    """The lattice dimension n, one of ``dims``; the first is the default."""
+    return _checked(doc, "n", dims[0], lambda n: isinstance(n, int) and n in dims,
+                    f"one of {dims}")
 
 
 def _write(out_dir: Path, name: str, text: str):
@@ -95,6 +124,15 @@ def _run_theorems_on(args):
     M = space.total_mass
     fam = random_functions(rng, m, 40, grounded=True)
     r_grid = np.geomspace(1e-3 / M, 1e2 / M, 10)
+    killed = pot is not None
+
+    @functools.cache
+    def rate(with_potential: bool):
+        """The certified rate on r_grid of the killed or the unkilled form,
+        built once per instance."""
+        return certified_rate(space, kernel, r_grid,
+                              potential=pot if with_potential else None)
+
     out = []
     for name in theorems:
         if name == "thm20":
@@ -104,11 +142,30 @@ def _run_theorems_on(args):
             rep.add("forward subset constant", fw["slack"], tol)
             rep.add("backward gauge bound", bw["worst_slack"], tol)
         elif name == "lemma2":
-            beta = certified_rate(space, kernel, r_grid, potential=pot)
             s_grid = np.geomspace(space.mu.min() * 1.05, 0.45 * M, 12)
-            l2 = lemma2_bound(space, kernel, gamma, beta, s_grid, potential=pot)
+            l2 = lemma2_bound(space, kernel, gamma, rate(killed), s_grid, potential=pot)
             rep = TheoremReport("lemma2", digest(text))
             rep.add("rate-to-curve bound", l2["worst_slack"], tol)
+        elif name == "thm20_poincare":
+            # the rate inequality at 1_A reads mu(A) <= r flow(A) + beta(r) mu(A)^2
+            # on the unweighted form, where E(1_A) = flow(A): the subset premise
+            r = float(r_grid[POINCARE_INDEX])
+            b = rate(False)(r)
+            rep = TheoremReport("thm20_poincare", digest(text), {"C1": r, "C2_tilde": b})
+            fw = thm20_poincare(space, kernel, r, b, "forward")
+            bw = thm20_poincare(space, kernel, r, b, "backward", f_family=fam)
+            rep.add("subset Poincare at C1 = r, C2~ = beta(r)", fw["worst_slack"], tol)
+            rep.add("functional Poincare with C2 = 2 C2~", bw["worst_slack"], tol)
+        elif name == "sp_decay":
+            dc = sp_decay_check(space, kernel, rate(killed), fam, r_grid, r_grid, potential=pot)
+            rep = TheoremReport("sp_decay", digest(text))
+            rep.add("decay form of the rate inequality", dc["worst_slack"], tol)
+        elif name == "coarea":
+            co = coarea_check(space, kernel, fam, gamma)
+            rep = TheoremReport("coarea", digest(text))
+            rep.add("layer cake identity (relative error)", -co["worst_identity_error"], tol)
+            rep.add("l1(f)/mu(f) >= 2 inf flow/mass", co["worst_ratio_slack"], tol)
+            rep.add("minimizing indicator attains the infimum", -co["indicator_gap"], tol)
         elif name == "thm21":
             rep = thm21_verify(space, kernel, gamma, seed=seed + idx, tol=tol)
             rep.inputs_digest = digest(text)
@@ -176,12 +233,12 @@ def run_enumerate(doc: dict, out_dir: Path) -> int:
 
 
 def run_subordinate(doc: dict, out_dir: Path) -> int:
-    n = doc.get("n", 1)
-    alpha = doc["alpha"]
+    n = _dim(doc, (1, 2))
+    alpha = _alpha(doc, "alpha", None)
     R = doc.get("R", 128)
     K = doc.get("K", 10 * n * (R // 2) ** 2)
     w = subord_weights(alpha, min(K, 10 ** 6))
-    win, per_entry = p1_kernel(n, alpha, K, R, method=doc.get("method", "exact"))
+    win, per_entry = p1_kernel(n, alpha, K, R)
     band = power_law_band(win, n + alpha, 2.0, R / 2.0)
     report = {
         "kind": "lattice-subordination", "n": n, "alpha": alpha, "R": R, "K": K,
@@ -208,7 +265,7 @@ def run_subordinate(doc: dict, out_dir: Path) -> int:
 
 def run_sharpness(doc: dict, out_dir: Path) -> int:
     n = doc.get("n", 1)
-    a1, a2 = doc["alpha1"], doc["alpha2"]
+    a1, a2 = _alpha(doc, "alpha1", None), _alpha(doc, "alpha2", None)
     mode = doc.get("mode", "min_kernel")
     s_grid = np.asarray(doc.get("s_grid") or np.geomspace(1e-3, 1e3, 41))
     vals = [radial_l1_energy(n, a1, a2, mode, s) for s in s_grid]
@@ -235,8 +292,8 @@ def run_sharpness(doc: dict, out_dir: Path) -> int:
 
 
 def run_perturbed(doc: dict, out_dir: Path) -> int:
-    n = doc.get("n", 2)
-    alpha = doc["alpha"]
+    n = _dim(doc, (2,))
+    alpha = _alpha(doc, "alpha", None)
     eps_grid = doc.get("eps_grid") or [alpha / 4, alpha / 2, alpha]
     rep = example_threshold(n, alpha, eps_grid)
     if doc.get("beta_scan", False):
@@ -275,7 +332,7 @@ def run_generate(doc: dict, out_dir: Path) -> int:
                    instance_to_json(space, kernel, pot, gamma))
         return 0
     if kind == "lattice-window":
-        n, alpha = doc.get("n", 1), doc.get("alpha", 1.0)
+        n, alpha = _dim(doc, (1, 2)), _alpha(doc, "alpha", 1.0)
         win, _ = p1_kernel(n, alpha, doc.get("K", 64), doc.get("R", 64))
         _write(out_dir, "window.csv", win.to_csv())
         return 0

@@ -136,18 +136,6 @@ class KillingPotential:
             object.__setattr__(self, "xi", xi)
 
 
-@dataclass(frozen=True)
-class SemigroupKernel:
-    """Transition densities p_t(x, y) with respect to mu at a fixed time."""
-
-    space: FiniteMeasureSpace
-    t: float
-    p: np.ndarray
-
-    def apply(self, f) -> np.ndarray:
-        return self.p @ (np.asarray(f, dtype=float) * self.space.mu)
-
-
 def dirichlet_energy(space: FiniteMeasureSpace, kernel: JumpKernel, f, g=None) -> float:
     """E(f, g); symmetric in (f, g) and nonnegative on the diagonal."""
     f = np.asarray(f, dtype=float)
@@ -256,14 +244,6 @@ class Semigroup:
             raise ValueError("time must be nonnegative")
         core = (self._vecs * np.exp(-t * self.eigenvalues)) @ self._vecs.T
         return core * self._scale
-
-    def kernel_at(self, t: float) -> SemigroupKernel:
-        p = self.matrix(t) / self.space.mu[None, :]
-        p = np.where(np.abs(p) < 1e-300, 0.0, p)
-        return SemigroupKernel(self.space, t, _frozen(0.5 * (p + p.T)))
-
-    def apply(self, t: float, f) -> np.ndarray:
-        return self.matrix(t) @ np.asarray(f, dtype=float)
 
     def theta(self, t, gamma: WeightFunction):
         """Worst pair ratio of the L1 row distance of exp(-tL) to gamma.

@@ -43,7 +43,6 @@ class IsoperimetricProfile:
     masses: np.ndarray          # per enumerated subset
     flows: np.ndarray
     masks: np.ndarray           # bitmasks, aligned with masses/flows
-    exact: bool = True
     # sorted views
     sorted_masses: np.ndarray = field(init=False)
     sorted_flows: np.ndarray = field(init=False)
@@ -126,77 +125,14 @@ def enumerate_profile(space: FiniteMeasureSpace, kernel: JumpKernel,
     """Visit all 2^m - 2 nonempty proper subsets exactly."""
     m = space.m
     if m > ENUM_LIMIT:
-        raise ValueError(f"m={m} exceeds the exact enumeration limit {ENUM_LIMIT}; "
-                         "use sampled_profile")
+        raise ValueError(f"m={m} exceeds the exact enumeration limit {ENUM_LIMIT}")
     gamma = gamma if gamma is not None else WeightFunction.ones(m)
     w = _pair_weights(space, kernel, gamma)
     masses, flows = _doubling_enumeration(space.mu, w)
     masks = np.arange(1 << m, dtype=np.int64)
     keep = slice(1, (1 << m) - 1)
     return IsoperimetricProfile(space, masses[keep], np.maximum(flows[keep], 0.0),
-                                masks[keep], exact=True)
-
-
-def sampled_profile(space, kernel, gamma=None, budget: int = 512,
-                    seed: int = 0) -> IsoperimetricProfile:
-    """Heuristic upper envelope of the profile for spaces too large to enumerate.
-
-    Seeds with singletons and random subsets, then greedily toggles single
-    points while the flow/mass ratio improves.  Every visited subset is
-    recorded, so the resulting curve is a valid upper bound on kappa;
-    deterministic for a fixed seed.
-    """
-    m = space.m
-    gamma = gamma if gamma is not None else WeightFunction.ones(m)
-    w = _pair_weights(space, kernel, gamma)
-    rng = np.random.default_rng(seed)
-
-    seen = {}
-
-    def record(sel):
-        key = sel.tobytes()
-        if key in seen:
-            return seen[key]
-        mass = float(space.mu[sel].sum())
-        flow = float(w[np.ix_(sel, ~sel)].sum())
-        bit = 0
-        for i in np.flatnonzero(sel):
-            bit |= 1 << int(i)
-        seen[key] = (mass, flow, bit)
-        return seen[key]
-
-    def local_search(sel):
-        sel = sel.copy()
-        mass, flow, _ = record(sel)
-        improved = True
-        while improved and 0 < sel.sum() < m:
-            improved = False
-            ratio = flow / mass
-            for i in range(m):
-                cand = sel.copy()
-                cand[i] = ~cand[i]
-                if not 0 < cand.sum() < m:
-                    continue
-                cm, cf, _ = record(cand)
-                if cf / cm < ratio - 1e-15:
-                    sel, mass, flow, ratio = cand, cm, cf, cf / cm
-                    improved = True
-                    break
-        return sel
-
-    for i in range(m):
-        sel = np.zeros(m, dtype=bool)
-        sel[i] = True
-        local_search(sel)
-    for _ in range(max(budget, 0)):
-        sel = rng.random(m) < rng.uniform(0.1, 0.9)
-        if not 0 < sel.sum() < m:
-            continue
-        local_search(sel)
-
-    rows = np.array([[mass, flow, bit] for mass, flow, bit in seen.values()])
-    return IsoperimetricProfile(space, rows[:, 0], rows[:, 1],
-                                rows[:, 2].astype(np.int64), exact=False)
+                                masks[keep])
 
 
 def kappa_orlicz(space, kernel, N: YoungFunction, gamma=None,

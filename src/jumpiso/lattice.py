@@ -1,11 +1,12 @@
 """Discrete subordination on integer lattices and Poissonized semigroups.
 
-The chain: iterated nearest-neighbor convolutions give the simple-walk
-kernels q_k; the heavy-tailed mixture weights c(k) (one-step subordination
-of exponent alpha/2) combine them into a single-step kernel p1 with a
-power-law tail of order n + alpha; Poissonization in continuous time gives
-the semigroup whose on-diagonal and gradient decay rates are the targets of
-the exponent-fit checks.
+The chain: the simple-walk kernels q_k, the k-step laws of the
+nearest-neighbor walk, have a binomial closed form; the heavy-tailed
+mixture weights c(k) (one-step subordination of exponent alpha/2) combine
+them into a single-step kernel p1 with a power-law tail of order
+n + alpha; Poissonization in continuous time gives the semigroup whose
+on-diagonal and gradient decay rates are the targets of the exponent-fit
+checks.
 
 Every windowed object carries an explicit leak/tail bound, and assertions
 downstream compare against [value - leak, value + leak].
@@ -43,9 +44,6 @@ class LatticeWindow:
         idx = tuple(int(o) + self.R for o in np.atleast_1d(offset))
         return float(self.values[idx])
 
-    def total(self) -> float:
-        return float(self.values.sum())
-
     def offsets_and_radii(self):
         axes = [np.arange(-self.R, self.R + 1)] * self.n
         grids = np.meshgrid(*axes, indexing="ij")
@@ -73,14 +71,6 @@ def _shift(a: np.ndarray, axis: int, step: int) -> np.ndarray:
         dst[axis], src[axis] = slice(None, step), slice(-step, None)
     out[tuple(dst)] = a[tuple(src)]
     return out
-
-
-def srw_step(a: np.ndarray, n: int) -> np.ndarray:
-    """One nearest-neighbor step: average of the 2n unit shifts."""
-    out = np.zeros_like(a)
-    for axis in range(n):
-        out += _shift(a, axis, 1) + _shift(a, axis, -1)
-    return out / (2.0 * n)
 
 
 @dataclass(frozen=True)
@@ -133,56 +123,40 @@ def subord_weights(alpha: float, K: int) -> SubordinationWeights:
 P1_CHUNK = 2_000_000
 
 
-def p1_kernel(n: int, alpha: float, K: int, R: int, method: str = "auto"):
+def p1_kernel(n: int, alpha: float, K: int, R: int):
     """Single-step subordinated kernel p1 = sum_k c(k) q_k on the window.
 
-    Two routes: "conv" accumulates iterated convolutions (exact, needs
-    R >= K); "exact" evaluates q_k pointwise from the binomial law (n = 1,
-    and n = 2 via the rotation to two independent diagonal walks), which
-    permits K far beyond R and is what the far-field power-law checks need.
-    The exact routes take every binomial from one log-factorial vector, a
-    chunk of rows at a time as two parity blocks, so memory does not grow with K.
+    q_k is evaluated pointwise from the binomial law (n = 1, and n = 2 via
+    the rotation to two independent diagonal walks), which permits K far
+    beyond R, as the far-field power-law checks need.  Every binomial comes
+    from one log-factorial vector, a chunk of rows at a time as two parity
+    blocks, so memory does not grow with K.
     For n = 2, p1(x) = Q(|x1 + x2|, |x1 - x2|) with Q(u, v) = sum_k c(k) q_k(u) q_k(v)
     symmetric, as q_k(-j) = q_k(j): the table keeps the columns j >= 0, the
     product fills the strip u <= R of the quadrant, and Q is read at (min, max),
     so p1 is exactly invariant under the eight symmetries of the square.
     Returns (window, per_entry_tail_bound).
     """
+    if n not in (1, 2):
+        raise ValueError("p1 is implemented for n in {1, 2}")
     w = subord_weights(alpha, K)
-    if method == "auto":
-        method = "conv" if R >= K else "exact"
-    if method == "conv":
-        if R < K:
-            raise ValueError("conv route needs R >= K")
-        shape = (2 * R + 1,) * n
-        a = np.zeros(shape)
-        a[(R,) * n] = 1.0
-        acc = np.zeros(shape)
-        for k in range(K):
-            a = srw_step(a, n)
-            acc += w.c[k] * a
-    elif method == "exact":
-        if n not in (1, 2):
-            raise ValueError("exact route implemented for n in {1, 2}")
-        width = R if n == 1 else 2 * R
-        logfact = np.pad(gammaln(np.arange(K + 1.0) + 1), width, constant_values=np.inf)
-        M = np.zeros(2 * width + 1 if n == 1 else (R + 1, width + 1))
-        chunk = max(1, P1_CHUNK // (2 * width + 1))
-        for lo in range(0, K, chunk):
-            hi = min(K, lo + chunk)
-            for par, k0, T in _binom_parity_blocks(logfact, lo + 1, hi, width,
-                                                   -width if n == 1 else 0):
-                cT = w.c[k0 - 1:hi:2, None] * T
-                if n == 1:
-                    # row by row, not by BLAS: threaded gemv splits the k axis,
-                    # so its rounding would depend on the thread count
-                    M[par::2] += cT.sum(axis=0)
-                else:
-                    M[par::2, par::2] += T[:, :(R - par) // 2 + 1].T @ cT
-        a = np.abs(np.arange(-R, R + 1))
-        acc = M if n == 1 else M[np.abs(np.subtract.outer(a, a)), np.add.outer(a, a)]
-    else:
-        raise ValueError("method must be conv, exact or auto")
+    width = R if n == 1 else 2 * R
+    logfact = np.pad(gammaln(np.arange(K + 1.0) + 1), width, constant_values=np.inf)
+    M = np.zeros(2 * width + 1 if n == 1 else (R + 1, width + 1))
+    chunk = max(1, P1_CHUNK // (2 * width + 1))
+    for lo in range(0, K, chunk):
+        hi = min(K, lo + chunk)
+        for par, k0, T in _binom_parity_blocks(logfact, lo + 1, hi, width,
+                                               -width if n == 1 else 0):
+            cT = w.c[k0 - 1:hi:2, None] * T
+            if n == 1:
+                # row by row, not by BLAS: threaded gemv splits the k axis,
+                # so its rounding would depend on the thread count
+                M[par::2] += cT.sum(axis=0)
+            else:
+                M[par::2, par::2] += T[:, :(R - par) // 2 + 1].T @ cT
+    a = np.abs(np.arange(-R, R + 1))
+    acc = M if n == 1 else M[np.abs(np.subtract.outer(a, a)), np.add.outer(a, a)]
     # beyond-K mass can sit anywhere with q_k <= sup_k>K q_k(0,0)
     per_entry = w.tail * min(1.0, (n / (2 * math.pi * (K + 1))) ** (n / 2.0) * 2.0 ** n)
     return LatticeWindow(n, R, acc, leak=w.tail,
@@ -241,7 +215,7 @@ def p1_hybrid(n: int, alpha: float, R: int, K1: int = 20000) -> LatticeWindow:
     depth.
     """
     exact_radius = min(R, max(32, int(math.sqrt(K1 / max(n, 1)) * 3)))
-    inner, _ = p1_kernel(n, alpha, K1, exact_radius, method="exact")
+    inner, _ = p1_kernel(n, alpha, K1, exact_radius)
     _, rad = LatticeWindow(n, R, np.zeros((2 * R + 1,) * n)).offsets_and_radii()
     vals = _tail_formula(n, alpha, K1, rad ** 2)
     core = tuple(slice(R - exact_radius, R + exact_radius + 1) for _ in range(n))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -85,9 +84,6 @@ class TheoremReport:
             "checks": self.checks,
             "notes": self.notes,
         })
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
 def summary_csv(rows) -> str:

@@ -233,7 +233,7 @@ def test_criterion_7_subordination():
     for n in (1, 2):
         K = 10 * n * (R // 2) ** 2
         for alpha in (0.5, 1.0, 1.5):
-            win, _ = p1_kernel(n, alpha, K, R, method="exact")
+            win, _ = p1_kernel(n, alpha, K, R)
             band = power_law_band(win, n + alpha, 2.0, R / 2.0)
             ok &= abs(band["slope"] + (n + alpha)) <= 0.1
             ok &= band["band_ratio"] <= 10.0

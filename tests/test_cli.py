@@ -198,3 +198,59 @@ def test_sharpness_and_perturbed_off_target_exit_1(tmp_path, monkeypatch):
     # a flat beta curve: slope 0 against the target -7
     monkeypatch.setattr(cli, "theorem_beta_curve", lambda w, r: np.ones(len(r)))
     assert main(["perturbed", "--manifest", m3, "--out", str(tmp_path / "b")]) == 1
+
+
+SUBORDINATE = {"kind": "lattice-subordination", "seed": 1, "n": 1, "alpha": 1.0,
+               "R": 16, "K": 200}
+SHARPNESS = {"kind": "sharpness-scan", "seed": 1, "n": 1, "alpha1": 0.5, "alpha2": 1.5}
+PERTURBED = {"kind": "perturbed-threshold", "seed": 1, "n": 2, "alpha": 1.0,
+             "eps_grid": [0.25]}
+WINDOW = {"kind": "generate", "seed": 1, "generate_kind": "lattice-window",
+          "n": 1, "alpha": 1.0, "K": 8, "R": 8}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("command,doc,field", [
+    ("subordinate", dict(SUBORDINATE, alpha=2.5), "alpha"),
+    ("subordinate", dict(SUBORDINATE, alpha=0), "alpha"),
+    ("subordinate", _without(SUBORDINATE, "alpha"), "alpha"),
+    ("subordinate", dict(SUBORDINATE, n=3), "n"),
+    ("subordinate", dict(SUBORDINATE, n=1.5), "n"),
+    ("sharpness", dict(SHARPNESS, alpha1=2.5), "alpha1"),
+    ("sharpness", dict(SHARPNESS, alpha2="1.0"), "alpha2"),
+    ("sharpness", _without(SHARPNESS, "alpha2"), "alpha2"),
+    ("perturbed", dict(PERTURBED, alpha=3.0), "alpha"),
+    ("perturbed", dict(PERTURBED, alpha=True), "alpha"),
+    ("perturbed", dict(PERTURBED, n=1), "n"),
+    ("generate", dict(WINDOW, alpha=-1.0), "alpha"),
+    ("generate", dict(WINDOW, n=3), "n"),
+])
+def test_malformed_continuum_manifest_exit_2(tmp_path, capsys, command, doc, field):
+    manifest = write(tmp_path, "m.json", doc)
+    assert main([command, "--manifest", manifest, "--out", str(tmp_path / "o")]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("potential,builds", [(False, 1), (True, 2)])
+def test_paper_checks_share_one_certified_rate(tmp_path, monkeypatch, potential, builds):
+    """lemma2, thm20_poincare and sp_decay read one certified rate per
+    instance; thm20_poincare needs the unkilled one, so a killed instance
+    builds two."""
+    calls = []
+    real = cli.certified_rate
+    monkeypatch.setattr(cli, "certified_rate",
+                        lambda *a, **k: calls.append(k["potential"]) or real(*a, **k))
+    manifest = write(tmp_path, "m.json", {
+        "kind": "theorem-batch", "seed": 2,
+        "generate": {"count": 1, "m_range": [4, 6], "potential": potential},
+        "theorems": ["lemma2", "thm20_poincare", "sp_decay", "coarea"]})
+    assert main(["verify", "--manifest", manifest, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == builds
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert [r["theorem"] for r in report["reports"]] == [
+        "lemma2", "thm20_poincare", "sp_decay", "coarea"]
+    assert [len(r["checks"]) for r in report["reports"]] == [1, 2, 1, 3]

@@ -81,16 +81,16 @@ def test_semigroup_kernel_properties():
         space, kernel, _, pot = random_instance(seed, (2, 9), with_potential=(seed % 3 == 0))
         sg = Semigroup(space, kernel, pot)
         for t in (0.3, 1.1):
-            k = sg.kernel_at(t)
-            assert np.max(np.abs(k.p - k.p.T)) <= 1e-10
-            rows = k.p @ space.mu
+            # the density p_t(x, y) = P_t(x, y) / mu(y) is symmetric
+            p = sg.matrix(t) / space.mu[None, :]
+            assert np.max(np.abs(p - p.T)) <= 1e-10
+            rows = sg.matrix(t).sum(axis=1)
             assert np.all(rows <= 1.0 + 1e-9)
             if pot is None:
                 assert np.allclose(rows, 1.0, atol=1e-9)
-        # Chapman-Kolmogorov: p_0.4 composed with p_0.9 is p_1.3
-        a, b = sg.kernel_at(0.4), sg.kernel_at(0.9)
-        combined = (a.p * space.mu[None, :]) @ b.p
-        assert np.max(np.abs(combined - sg.kernel_at(1.3).p)) <= 1e-9
+        # Chapman-Kolmogorov: P_0.4 composed with P_0.9 is P_1.3
+        combined = sg.matrix(0.4) @ sg.matrix(0.9)
+        assert np.max(np.abs(combined - sg.matrix(1.3))) <= 1e-9
 
 
 def test_theta_two_point_and_duality(two_point):

@@ -25,9 +25,10 @@ from jumpiso.isoperimetry import (curve_slacks, enumerate_profile,
                                   subset_rate_slacks, thm20_poincare)
 from jumpiso.numerics import INF, ext_ratio
 from jumpiso.superpoincare import (RateFunction, certified_rate, lemma2_bound,
-                                   rate_power, rate_tabulated)
+                                   rate_tabulated)
 from jumpiso.theorems import rate_from_gauge, thm41, thm42
 from jumpiso.young import builtin
+from oracles import rate_power
 
 
 def ref_kappa(prof, s):

@@ -25,13 +25,13 @@ from jumpiso.isoperimetry import (empirical_l1_constant, enumerate_profile,
                                   thm20_backward, thm20_poincare,
                                   _doubling_enumeration, _subset_sums)
 from jumpiso.numerics import INF, ext_ratio
-from jumpiso.superpoincare import (certified_rate, rate_power, rate_tabulated,
-                                   sp_verify)
+from jumpiso.superpoincare import certified_rate, rate_tabulated, sp_verify
 from jumpiso.theorems import (C_KILLED, C_STAR, cor41_young, lemma1_poincare,
                               lemma1_sobolev, rate_from_gauge, thm21_verify,
                               thm41, thm42, thm43)
 from jumpiso.young import (builtin, c_N, gauge_slacks, indicator_norm,
                            orlicz_norm, orlicz_norm_batch, stack_family)
+from oracles import rate_power
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +379,7 @@ def test_matrix_family_gives_list_family_report():
         bits(thm20_poincare(space, kernel, C1, C2t, "backward", f_family=fam, gamma=gamma))
     a = thm21_verify(space, kernel, gamma, f_family=np.array(fam))
     b = thm21_verify(space, kernel, gamma, f_family=fam)
-    assert a.to_json() == b.to_json()
+    assert a.to_dict() == b.to_dict()
     assert bits(thm20_backward(space, kernel, builtin("power", p=2), np.array(fam), gamma)) \
         == bits(thm20_backward(space, kernel, builtin("power", p=2), fam, gamma))
 

@@ -1,8 +1,9 @@
 """Golden sha256 digests of the example manifests' outputs.
 
 README promises byte-identical reports: each manifest under ``manifests/``
-run through the CLI must write exactly these bytes.  A change that moves a
-digest on purpose updates it here and says which one in CHANGES.md.
+run through the CLI must write exactly these bytes.  A manifest may carry
+more than one pinned run, one per subcommand.  A change that moves a digest
+on purpose updates it here and says which one in CHANGES.md.
 """
 
 import hashlib
@@ -14,52 +15,65 @@ from jumpiso.cli import main
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
-# manifest -> (subcommand, {output file: sha256})
+# (manifest, subcommand) -> {output file: sha256}
 GOLDEN = {
-    "finite_verify.json": ("verify", {
+    ("finite_verify.json", "verify"): {
         "report.json":
             "440cd4ad4eda8b1686248336cee29a4ab3f1ad7b253950ddd1b5639ecf62889d",
-    }),
-    "generate.json": ("generate", {
+    },
+    ("finite_verify.json", "enumerate"): {
+        "profile.csv":
+            "10b26b8bfb549e0f00615fc305dbadc7c719c3f78b81de1062ff005caf6a0602",
+        "report.json":
+            "0a5a867f958bb5918ae68b344467d827c84ac1d5367aae3d99fa660a71a6f19c",
+    },
+    ("generate.json", "generate"): {
         "instance_0000.json":
             "ff780d3059283b3fa950c275b386d6cc5d05d99f45c6718382e658535f6f8aee",
         "instance_0001.json":
             "7d891e99f9164b09db01740ad3cb57fa065d4c38c9c6c243ff0b40742fb61e4a",
         "instance_0002.json":
             "9f608fb3c774d94ffd26a4a60faa98cb9d6d545fe8903169e8c8026e629e72a5",
-    }),
-    "killed_batch.json": ("verify", {
+    },
+    ("killed_batch.json", "verify"): {
         "report.json":
             "e6056ddbfb56e5f30e341ff96eb3159e9d9f16f309cbcd98ce31f831f5115a76",
-    }),
-    "perturbed.json": ("perturbed", {
+    },
+    ("paper_checks.json", "verify"): {
+        "report.json":
+            "3a4341c96afd48d0f6468132661334c4ecf07f3c2e631a743e4d6e02e66ef741",
+    },
+    ("perturbed.json", "perturbed"): {
         "report.json":
             "1f8dce211e48a3961816da151f890d15a618ff45cb9eff7ddb33ee5e495fccec",
-    }),
-    "sharpness.json": ("sharpness", {
+    },
+    ("sharpness.json", "sharpness"): {
         "report.json":
             "d49442da47adf3b5c975aa5cf5e3ab2bbb376bd5b22ff71e2485b7990d3c3cdc",
-    }),
-    "subordination.json": ("subordinate", {
+    },
+    ("subordination.json", "subordinate"): {
         "report.json":
             "50a880ee7d88f6a63f141c9ce320443be6c416b676e7182d124a979a36753673",
-    }),
-    "theorem_batch.json": ("verify", {
+    },
+    ("theorem_batch.json", "verify"): {
         "report.json":
             "60398f584a005680246abcc1a7db9b3dea432bfbd5fcd924a6e1e90be433a8cd",
-    }),
+    },
 }
+PINNED = sorted({manifest for manifest, _ in GOLDEN})
 
 
 def test_every_manifest_is_pinned():
-    assert sorted(p.name for p in MANIFESTS.glob("*.json")) == sorted(GOLDEN)
+    assert sorted(p.name for p in MANIFESTS.glob("*.json")) == PINNED
 
 
-@pytest.mark.parametrize("manifest", sorted(GOLDEN))
+@pytest.mark.parametrize("manifest", PINNED)
 def test_manifest_outputs_match_golden_digests(tmp_path, manifest):
-    command, digests = GOLDEN[manifest]
-    assert main([command, "--manifest", str(MANIFESTS / manifest),
-                 "--out", str(tmp_path)]) == 0
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in digests}
-    assert got == digests
+    for (name, command), digests in GOLDEN.items():
+        if name != manifest:
+            continue
+        out = tmp_path / command
+        assert main([command, "--manifest", str(MANIFESTS / manifest),
+                     "--out", str(out)]) == 0
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests}
+        assert got == digests, command

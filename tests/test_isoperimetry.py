@@ -7,8 +7,8 @@ from jumpiso.core import FiniteMeasureSpace, JumpKernel, WeightFunction, l1_form
 from jumpiso.instances import random_functions, random_instance
 from jumpiso.isoperimetry import (coarea_check, enumerate_profile,
                                   kappa_orlicz, layer_cake_l1,
-                                  sampled_profile, thm20_backward,
-                                  thm20_forward, thm20_poincare)
+                                  thm20_backward, thm20_forward,
+                                  thm20_poincare)
 from jumpiso.young import builtin
 
 
@@ -85,25 +85,6 @@ def test_kappa_orlicz_two_point_and_scaling():
     disc = JumpKernel(FiniteMeasureSpace([1.0, 1.0, 1.0]),
                       [[0, 1.0, 0], [1.0, 0, 0], [0, 0, 0]])
     assert kappa_orlicz(disc.space, disc, N) == 0.0
-
-
-def test_sampled_profile_upper_bound_and_determinism():
-    for seed in range(6):
-        space, kernel, gamma, _ = random_instance(seed, (6, 11), with_gamma=True)
-        exact = enumerate_profile(space, kernel, gamma)
-        approx = sampled_profile(space, kernel, gamma, budget=100, seed=seed)
-        assert not approx.exact
-        for s in np.geomspace(space.mu.min(), space.total_mass, 12):
-            assert approx.kappa(float(s)) >= exact.kappa(float(s)) - 1e-12
-        again = sampled_profile(space, kernel, gamma, budget=100, seed=seed)
-        assert np.array_equal(approx.sorted_masks, again.sorted_masks)
-        assert np.allclose(approx.sorted_flows, again.sorted_flows)
-
-
-def test_sampled_profile_zero_budget():
-    space, kernel, gamma, _ = random_instance(1, (5, 9), with_gamma=True)
-    prof = sampled_profile(space, kernel, gamma, budget=0, seed=0)
-    assert len(prof.sorted_masses) >= space.m   # at least the singleton seeds
 
 
 def test_layer_cake_identity():

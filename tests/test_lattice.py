@@ -12,6 +12,7 @@ from jumpiso.lattice import (P1_CHUNK, LatticeWindow, _binom_parity_blocks,
                              torus_semigroup,
                              truncated_crossover_curve, weight_at, weight_tail)
 from jumpiso.numerics import loglog_slope
+from oracles import p1_convolution
 
 
 def _reference_binom_table_rows(k_lo: int, k_hi: int, width: int) -> np.ndarray:
@@ -76,9 +77,8 @@ def test_weight_asymptotics():
 
 def test_p1_exact_equals_convolution():
     for n in (1, 2):
-        conv, _ = p1_kernel(n, 1.2, 8, 8, method="conv")
-        exact, _ = p1_kernel(n, 1.2, 8, 8, method="exact")
-        assert np.max(np.abs(conv.values - exact.values)) <= 1e-14
+        exact, _ = p1_kernel(n, 1.2, 8, 8)
+        assert np.max(np.abs(p1_convolution(n, 1.2, 8, 8) - exact.values)) <= 1e-14
 
 
 @pytest.mark.parametrize("width", [1, 7, 64])
@@ -108,15 +108,15 @@ def test_parity_blocks_equal_reference_table(width):
 def test_p1_exact_n1_equals_reference_route(K, R):
     # K = 60000 spans three chunks of P1_CHUNK // 81 rows; K = 30 < R
     assert K < R or K > 2 * (P1_CHUNK // (2 * R + 1))
-    new, _ = p1_kernel(1, 1.0, K, R, method="exact")
+    new, _ = p1_kernel(1, 1.0, K, R)
     assert np.array_equal(new.values, _reference_p1_exact(1, 1.0, K, R))
 
 
 def test_p1_hybrid_equals_reference_route(monkeypatch):
     new = p1_hybrid(1, 0.8, 200, K1=20000)
 
-    def reference_kernel(n, alpha, K, R, method):
-        win, per_entry = p1_kernel(n, alpha, K, R, method=method)
+    def reference_kernel(n, alpha, K, R):
+        win, per_entry = p1_kernel(n, alpha, K, R)
         win.values = _reference_p1_exact(n, alpha, K, R)
         return win, per_entry
 
@@ -129,7 +129,7 @@ def test_p1_hybrid_equals_reference_route(monkeypatch):
 def test_p1_exact_n2_within_tolerance_of_reference_route(K, R):
     # 2e-13 at the continuum workload's size, 1e-13 at the smaller ones
     bound = 2e-13 if (K, R) == (81920, 128) else 1e-13
-    new, _ = p1_kernel(2, 1.3, K, R, method="exact")
+    new, _ = p1_kernel(2, 1.3, K, R)
     ref = _reference_p1_exact(2, 1.3, K, R)
     nz = ref != 0.0
     assert np.all(new.values[~nz] == 0.0)
@@ -140,7 +140,7 @@ def test_p1_exact_n2_within_tolerance_of_reference_route(K, R):
                                        (1.5, 5000, 1), (0.8, 81920, 128)])
 def test_p1_exact_n2_dihedral_symmetric(alpha, K, R):
     # K = 20000 and 81920 span several chunks; K = 12 sits below R, K = 7 at R
-    v = p1_kernel(2, alpha, K, R, method="exact")[0].values
+    v = p1_kernel(2, alpha, K, R)[0].values
     assert np.array_equal(v, v.T) and np.array_equal(v, v[::-1])
     assert np.array_equal(v, v[:, ::-1])
 
@@ -149,7 +149,7 @@ def test_p1_exact_n2_against_mpmath_sum():
     # p1(x) = sum_k c(k) q_k(x1 + x2) q_k(x1 - x2) with exact weights and
     # binomials at 30 digits, at the origin, on an axis, a diagonal, a corner
     alpha, K, R = 0.5, 3000, 12
-    new = p1_kernel(2, alpha, K, R, method="exact")[0]
+    new = p1_kernel(2, alpha, K, R)[0]
     ref = _reference_p1_exact(2, alpha, K, R)
     with mpmath.workdps(30):
         for x1, x2 in [(0, 0), (7, 0), (5, 5), (12, -12)]:
@@ -166,14 +166,14 @@ def test_p1_exact_n2_against_mpmath_sum():
 
 def test_p1_symmetry_and_mass():
     win, per_entry = p1_kernel(1, 0.8, 64, 64)
-    assert win.total() <= 1.0 + 1e-12
-    assert win.total() >= 1.0 - win.leak - 1e-12
+    assert win.values.sum() <= 1.0 + 1e-12
+    assert win.values.sum() >= 1.0 - win.leak - 1e-12
     assert np.allclose(win.values, win.values[::-1])
     assert per_entry < win.leak
 
 
 def test_p1_band_small():
-    win, _ = p1_kernel(1, 1.0, 4000, 32, method="exact")
+    win, _ = p1_kernel(1, 1.0, 4000, 32)
     band = power_law_band(win, 2.0, 2.0, 16.0)
     assert abs(band["slope"] + 2.0) <= 0.1
     assert band["band_ratio"] <= 10.0
@@ -182,7 +182,7 @@ def test_p1_band_small():
 def test_p1_hybrid_matches_exact_in_range():
     # the closed tail restores the k > K1 mass that a truncated mixture
     # loses, so compare against a much deeper truncation
-    deep, _ = p1_kernel(1, 1.0, 300000, 64, method="exact")
+    deep, _ = p1_kernel(1, 1.0, 300000, 64)
     hyb = p1_hybrid(1, 1.0, 64, K1=30000)
     assert np.all(hyb.values >= deep.values * (1 - 1e-3) - 1e-15)
     assert np.max(np.abs(hyb.values - deep.values) / deep.values) <= 1e-2
@@ -196,7 +196,7 @@ def test_torus_semigroup_slopes_cheap():
     assert abs(loglog_slope(t, diag) + 1.0) <= 0.1
     assert abs(loglog_slope(t, grad) + 1.0) <= 0.1
     for row in rows.values():
-        assert abs(row.total() - 1.0) <= 1e-8
+        assert abs(row.values.sum() - 1.0) <= 1e-8
 
 
 def test_truncated_crossover_slopes():

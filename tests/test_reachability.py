@@ -1,19 +1,23 @@
-"""Every top-level function and class of the package is reached by the package,
-every option of a package function is set by some caller, and every function
-the benchmark's tracer wraps exists.
+"""Every top-level function and class of the package is reached from what
+runs it, every option of a package function is set by some caller, and every
+function the benchmark's tracer wraps exists.
 
-A name counts as reached when it appears, as a whole word, outside its own
-definition: in a module of ``jumpiso`` (the package ``__init__`` included)
-or in the acceptance suite outside its import statements.  Code that only
-the unit tests call is dead weight in the package; it belongs in the tests
-or goes.  Likewise a defaulted parameter that no call passes is a constant
-dressed up as a setting.  The tracer (``perfbench/tracer.py``) raises on a
-traced name that is gone, so a rename must update its ``TARGETS`` too.
+Reach is transitive and counts only code: the identifiers that a piece of
+code reads (``Name`` ids and ``Attribute`` names of its AST), never a
+docstring, a comment or an import statement.  The roots are the
+module-level code of each package module (in ``cli.py``: ``RUNNERS`` and the
+``main`` entry point), the acceptance suite, and the names in the tracer's
+``TARGETS``; a definition that a reached definition reads is reached in
+turn, a class with all of its methods.  ``__init__.py`` is not a root: a
+re-export runs nothing.  Code that only the unit tests call is dead weight
+in the package; it belongs in the tests (``tests/oracles.py``) or goes.
+Likewise a defaulted parameter that no call passes is a constant dressed up
+as a setting.  The tracer (``perfbench/tracer.py``) raises on a traced name
+that is gone, so a rename must update its ``TARGETS`` too.
 """
 
 import ast
 import importlib.util
-import re
 import sys
 from pathlib import Path
 
@@ -21,39 +25,44 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "jumpiso"
 TESTS = ROOT / "tests"
 ACCEPTANCE = TESTS / "test_acceptance.py"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _definitions(path: Path):
-    """(name, first line, last line) of each top-level def and class."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            yield node.name, first, node.end_lineno
+def _tracer():
+    """``perfbench/tracer.py``, loaded without importing perfbench."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
-def _without_imports(path: Path) -> str:
-    """The text of a module with its import statements blanked out."""
-    lines = path.read_text().splitlines()
-    for node in ast.walk(ast.parse("\n".join(lines), filename=str(path))):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for k in range(node.lineno - 1, node.end_lineno):
-                lines[k] = ""
-    return "\n".join(lines)
+def _reads(node: ast.AST) -> set:
+    """The identifiers that a node's code reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
 
 
 def test_every_package_definition_is_reached():
-    modules = {p: p.read_text().splitlines() for p in sorted(PACKAGE.glob("*.py"))}
-    acceptance = _without_imports(ACCEPTANCE)
-    unreached = []
-    for path, lines in modules.items():
-        for name, first, last in _definitions(path):
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            own = "\n".join(lines[:first - 1] + lines[last:])
-            others = (text for p, text in modules.items() if p != path)
-            if not (word.search(own) or word.search(acceptance)
-                    or any(word.search("\n".join(t)) for t in others)):
-                unreached.append(f"{path.name}:{name}")
+    roots = _reads(ast.parse(ACCEPTANCE.read_text()))
+    roots |= {path.split(".")[0] for _, path, _, _ in _tracer().TARGETS}
+    defs = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, DEFINITIONS):
+                defs.setdefault(node.name, []).append((f"{path.name}:{node.name}", node))
+            else:
+                roots |= _reads(node)
+    reached, todo = set(), roots & defs.keys()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for _, node in defs[name]:
+            todo |= (_reads(node) & defs.keys()) - reached
+    unreached = sorted(label for name, found in defs.items() if name not in reached
+                       for label, _ in found)
     assert not unreached, f"reached only by unit tests, or not at all: {unreached}"
 
 
@@ -123,10 +132,7 @@ def test_every_traced_target_resolves():
     """Resolve each (module, attribute path) of the tracer's TARGETS the way
     ``Tracer.install`` does, after importing the program as the benchmark
     does (``jumpiso.cli``)."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _tracer()
     import jumpiso.cli  # noqa: F401
     missing = []
     for module, path, _, _ in tracer.TARGETS:

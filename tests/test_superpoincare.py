@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from jumpiso.core import (FiniteMeasureSpace, JumpKernel, ValidationError,
-                          WeightFunction)
+from jumpiso.core import (FiniteMeasureSpace, JumpKernel, Semigroup,
+                          ValidationError, WeightFunction)
 from jumpiso.instances import random_functions, random_instance
 from jumpiso.isoperimetry import _doubling_enumeration, _subset_sums
+from jumpiso.numerics import INF
 from jumpiso.superpoincare import (SIZE_LIMIT, _quadratic_matrix,
-                                   certified_rate, lemma2_bound, rate_power,
+                                   certified_rate, lemma2_bound,
                                    rate_power_pair, rate_tabulated,
                                    sp_decay_check, sp_estimate, sp_verify)
+from oracles import rate_power, scaled_rate
 
 
 @pytest.fixture
@@ -257,7 +259,7 @@ def test_certified_rate_passes_fresh_family():
         r_grid = np.geomspace(1e-3 / M, 1e3 / M, 18)
         beta = certified_rate(space, kernel, r_grid, potential=pot)
         fam = random_functions(rng, space.m, 500)
-        rep = sp_verify(space, kernel, beta.scaled(1.0 + 1e-6), fam, r_grid,
+        rep = sp_verify(space, kernel, scaled_rate(beta, 1.0 + 1e-6), fam, r_grid,
                         potential=pot)
         assert rep["pass"], (seed, rep)
 
@@ -320,6 +322,71 @@ def test_decay_check_killed():
         t_grid = np.geomspace(1e-2, 20.0, 6)
         rep = sp_decay_check(space, kernel, beta, fam, t_grid, r_grid, potential=pot)
         assert rep["pass"], (seed, rep)
+
+
+def _reference_sp_decay_check(space, kernel, beta, f_family, t_grid, r_grid,
+                              potential=None) -> dict:
+    # the (f, t, r) loop that one P_t F^T product per t replaced, kept
+    # verbatim apart from sg.apply(t, f), which was sg.matrix(t) @ f
+    tol = 1e-9
+    sg = Semigroup(space, kernel, potential)
+    worst, witness, nviol = INF, None, 0
+    for fi, f in enumerate(f_family):
+        f = np.asarray(f, dtype=float)
+        l2 = float(np.sum(f * f * space.mu))
+        l1sq = float(np.sum(np.abs(f) * space.mu)) ** 2
+        for t in t_grid:
+            pf = sg.matrix(t) @ np.asarray(f, dtype=float)
+            lhs = float(np.sum(pf * pf * space.mu))
+            for r in r_grid:
+                decay = math.exp(-2.0 * t / r)
+                slack = l2 * decay + max(beta(r), 0.0) * l1sq * (1.0 - decay) - lhs
+                if slack < worst:
+                    worst, witness = slack, ("f", fi, float(t), float(r))
+                if slack < -tol:
+                    nviol += 1
+    m = space.m
+    if m <= SIZE_LIMIT:
+        masks = np.arange(1, (1 << m) - 1)
+        ind = ((masks[None, :] >> np.arange(m)[:, None]) & 1).astype(float)
+        masses = space.mu @ ind
+        for t in t_grid:
+            P = sg.matrix(t / 2.0)
+            half = P @ ind
+            lhs = np.einsum("im,i->m", half * half, space.mu)
+            for r in r_grid:
+                decay = math.exp(-t / r)
+                rhs = masses * decay + max(beta(r), 0.0) * masses ** 2 * (1.0 - decay)
+                slack = rhs - lhs
+                k = int(np.argmin(slack))
+                if slack[k] < worst:
+                    worst, witness = float(slack[k]), ("subset", int(masks[k]), float(t), float(r))
+                nviol += int(np.sum(slack < -tol))
+    return {"claim": "decay form of the rate inequality", "worst_slack": worst,
+            "witness": witness, "violations": nviol, "pass": nviol == 0}
+
+
+@pytest.mark.parametrize("killed", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_decay_check_equals_reference_loop(seed, killed):
+    """Same witness and violation count as the (f, t, r) loop, and the same
+    worst slack to relative 1e-12: P_t F^T is one matrix product where the
+    loop made one matrix-vector product per f, which may round differently."""
+    rng = np.random.default_rng(12 if killed else 11)
+    space, kernel, _, pot = random_instance(seed, (3, 8), with_potential=killed)
+    M = space.total_mass
+    r_grid = np.geomspace(1e-2 / M, 1e2 / M, 6)
+    beta = certified_rate(space, kernel, r_grid, potential=pot)
+    fam = random_functions(rng, space.m, 30)
+    cases = [(fam, np.geomspace(1e-2, 20.0, 6), r_grid), (fam[:5], [0.0], r_grid[:1]),
+             ([], [0.5], r_grid)]
+    for f_family, t_grid, rs in cases:
+        got = sp_decay_check(space, kernel, beta, f_family, t_grid, rs, potential=pot)
+        ref = _reference_sp_decay_check(space, kernel, beta, f_family, t_grid, rs,
+                                        potential=pot)
+        assert got["witness"] == ref["witness"]
+        assert got["violations"] == ref["violations"]
+        assert got["worst_slack"] == pytest.approx(ref["worst_slack"], rel=1e-12, abs=0.0)
 
 
 def test_certified_killed_rate_dominates_estimate():

@@ -164,7 +164,7 @@ def test_thm21_verify_adversarial_and_random():
     for seed in range(4):
         space, kernel, gamma, _ = random_instance(seed, (3, 7), with_gamma=(seed % 2 == 0))
         rep = thm21_verify(space, kernel, gamma, seed=seed)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
         assert rep.derived["empirical_constant"] <= C_STAR + 1e-9
 
 
@@ -195,10 +195,10 @@ def test_thm41_thm42_chain_random():
         r_grid = np.geomspace(1e-3 / M, 1e2 / M, 8)
         N = builtin("power", p=2) if seed % 2 else cor41_young(1, 1.8, 2.5)
         rep1 = thm41(N, space, kernel, gamma, fam, r_grid)
-        assert rep1.passed, rep1.to_json()
+        assert rep1.passed, rep1.to_dict()
         beta1 = rate_from_gauge(N, rep1.derived["C_used"], lead=2.0)
         rep2 = thm42(beta1, space, kernel, gamma, fam, r_grid)
-        assert rep2.passed, rep2.to_json()
+        assert rep2.passed, rep2.to_dict()
 
 
 def test_thm41_requires_superlinear():
@@ -345,7 +345,7 @@ def test_thm43_killed_instances():
         space, kernel, gamma, pot = random_instance(seed, (3, 6), with_gamma=(seed % 2 == 0),
                                                     with_potential=True)
         rep = thm43(space, kernel, pot, gamma, seed=seed)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_dict()
         assert rep.derived["empirical_forward_constant"] <= C_KILLED
 
 
