@@ -36,8 +36,6 @@ from .superpoincare import certified_rate, lemma2_bound, sp_decay_check
 from .theorems import rate_from_gauge, thm21_verify, thm41, thm42, thm43
 from .young import builtin
 
-KINDS = ("finite-verify", "theorem-batch", "lattice-subordination",
-         "sharpness-scan", "perturbed-threshold")
 # the r_grid point at which thm20_poincare takes C1 = r and C2~ = beta(r)
 POINCARE_INDEX = 5
 
@@ -81,6 +79,18 @@ def _alpha(doc: dict, name: str, default):
     return _checked(doc, name, default,
                     lambda a: isinstance(a, (int, float)) and 0 < a < 2,
                     "a number in (0, 2)")
+
+
+def _count(doc: dict, name: str, default):
+    """A positive integer."""
+    return _checked(doc, name, default, lambda v: isinstance(v, int) and v > 0,
+                    "a positive integer")
+
+
+def _names(doc: dict, name: str, default):
+    """A nonempty list of strings."""
+    return _checked(doc, name, default, lambda v: isinstance(v, list) and len(v) > 0
+                    and all(isinstance(x, str) for x in v), "a nonempty list of names")
 
 
 def _dim(doc: dict, dims: tuple):
@@ -194,12 +204,12 @@ def run_verify(doc: dict, out_dir: Path) -> int:
     tol = doc.get("tolerances", {}).get("slack", 1e-9)
     if doc["kind"] == "finite-verify":
         specs = [doc["instance"]]
-        theorems = doc.get("checks", ["thm20"])
+        theorems = _names(doc, "checks", ["thm20"])
     else:
         gen = doc.get("generate", {"count": 5})
-        specs = doc.get("instances") or [dict(gen) for _ in range(gen.get("count", 5))]
-        theorems = doc.get("theorems", ["thm20", "lemma2", "thm21"])
-    jobs = doc.get("jobs", 1)
+        specs = doc.get("instances") or [dict(gen) for _ in range(_count(gen, "count", 5))]
+        theorems = _names(doc, "theorems", ["thm20", "lemma2", "thm21"])
+    jobs = _count(doc, "jobs", 1)
     tasks = [(i, spec, theorems, seed, tol) for i, spec in enumerate(specs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -235,8 +245,9 @@ def run_enumerate(doc: dict, out_dir: Path) -> int:
 def run_subordinate(doc: dict, out_dir: Path) -> int:
     n = _dim(doc, (1, 2))
     alpha = _alpha(doc, "alpha", None)
-    R = doc.get("R", 128)
-    K = doc.get("K", 10 * n * (R // 2) ** 2)
+    R = _count(doc, "R", 128)
+    K = _count(doc, "K", 10 * n * (R // 2) ** 2)
+    semigroup_R, K1 = _count(doc, "semigroup_R", R), _count(doc, "K1", 8000)
     w = subord_weights(alpha, min(K, 10 ** 6))
     win, per_entry = p1_kernel(n, alpha, K, R)
     band = power_law_band(win, n + alpha, 2.0, R / 2.0)
@@ -248,8 +259,7 @@ def run_subordinate(doc: dict, out_dir: Path) -> int:
     }
     ts = doc.get("t_grid")
     if ts:
-        rows = torus_semigroup(n, alpha, doc.get("semigroup_R", R), ts,
-                               K1=doc.get("K1", 8000))
+        rows = torus_semigroup(n, alpha, semigroup_R, ts, K1=K1)
         t_arr, diag = on_diagonal_decay(rows)
         _, grad = gradient_decay(rows)
         report["diag_slope"] = loglog_slope(t_arr, diag)
@@ -321,9 +331,8 @@ def run_perturbed(doc: dict, out_dir: Path) -> int:
 def run_generate(doc: dict, out_dir: Path) -> int:
     kind = doc.get("generate_kind", "finite-space")
     seed = doc["seed"]
-    count = doc.get("count", 1)
     if kind == "finite-space":
-        for i in range(count):
+        for i in range(_count(doc, "count", 1)):
             space, kernel, gamma, pot = random_instance(
                 seed + i, tuple(doc.get("m_range", (3, 10))),
                 with_gamma=doc.get("gamma", False),
@@ -333,7 +342,7 @@ def run_generate(doc: dict, out_dir: Path) -> int:
         return 0
     if kind == "lattice-window":
         n, alpha = _dim(doc, (1, 2)), _alpha(doc, "alpha", 1.0)
-        win, _ = p1_kernel(n, alpha, doc.get("K", 64), doc.get("R", 64))
+        win, _ = p1_kernel(n, alpha, _count(doc, "K", 64), _count(doc, "R", 64))
         _write(out_dir, "window.csv", win.to_csv())
         return 0
     raise ManifestError(f"unknown generate kind {kind!r}")

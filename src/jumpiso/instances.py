@@ -126,13 +126,3 @@ def small_support_functions(rng, space: FiniteMeasureSpace, cap_mass: float,
             out.append(f)
     return out
 
-
-def indicators_below(space: FiniteMeasureSpace, cap_mass: float):
-    """All subset indicators with mass <= cap_mass (m small)."""
-    m = space.m
-    out = []
-    for mask in range(1, (1 << m) - 1):
-        sel = np.array([(mask >> i) & 1 for i in range(m)], dtype=bool)
-        if float(space.mu[sel].sum()) <= cap_mass:
-            out.append(sel.astype(float))
-    return out

@@ -9,8 +9,8 @@ records its mass and its weighted boundary flow
 The isoperimetric curve is kappa(s) = inf{flow(A)/mu(A) : mu(A) in (0, s)}
 with a strict mass inequality and inf(empty) = inf.  Enumeration uses an
 incremental doubling recursion (adding one point doubles the mask set and
-updates all flows in one vectorized pass), which is the vectorized
-equivalent of Gray-code single-bit updates: O(m 2^m) work overall.
+updates all flows in one vectorized pass, the new point's weights to the
+placed points summed over every subset by doubling too): O(2^m) work.
 """
 
 from __future__ import annotations
@@ -109,12 +109,7 @@ def _doubling_enumeration(mu, w):
     on the other side of the cut."""
     flows = np.zeros(1)
     for t in range(len(mu)):
-        size = 1 << t
-        masks = np.arange(size, dtype=np.int64)
-        inside = np.zeros(size)
-        for k in range(t):
-            bit = (masks >> k) & 1
-            inside += w[t, k] * bit
+        inside = _subset_sums(w[t, :t])
         total = float(w[t, :t].sum())
         flows = np.concatenate([flows + inside, flows + (total - inside)])
     return _subset_sums(mu), flows
@@ -135,31 +130,28 @@ def enumerate_profile(space: FiniteMeasureSpace, kernel: JumpKernel,
                                 masks[keep])
 
 
+def pareto_front(masses, brackets):
+    """The (mass up, bracket down) Pareto front of a subset scan: per
+    distinct mass the least bracket, kept where every larger mass has a
+    strictly larger least bracket.  Returns the front's masses (ascending)
+    and brackets."""
+    levels, level = np.unique(masses, return_inverse=True)
+    least = np.full(len(levels), INF)
+    np.minimum.at(least, level, brackets)
+    keep = least < np.minimum.accumulate(np.append(least, INF)[::-1])[::-1][1:]
+    return levels[keep], least[keep]
+
+
 def kappa_orlicz(space, kernel, N: YoungFunction, gamma=None,
                  profile: IsoperimetricProfile | None = None) -> float:
     """Exact inf over proper subsets of N^{-1}(1/mu(A)) * flow(A).
 
-    Only Pareto-minimal (mass up, flow down) subsets can attain the infimum
-    because N^{-1}(1/mass) decreases in mass, so the staircase of running
-    flow minima is scanned at its right endpoints.
+    N^{-1}(1/mass) decreases in mass, so only the Pareto front of
+    (mass up, flow down) can attain the infimum.
     """
     prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
-    masses, flows = prof.sorted_masses, prof.sorted_flows
-    # per-distinct-mass minimal flows
-    levels, start = np.unique(masses, return_index=True)
-    group_min = np.minimum.reduceat(flows, start)
-    # drop entries dominated by a larger mass with no larger flow
-    suffix = np.minimum.accumulate(group_min[::-1])[::-1]
-    keep = np.ones(len(levels), dtype=bool)
-    keep[:-1] = group_min[:-1] < suffix[1:]
-    best = INF
-    for mass, flow in zip(levels[keep], group_min[keep]):
-        val = float(flow) * N.inv(1.0 / float(mass))
-        if val < best:
-            best = val
-        if best == 0.0:
-            break
-    return best
+    front = pareto_front(prof.sorted_masses, prof.sorted_flows)
+    return min([INF] + [float(flow) * N.inv(1.0 / float(mass)) for mass, flow in zip(*front)])
 
 
 def curve_slacks(profile: IsoperimetricProfile, s, bound, tol) -> dict:
@@ -214,21 +206,28 @@ def subset_rate_slacks(profile: IsoperimetricProfile, r_values, rate, tol) -> di
 # ---------------------------------------------------------------------------
 # two-way verifiers for the L1 Orlicz-Sobolev / isoperimetric equivalence
 
-def indicator_constant(N: YoungFunction, masses, brackets) -> float:
-    """sup over subsets of ||1_A||_N / bracket(A), from each subset's mass
-    and bracket (exact, by the closed form of ``indicator_norm``); 0 for no
-    subset."""
-    best = 0.0
-    for mass, bracket in zip(masses, brackets):
-        best = max(best, ext_ratio(indicator_norm(N, mass), bracket))
-    return best
+def indicator_front(N: YoungFunction, masses, brackets):
+    """The one subset scan of indicator gauges: ||1_A||_N (closed form of
+    ``indicator_norm``) and B(A) on the Pareto front of the subsets' masses
+    and brackets B.  ||1_A||_N does not decrease in mu(A), so a subset off
+    the front can neither raise sup ||1_A||_N / B(A) nor lower
+    min C B(A) - ||1_A||_N; rounding keeps both orders."""
+    levels, least = pareto_front(masses, brackets)
+    return np.array([indicator_norm(N, mass) for mass in levels], dtype=float), least
+
+
+def indicator_constant(norms, brackets) -> float:
+    """sup ||1_A||_N / B(A) over the subsets of ``indicator_front``; 0 for
+    no subset."""
+    return float(max([0.0] + [ext_ratio(a, b) for a, b in zip(norms, brackets)]))
 
 
 def indicator_gauge_constant(space, kernel, gamma, N,
                              profile=None) -> float:
     """sup over proper subsets of ||1_A||_N / l1(1_A), l1(1_A) = 2 flow(A)."""
     prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
-    return indicator_constant(N, prof.sorted_masses, 2.0 * prof.sorted_flows)
+    return indicator_constant(*indicator_front(N, prof.sorted_masses,
+                                               2.0 * prof.sorted_flows))
 
 
 def empirical_l1_constant(space, kernel, N, f_family, gamma=None,
@@ -349,9 +348,7 @@ def coarea_check(space, kernel, f_family, gamma=None) -> dict:
             if direct / mass < floor - TOL:
                 nviol += 1
     # the minimizing indicator achieves the subset infimum
-    witness = prof.min_witness()
-    sel = np.array([(witness >> i) & 1 for i in range(space.m)], dtype=bool)
-    ind = sel.astype(float)
+    ind = ((prof.min_witness() >> np.arange(space.m)) & 1).astype(float)
     ind_gap = abs(l1_form(space, kernel, gamma, ind)
                   / float(np.sum(ind * space.mu)) - floor)
     return {"claim": "layer cake identity and subset infimum",

@@ -8,6 +8,9 @@ quantities that the package computes in closed or batched form:
   domination test between two Young functions, and the gauge scaling
   bounds of cN against N;
 - rates: the pure power rate c r^{-a} and a rate scaled by a constant;
+- gauges: every subset indicator below a mass cap as a vector, the family
+  that ``theorems.thm21_verify`` pushed through the gauge bisection before
+  it read its subsets from the profile;
 - lattice: the single-step kernel p1 by iterated nearest-neighbor
   convolution, exact for K <= R, which checks the binomial route of
   ``lattice.p1_kernel``.
@@ -286,6 +289,20 @@ def scaled_rate(beta: RateFunction, factor: float) -> RateFunction:
         lambda r: factor * beta(r),
         lambda u: beta.inv(u / factor),
     )
+
+
+# ---------------------------------------------------------------------------
+# gauges: subset indicators as vectors
+
+def indicators_below(space: FiniteMeasureSpace, cap_mass: float):
+    """All subset indicators with mass <= cap_mass (m small)."""
+    m = space.m
+    out = []
+    for mask in range(1, (1 << m) - 1):
+        sel = np.array([(mask >> i) & 1 for i in range(m)], dtype=bool)
+        if float(space.mu[sel].sum()) <= cap_mass:
+            out.append(sel.astype(float))
+    return out
 
 
 # ---------------------------------------------------------------------------

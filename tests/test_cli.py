@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,10 +230,54 @@ def _without(doc, key):
     ("generate", dict(WINDOW, n=3), "n"),
 ])
 def test_malformed_continuum_manifest_exit_2(tmp_path, capsys, command, doc, field):
+    assert_refused(tmp_path, capsys, command, doc, field)
+
+
+def assert_refused(tmp_path, capsys, command, doc, field):
+    """The run exits 2, names the field and writes nothing."""
     manifest = write(tmp_path, "m.json", doc)
     assert main([command, "--manifest", manifest, "--out", str(tmp_path / "o")]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+BATCH = {"kind": "theorem-batch", "seed": 1,
+         "generate": {"count": 1, "m_range": [3, 4]}, "theorems": ["thm20"]}
+FINITE = {"kind": "finite-verify", "seed": 1, "instance": {"inline": TWO_POINT},
+          "checks": ["thm20"]}
+
+
+@pytest.mark.parametrize("command,doc,field", [
+    ("subordinate", dict(SUBORDINATE, R=-4), "R"),
+    ("subordinate", dict(SUBORDINATE, R=16.5), "R"),
+    ("subordinate", dict(SUBORDINATE, K=0), "K"),
+    ("subordinate", dict(SUBORDINATE, t_grid=[1, 2], semigroup_R=-3), "semigroup_R"),
+    ("subordinate", dict(SUBORDINATE, t_grid=[1, 2], K1=0), "K1"),
+    ("generate", dict(WINDOW, K=0), "K"),
+    ("generate", dict(WINDOW, R=-2), "R"),
+    ("generate", {"kind": "generate", "seed": 1, "count": 0}, "count"),
+    ("verify", dict(BATCH, generate={"count": "3"}), "count"),
+    ("verify", dict(BATCH, generate={"count": 0}), "count"),
+    ("verify", dict(BATCH, jobs="2"), "jobs"),
+    ("verify", dict(BATCH, jobs=0), "jobs"),
+    ("verify", dict(BATCH, theorems="thm20"), "theorems"),
+    ("verify", dict(BATCH, theorems=[]), "theorems"),
+    ("verify", dict(FINITE, checks=["thm20", 21]), "checks"),
+])
+def test_malformed_integer_and_list_fields_exit_2(tmp_path, capsys, command, doc, field):
+    assert_refused(tmp_path, capsys, command, doc, field)
+
+
+def test_verify_jobs_2_writes_the_jobs_1_bytes(tmp_path):
+    """The process pool gives the bytes of the serial run."""
+    manifest = str(Path(__file__).resolve().parents[1] / "manifests" / "theorem_batch.json")
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert main(["verify", "--manifest", manifest, "--out", str(out),
+                     "--jobs", jobs]) == 0
+        outs.append([(out / name).read_bytes() for name in ("report.json", "summary.csv")])
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("potential,builds", [(False, 1), (True, 2)])

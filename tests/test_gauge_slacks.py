@@ -8,9 +8,13 @@ that ``lemma1_sobolev``, ``thm21_verify``, ``thm42``, the forward check of
 (``indicator_gauge_constant``, the loop inside ``empirical_l1_constant`` and
 the converse loop of ``thm43``) that ``isoperimetry.indicator_constant``
 replaced.  Every slack, worst slack, witness, violation count, empirical
-constant and report row must equal theirs bit for bit.  The one intended
-difference is a row with B(f) = 0 < ||f||_N, whose empirical constant is
-now +inf in every engine (``empirical_l1_constant`` already said so).
+constant and report row must equal theirs bit for bit.  Two differences
+are intended.  A row with B(f) = 0 < ||f||_N has the empirical constant
++inf in every engine (``empirical_l1_constant`` already said so).  And
+``thm21_verify`` without a family no longer pushes the subset indicators
+below its cap through the gauge bisection: it reads them from the profile
+through the indicator scan, so its report is checked against that old
+route within the bisection's relative width 1e-10.
 """
 
 import numpy as np
@@ -31,7 +35,7 @@ from jumpiso.theorems import (C_KILLED, C_STAR, cor41_young, lemma1_poincare,
                               thm41, thm42, thm43)
 from jumpiso.young import (builtin, c_N, gauge_slacks, indicator_norm,
                            orlicz_norm, orlicz_norm_batch, stack_family)
-from oracles import rate_power
+from oracles import indicators_below, rate_power
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +282,31 @@ def test_indicator_scan_equals_reference(seed, with_gamma):
         ref_indicator_gauge_constant(space, kernel, gamma, N, prof).hex()
 
 
+def assert_thm21_matches_indicator_route(rep, space, kernel, gamma, N, kept):
+    """thm21 without a family against its old route: every subset indicator
+    below the cap as a vector through ``orlicz_norm_batch``, beside the kept
+    functions.  The bisection returns the upper end of a bracket of relative
+    width 1e-10 and the scan the closed form, so the empirical constant
+    agrees to relative 1e-10 and each slack to 1e-10 of the largest norm;
+    the family size is equal."""
+    fam = stack_family(space, indicators_below(space, rep.derived["support_cap_mass"])
+                       + list(kept))
+    worst, emp = ref_thm21_loop(space, kernel, gamma, N, fam)
+    slacks = {claim: float.fromhex(h) for claim, h in report_slacks(rep).items()}
+    norm_bound = 1e-10 * float(np.max(orlicz_norm_batch(space, N, fam)))
+    assert abs(slacks["gauge bound at the traced constant"] - worst) <= norm_bound
+    assert rep.derived["empirical_constant"] == pytest.approx(emp, rel=1e-10, abs=0)
+    assert abs(slacks["empirical constant below traced"] - (C_STAR + 1e-9 - emp)) \
+        <= 1e-10 * emp
+    assert rep.derived["family_size"] == len(fam)
+
+
 @pytest.mark.parametrize("seed,with_gamma", [(s, g) for s in range(3) for g in (False, True)])
 def test_thm21_verify_equals_reference_loop(captured, seed, with_gamma):
     space, kernel, gamma, _ = random_instance(seed, (3, 7), with_gamma=with_gamma)
     M = space.total_mass
     beta = certified_rate(space, kernel, np.geomspace(1e-3 / M, 1e3 / M, 25))
-    for family in (None, _family(seed, space.m, True), _family(seed, space.m, False)):
+    for family in (_family(seed, space.m, True), _family(seed, space.m, False)):
         captured.clear()
         rep = thm21_verify(space, kernel, gamma, beta=beta, f_family=family, seed=seed)
         (N, kept), = captured
@@ -293,6 +316,21 @@ def test_thm21_verify_equals_reference_loop(captured, seed, with_gamma):
         assert slacks["empirical constant below traced"] == (C_STAR + 1e-9 - emp).hex()
         assert rep.derived["empirical_constant"].hex() == emp.hex()
         assert rep.derived["family_size"] == len(kept)
+    captured.clear()
+    rep = thm21_verify(space, kernel, gamma, beta=beta, seed=seed)
+    (N, kept), = captured
+    assert_thm21_matches_indicator_route(rep, space, kernel, gamma, N, kept)
+
+
+def test_thm21_verify_checks_subsets_at_m15(captured):
+    """At m = 15 the old route dropped the indicators; now every subset
+    below the cap counts.  A tabulated rate keeps the certified one out."""
+    space, kernel, gamma, _ = random_instance(4, (15, 15), with_gamma=True)
+    rep = thm21_verify(space, kernel, gamma, beta=rate_tabulated(LAW_R, 1.0 / LAW_R),
+                       seed=4)
+    (N, kept), = captured
+    assert rep.derived["family_size"] > len(kept) + 1000
+    assert_thm21_matches_indicator_route(rep, space, kernel, gamma, N, kept)
 
 
 @pytest.mark.parametrize("seed,with_gamma", SEEDS_GAMMA)

@@ -6,10 +6,12 @@ import jumpiso.isoperimetry as isoperimetry
 from jumpiso.core import FiniteMeasureSpace, JumpKernel, WeightFunction, l1_form
 from jumpiso.instances import random_functions, random_instance
 from jumpiso.isoperimetry import (coarea_check, enumerate_profile,
-                                  kappa_orlicz, layer_cake_l1,
+                                  indicator_constant, indicator_front,
+                                  kappa_orlicz, layer_cake_l1, pareto_front,
                                   thm20_backward, thm20_forward,
                                   thm20_poincare)
-from jumpiso.young import builtin
+from jumpiso.numerics import INF, ext_ratio
+from jumpiso.young import builtin, indicator_norm
 
 
 def brute_profile(space, kernel, gamma=None):
@@ -85,6 +87,46 @@ def test_kappa_orlicz_two_point_and_scaling():
     disc = JumpKernel(FiniteMeasureSpace([1.0, 1.0, 1.0]),
                       [[0, 1.0, 0], [1.0, 0, 0], [0, 0, 0]])
     assert kappa_orlicz(disc.space, disc, N) == 0.0
+
+
+@pytest.mark.parametrize("masses,brackets,front", [
+    ([], [], ([], [])),
+    ([2.0], [3.0], ([2.0], [3.0])),
+    # equal masses: the least bracket stands for the level
+    ([1.0, 1.0, 1.0], [4.0, 2.0, 3.0], ([1.0], [2.0])),
+    # equal brackets across masses: only the largest mass stays
+    ([1.0, 2.0, 3.0], [5.0, 5.0, 5.0], ([3.0], [5.0])),
+    # a chain, every subset on the front, given out of order
+    ([3.0, 1.0, 2.0], [3.0, 1.0, 2.0], ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])),
+    # a dominated level between two front levels
+    ([1.0, 2.0, 3.0, 2.0], [1.0, 4.0, 3.0, 6.0], ([1.0, 3.0], [1.0, 3.0])),
+])
+def test_pareto_front(masses, brackets, front):
+    got = pareto_front(masses, brackets)
+    assert [a.tolist() for a in got] == list(front)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("young", ["power", "log_minus"])
+def test_front_scan_equals_all_subsets_scan(seed, young):
+    """On the front, the indicator constant sup ||1_A||_N / B(A) and the
+    worst slack min C B(A) - ||1_A||_N equal the scan over every subset bit
+    for bit; ties in mass and in bracket, and zero brackets, included."""
+    N = builtin("power", p=2) if young == "power" else \
+        builtin("log_minus", n=1, alpha=1.0, q=1.0)
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 300))
+    levels = np.exp(rng.uniform(np.log(0.05), np.log(40.0), int(rng.integers(1, 60))))
+    masses = rng.choice(levels, size)
+    brackets = np.round(np.exp(rng.uniform(-3.0, 3.0, size)), int(rng.integers(0, 4)))
+    norms, B = indicator_front(N, masses, brackets)
+    best, worst = 0.0, INF
+    for mass, bracket in zip(masses, brackets):
+        norm = indicator_norm(N, mass)
+        best = max(best, ext_ratio(norm, bracket))
+        worst = min(worst, 1.7 * bracket - norm)
+    assert indicator_constant(norms, B).hex() == float(best).hex()
+    assert float(np.min(1.7 * B - norms)).hex() == float(worst).hex()
 
 
 def test_layer_cake_identity():
