@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -20,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ValidationError, instance_from_json, instance_to_json
+from .core import (Semigroup, ValidationError, instance_from_json,
+                   instance_to_json)
 from .instances import random_functions, random_instance
 from .isoperimetry import (coarea_check, enumerate_profile,
                            indicator_gauge_constant, thm20_backward,
@@ -30,7 +32,7 @@ from .lattice import (p1_kernel, power_law_band, subord_weights,
                       weight_tail)
 from .numerics import loglog_slope
 from .perturbed import example_threshold, log_weight, theorem_beta_curve
-from .radial import radial_l1_energy, sharpness_profile
+from .radial import MODES, radial_l1_energy, sharpness_profile
 from .reports import TheoremReport, digest, summary_csv, _jsonable
 from .superpoincare import certified_rate, lemma2_bound, sp_decay_check
 from .theorems import rate_from_gauge, thm21_verify, thm41, thm42, thm43
@@ -93,6 +95,14 @@ def _names(doc: dict, name: str, default):
                     and all(isinstance(x, str) for x in v), "a nonempty list of names")
 
 
+def _m_range(doc: dict):
+    """The size range (low, high) of random instances: two positive integers,
+    low <= high (equal ends give one size)."""
+    return tuple(_checked(doc, "m_range", [3, 10], lambda v: isinstance(v, list)
+                          and len(v) == 2 and all(type(x) is int and x > 0 for x in v)
+                          and v[0] <= v[1], "two positive integers [low, high], low <= high"))
+
+
 def _dim(doc: dict, dims: tuple):
     """The lattice dimension n, one of ``dims``; the first is the default."""
     return _checked(doc, "n", dims[0], lambda n: isinstance(n, int) and n in dims,
@@ -116,7 +126,7 @@ def _theorem_instance(spec, seed):
         text = json.dumps(spec["inline"], sort_keys=True)
         return instance_from_json(text), text
     space, kernel, gamma, pot = random_instance(
-        seed, tuple(spec.get("m_range", (3, 10))),
+        seed, _m_range(spec),
         with_gamma=spec.get("gamma", False),
         with_potential=spec.get("potential", False))
     text = instance_to_json(space, kernel, pot, gamma)
@@ -143,6 +153,12 @@ def _run_theorems_on(args):
         return certified_rate(space, kernel, r_grid,
                               potential=pot if with_potential else None)
 
+    @functools.cache
+    def theta(with_potential: bool):
+        """The regularization table Semigroup.theta_curve(gamma) of the
+        killed or the unkilled form, built once per instance."""
+        return Semigroup(space, kernel, pot if with_potential else None).theta_curve(gamma)
+
     out = []
     for name in theorems:
         if name == "thm20":
@@ -153,7 +169,8 @@ def _run_theorems_on(args):
             rep.add("backward gauge bound", bw["worst_slack"], tol)
         elif name == "lemma2":
             s_grid = np.geomspace(space.mu.min() * 1.05, 0.45 * M, 12)
-            l2 = lemma2_bound(space, kernel, gamma, rate(killed), s_grid, potential=pot)
+            l2 = lemma2_bound(space, kernel, gamma, rate(killed), s_grid, potential=pot,
+                              theta=theta(killed))
             rep = TheoremReport("lemma2", digest(text))
             rep.add("rate-to-curve bound", l2["worst_slack"], tol)
         elif name == "thm20_poincare":
@@ -177,7 +194,8 @@ def _run_theorems_on(args):
             rep.add("l1(f)/mu(f) >= 2 inf flow/mass", co["worst_ratio_slack"], tol)
             rep.add("minimizing indicator attains the infimum", -co["indicator_gap"], tol)
         elif name == "thm21":
-            rep = thm21_verify(space, kernel, gamma, seed=seed + idx, tol=tol)
+            rep = thm21_verify(space, kernel, gamma, seed=seed + idx, theta=theta(False),
+                               tol=tol)
             rep.inputs_digest = digest(text)
         elif name == "thm41":
             rep = thm41(builtin("power", p=2), space, kernel, gamma, fam, r_grid, tol=tol)
@@ -276,7 +294,7 @@ def run_subordinate(doc: dict, out_dir: Path) -> int:
 def run_sharpness(doc: dict, out_dir: Path) -> int:
     n = doc.get("n", 1)
     a1, a2 = _alpha(doc, "alpha1", None), _alpha(doc, "alpha2", None)
-    mode = doc.get("mode", "min_kernel")
+    mode = _checked(doc, "mode", "min_kernel", lambda v: v in MODES, f"one of {MODES}")
     s_grid = np.asarray(doc.get("s_grid") or np.geomspace(1e-3, 1e3, 41))
     vals = [radial_l1_energy(n, a1, a2, mode, s) for s in s_grid]
     lo = loglog_slope(s_grid[s_grid <= 0.1], np.asarray(vals)[s_grid <= 0.1])
@@ -304,7 +322,10 @@ def run_sharpness(doc: dict, out_dir: Path) -> int:
 def run_perturbed(doc: dict, out_dir: Path) -> int:
     n = _dim(doc, (2,))
     alpha = _alpha(doc, "alpha", None)
-    eps_grid = doc.get("eps_grid") or [alpha / 4, alpha / 2, alpha]
+    eps_grid = _checked(doc, "eps_grid", [alpha / 4, alpha / 2, alpha],
+                        lambda v: isinstance(v, list) and len(v) > 0 and all(
+                            type(x) in (int, float) and 0 < x < math.inf for x in v),
+                        "a nonempty list of positive numbers")
     rep = example_threshold(n, alpha, eps_grid)
     if doc.get("beta_scan", False):
         w = log_weight(n, alpha, float(eps_grid[-1]))
@@ -334,7 +355,7 @@ def run_generate(doc: dict, out_dir: Path) -> int:
     if kind == "finite-space":
         for i in range(_count(doc, "count", 1)):
             space, kernel, gamma, pot = random_instance(
-                seed + i, tuple(doc.get("m_range", (3, 10))),
+                seed + i, _m_range(doc),
                 with_gamma=doc.get("gamma", False),
                 with_potential=doc.get("potential", False))
             _write(out_dir, f"instance_{i:04d}.json",

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (FiniteMeasureSpace, JumpKernel, WeightFunction, l1_form,
-                   rate_slacks)
+from .core import (FiniteMeasureSpace, JumpKernel, ValidationError,
+                   WeightFunction, l1_form, rate_slacks)
 from .numerics import INF, ext_ratio
 from .young import (YoungFunction, c_N, gauge_slacks, indicator_norm,
                     stack_family)
@@ -120,7 +120,8 @@ def enumerate_profile(space: FiniteMeasureSpace, kernel: JumpKernel,
     """Visit all 2^m - 2 nonempty proper subsets exactly."""
     m = space.m
     if m > ENUM_LIMIT:
-        raise ValueError(f"m={m} exceeds the exact enumeration limit {ENUM_LIMIT}")
+        raise ValidationError(f"exact enumeration needs m <= {ENUM_LIMIT} points "
+                              f"(ENUM_LIMIT), got m={m}")
     gamma = gamma if gamma is not None else WeightFunction.ones(m)
     w = _pair_weights(space, kernel, gamma)
     masses, flows = _doubling_enumeration(space.mu, w)

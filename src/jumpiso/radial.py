@@ -16,6 +16,9 @@ import numpy as np
 from .numerics import INF, end_slope
 from .young import YoungFunction
 
+# the radial kernel profiles k(u) of a sharpness scan
+MODES = ("min_kernel", "max_kernel", "truncated")
+
 
 def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
@@ -42,7 +45,7 @@ def _kernel_pieces(n: int, mode: str, alpha1: float, alpha2: float):
                 -(n + min(alpha1, alpha2) / 2.0), INF)
     if mode == "truncated":
         return (-(n + alpha1 / 2.0), 0.0, 1.0)
-    raise ValueError("mode must be min_kernel, max_kernel or truncated")
+    raise ValueError(f"mode must be one of {MODES}")
 
 
 def _power_int_to_inf(e: float, a: float) -> float:

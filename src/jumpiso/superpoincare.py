@@ -6,15 +6,17 @@ A rate function is a decreasing beta: (0,inf) -> (0,inf); the inequality
     ||f||_2^2 <= r E(f,f) + beta(r) ||f||_1^2         for all r > 0
 
 is what downstream theorem engines consume.  ``sp_estimate`` returns the
-optimal rate at a given r, exact up to rounding, on spaces of at most
-``SIZE_LIMIT`` points; larger spaces are refused.  Validated rates are always
-inflated optima, never raw ones.
+optimal rate at each r of an array, exact up to rounding, on spaces of at
+most ``SIZE_LIMIT`` points (larger spaces are refused): one batched ``eigh``
+per support size, then O(k^2) per support of k points and per r.  Validated
+rates are always inflated optima, never raw ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -128,7 +130,7 @@ def sp_verify(space, kernel, beta: RateFunction, f_family, r_grid,
 # ---------------------------------------------------------------------------
 # certified estimation of the optimal rate
 
-SIZE_LIMIT = 16   # 2^m - 1 supports are solved; larger spaces are refused
+SIZE_LIMIT = 16   # 2^m - 1 supports are factored; larger spaces are refused
 INFLATE = 1.01    # margin of a certified rate over its estimates
 
 
@@ -139,80 +141,77 @@ def require_size(m: int) -> None:
 
 
 def _quadratic_matrix(space, kernel, r: float, potential=None) -> np.ndarray:
-    L = generator(space, kernel, potential)
     D = np.diag(space.mu)
-    M = D - r * (D @ L)
+    M = D - r * (D @ generator(space, kernel, potential))
     return 0.5 * (M + M.T)
 
 
-def _solve_each(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solutions of A[i] x = B[i]; least squares on every system of a batch
-    in which some block is singular."""
-    try:
-        return np.linalg.solve(A, B[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return np.stack([np.linalg.lstsq(a, b, rcond=None)[0]
-                         for a, b in zip(A, B)])
+def sp_estimate(space, kernel, r, potential=None):
+    """The optimal rate at r (a float, or an array: one value per entry),
+    max f^T M f = ||f||_2^2 - r (E(f,f) + killing) over sum mu |f| = 1.
 
-
-def sp_estimate(space, kernel, r: float, potential=None) -> float:
-    """The optimal rate at r: max of f^T M f over sum mu |f| = 1, where
-    f^T M f = ||f||_2^2 - r (E(f,f) + killing), exact up to rounding.
-
-    Off the diagonal M = D - r D L has entries r mu(x) j(x,y) mu(y) >= 0, so
-    |f| scores at least as well as f and the maximum is taken on the simplex
-    {f >= 0, sum mu f = 1}.  A maximizer in the relative interior of the face
-    over a support S is stationary there: M_SS f = lambda mu_S, with value
-    lambda.  So one solve of M_SS x = mu_S per support (batched by support
-    size) is exhaustive; solutions of one sign are the candidates (lambda < 0
-    under strong killing gives an all-negative x), each normalized and scored
-    exactly.  Spaces above ``SIZE_LIMIT`` points are refused.
-    """
-    if r < 0:
+    Off the diagonal M = D - r DL is >= 0, so the maximum is taken on the
+    simplex {f >= 0, sum mu f = 1}, where a maximizer in the relative
+    interior of the face over a support S solves M_SS f = lambda mu_S, with
+    value lambda.  So the x of M_SS x = mu_S of one sign (negative when
+    lambda < 0), normalized and scored exactly with M(r), are exhaustive
+    candidates.  One batched ``eigh`` per support size, D_S^{-1/2} (DL)_SS
+    D_S^{-1/2} = W diag(lam) W^T, gives every r at O(k^2) per support:
+    sqrt(mu_S) x = W (W^T sqrt(mu_S) / (1 - r lam)); where 1 - r lam = 0
+    the candidate is that column of W (lambda = 0), unless W^T sqrt(mu_S)
+    is 0 there too and the term drops, as in a pseudo-inverse."""
+    rs = np.asarray(r, dtype=float)
+    if np.any(rs < 0):
         raise ValueError("r must be nonnegative")
-    m = space.m
-    require_size(m)
-    mu = space.mu
-    M = _quadratic_matrix(space, kernel, r, potential)
-    members = (np.arange(1, 1 << m)[:, None] >> np.arange(m)) & 1
-    sizes = members.sum(axis=1)
-    best = -INF
+    require_size(m := space.m)
+    mu, sq = space.mu, np.sqrt(space.mu)
+    Ms = [_quadratic_matrix(space, kernel, x, potential) for x in rs.ravel()]
+    DL = mu[:, None] * generator(space, kernel, potential)
+    B = 0.5 * (DL + DL.T) / sq[:, None] / sq[None, :]
+    best = np.full(len(Ms), -INF)
     for k in range(1, m + 1):
-        S = np.nonzero(members[sizes == k])[1].reshape(-1, k)
-        sub = M[S[:, :, None], S[:, None, :]]
-        X = _solve_each(sub, mu[S])
-        keep = np.all(X >= 0, axis=1) | np.all(X <= 0, axis=1)
-        X = X[keep] / np.einsum("ki,ki->k", X[keep], mu[S[keep]])[:, None]
-        vals = np.einsum("ki,kij,kj->k", X, sub[keep], X)
-        vals = vals[np.isfinite(vals)]
-        if vals.size:
-            best = max(best, float(vals.max()))
-    return best
+        S = np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp).reshape(-1, k)
+        lam, W = np.linalg.eigh(B[S[:, :, None], S[:, None, :]])
+        c = np.einsum("sji,sj->si", W, sq[S])
+        flat = S + m * np.arange(len(S))[:, None]   # where S sits in a (len(S), m) array
+        for i, (x, M) in enumerate(zip(rs.ravel(), Ms)):
+            d = 1.0 - x * lam
+            q = c / d if d.all() else np.where(   # M_SS(r) singular: x runs off along W
+                (pole := (d == 0) & (c != 0)).any(1)[:, None], pole * c, c / np.where(d, d, 1.0))
+            Y = np.einsum("sij,sj->si", W, q)
+            keep = np.all(Y >= 0, axis=1) | np.all(Y <= 0, axis=1)
+            F = np.zeros((len(S), m))
+            F.ravel()[flat] = Y / sq[S]
+            F = F[keep] / (F[keep] @ mu)[:, None]
+            vals = np.einsum("ki,ki->k", F @ M, F)
+            best[i] = max(best[i], np.max(vals, where=np.isfinite(vals), initial=-INF))
+        del W   # hold one size's factors at a time: free them before the next eigh
+    return best.reshape(rs.shape)[()]
 
 
 def certified_rate(space, kernel, r_grid, potential=None) -> RateFunction:
     """The optimal rate on the grid raised by ``INFLATE`` (divided by it
     where negative), tabulated and extended constantly on both sides.
 
-    The table stays valid between grid points: the optimal rate
-    beta*(r) = sup_f (||f||_2^2 - r E(f,f)) / ||f||_1^2 is a supremum of
-    affine functions of r, hence convex, so each chord of the table lies
-    above it.  The constant extensions stay valid because the optimum at
-    r = 0+ (the inverse smallest mass) is appended on the left and the grid
-    is stretched right by decades until the estimate flattens onto its
-    large-r floor, or until it is nonpositive: beta* is nonincreasing, so
-    on a killed form, whose optimum falls without a floor, the last value
-    bounds everything to its right.  Spaces above ``SIZE_LIMIT`` points are
-    refused.
+    The optimal rate beta*(r) = sup_f (||f||_2^2 - r E(f,f)) / ||f||_1^2 is a
+    supremum of affine functions of r, hence convex, so each chord of the
+    table lies above it.  The optimum at r = 0+ (the inverse smallest mass)
+    is appended on the left, and on the right up to 12 decades (a second
+    ``sp_estimate`` call), kept up to the first where the estimate flattens
+    onto its large-r floor or is nonpositive: beta* is nonincreasing, so the
+    last value bounds everything to its right, on a killed form too.  Spaces
+    above ``SIZE_LIMIT`` points are refused.
     """
-    rs = [float(r_grid[0]) * 1e-9] + [float(r) for r in r_grid]
-    est = [sp_estimate(space, kernel, r, potential) for r in rs]
-    for _ in range(12):
-        if est[-1] <= 0 or est[-2] - est[-1] <= 1e-6 * est[-1]:
-            break
-        rs.append(rs[-1] * 10.0)
-        est.append(sp_estimate(space, kernel, rs[-1], potential))
-    return rate_tabulated(rs, [max(INFLATE * v, v / INFLATE) for v in est],
+    stop = lambda e: e[-1] <= 0 or e[-2] - e[-1] <= 1e-6 * e[-1]
+    rs = np.array([float(r_grid[0]) * 1e-9] + [float(r) for r in r_grid])
+    est = sp_estimate(space, kernel, rs, potential)
+    if not stop(est):
+        decades = np.multiply.accumulate(np.append(rs[-1], np.full(12, 10.0)))[1:]
+        rs = np.append(rs, decades)
+        est = np.append(est, sp_estimate(space, kernel, decades, potential))
+        n = next((j for j in range(len(rs) - 11, len(rs)) if stop(est[:j])), len(rs))
+        rs, est = rs[:n], est[:n]
+    return rate_tabulated(rs, np.maximum(INFLATE * est, est / INFLATE),
                           note=f"inflated x{INFLATE} estimate")
 
 
@@ -273,15 +272,16 @@ def sp_decay_check(space, kernel, beta: RateFunction, f_family, t_grid, r_grid,
 
 
 def lemma2_bound(space, kernel, gamma, beta: RateFunction, s_grid,
-                 potential=None, profile=None, tol=1e-9) -> dict:
+                 potential=None, profile=None, theta=None, tol=1e-9) -> dict:
     """Buser-type lower bound on the isoperimetric curve from a valid rate.
 
     For each s with finite beta^{-1}(1/(2s)) the exact enumerated kappa(s) is
     compared against (1 - e^{-1}) / (2 Theta(beta^{-1}(1/(2s)))); the other
     grid points are skipped with a note, since the bound degenerates there.
+    ``theta`` is the form's ``Semigroup.theta_curve(gamma)``, built when None.
     """
     prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
-    theta_int, _ = Semigroup(space, kernel, potential).theta_curve(gamma)
+    theta_int, _ = theta or Semigroup(space, kernel, potential).theta_curve(gamma)
 
     def bound(s):
         b = beta.inv(1.0 / (2.0 * s))

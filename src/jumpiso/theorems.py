@@ -220,7 +220,7 @@ def thm21_young(beta: RateFunction, theta: ThetaIntegral, s_max: float,
 
 def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
                  support_fraction: float = SUPPORT_FRACTION, seed: int = 0,
-                 tol=1e-9) -> TheoremReport:
+                 theta=None, tol=1e-9) -> TheoremReport:
     """Rate-to-gauge inequality at the traced constant.
 
     Builds the regularization Young function from a certified rate and
@@ -231,6 +231,8 @@ def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
     random functions and every subset indicator below the cap, read off the
     profile.  The rate is checked on 25 log-spaced r in [1e-3, 1e3] / total
     mass.  The empirical best constant is recorded and must not exceed C*.
+    ``theta`` is ``Semigroup(space, kernel).theta_curve(gamma)``, built when
+    None.
     """
     rep = TheoremReport("thm21")
     m = space.m
@@ -254,8 +256,7 @@ def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
         rep.add("profile finite", -INF, tol)
         return rep
 
-    sg = Semigroup(space, kernel)
-    theta_int, theta_total = sg.theta_curve(gamma)
+    theta_int, theta_total = theta or Semigroup(space, kernel).theta_curve(gamma)
     built = thm21_young(beta, theta_int, s_max=100.0 / float(space.mu.min()),
                         r_floor=r_floor)
     if not built["ok"]:

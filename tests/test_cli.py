@@ -268,6 +268,24 @@ def test_malformed_integer_and_list_fields_exit_2(tmp_path, capsys, command, doc
     assert_refused(tmp_path, capsys, command, doc, field)
 
 
+@pytest.mark.parametrize("command,doc,field", [
+    ("sharpness", dict(SHARPNESS, mode="middle"), "mode"),
+    ("verify", dict(BATCH, generate={"count": 1, "m_range": [5, 3]}), "m_range"),
+    ("perturbed", dict(PERTURBED, eps_grid=[-0.5]), "eps_grid"),
+])
+def test_malformed_mode_range_and_grid_exit_2(tmp_path, capsys, command, doc, field):
+    assert_refused(tmp_path, capsys, command, doc, field)
+
+
+def test_enumeration_above_its_limit_exit_2(tmp_path, capsys):
+    """Exact subset enumeration is refused above ENUM_LIMIT = 24 points with
+    exit 2 and the limit named, not a traceback."""
+    manifest = write(tmp_path, "m.json", dict(
+        BATCH, generate={"count": 1, "m_range": [25, 25]}, theorems=["thm20"]))
+    assert main(["verify", "--manifest", manifest, "--out", str(tmp_path / "o")]) == 2
+    assert "m <= 24 points (ENUM_LIMIT), got m=25" in capsys.readouterr().err
+
+
 def test_verify_jobs_2_writes_the_jobs_1_bytes(tmp_path):
     """The process pool gives the bytes of the serial run."""
     manifest = str(Path(__file__).resolve().parents[1] / "manifests" / "theorem_batch.json")

@@ -19,7 +19,7 @@ MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 GOLDEN = {
     ("finite_verify.json", "verify"): {
         "report.json":
-            "440cd4ad4eda8b1686248336cee29a4ab3f1ad7b253950ddd1b5639ecf62889d",
+            "631cb8f39539c021860a4ed8c7528a0b2313523e8bf4009eecdf89cbdb2a641f",
     },
     ("finite_verify.json", "enumerate"): {
         "profile.csv":
@@ -41,7 +41,7 @@ GOLDEN = {
     },
     ("paper_checks.json", "verify"): {
         "report.json":
-            "3a4341c96afd48d0f6468132661334c4ecf07f3c2e631a743e4d6e02e66ef741",
+            "6a6cb31ab1b05dbff6b0fd58f851fe882245fcd6404218c741bdbb90664338eb",
     },
     ("perturbed.json", "perturbed"): {
         "report.json":
@@ -57,7 +57,7 @@ GOLDEN = {
     },
     ("theorem_batch.json", "verify"): {
         "report.json":
-            "ef34da8b86aca6b287a669aa9c54ae2d11896cc62eabf514b7062f912173123b",
+            "18b12bfd9a5f2e42c40017db4c359da813cb224a4705b80b905bf08aafa35c2c",
     },
 }
 PINNED = sorted({manifest for manifest, _ in GOLDEN})

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from jumpiso.core import (FiniteMeasureSpace, JumpKernel, Semigroup,
-                          ValidationError, WeightFunction)
+                          ValidationError, WeightFunction, generator)
 from jumpiso.instances import random_functions, random_instance
 from jumpiso.isoperimetry import _doubling_enumeration, _subset_sums
 from jumpiso.numerics import INF
-from jumpiso.superpoincare import (SIZE_LIMIT, _quadratic_matrix,
+from jumpiso.superpoincare import (INFLATE, SIZE_LIMIT, _quadratic_matrix,
                                    certified_rate, lemma2_bound,
                                    rate_power_pair, rate_tabulated,
                                    sp_decay_check, sp_estimate, sp_verify)
@@ -151,13 +151,16 @@ def reference_estimate(space, kernel, r, potential=None, seed=0):
 
 @pytest.mark.parametrize("with_potential", [False, True])
 def test_estimate_matches_reference(with_potential):
+    """One array call per instance, each entry against the reference."""
     for m in range(3, 13):
         seed = 100 + m
         space, kernel, _, pot = random_instance(seed, (m, m),
                                                 with_potential=with_potential)
-        for rm in np.geomspace(1e-12, 1e5, 6):
+        rms = np.geomspace(1e-12, 1e5, 6)
+        news = sp_estimate(space, kernel, rms / space.total_mass, pot)
+        assert news.shape == rms.shape
+        for rm, new in zip(rms, news):
             r = rm / space.total_mass
-            new = sp_estimate(space, kernel, r, pot)
             ref = reference_estimate(space, kernel, r, pot, seed=seed)
             M = _quadratic_matrix(space, kernel, r, pot)
             tol = 1e-14 * m * float(np.abs(M).max())
@@ -227,6 +230,65 @@ def test_certified_rate_dominates_exact_argmax(m):
         _, f = signed_facet_optimum(space, kernel, r)
         rep = sp_verify(space, kernel, beta, [f], [r], tol=0.0)
         assert rep["pass"] and rep["worst_slack"] >= 0.0, (m, r, rep)
+
+
+def reference_table(space, kernel, r_grid, potential=None):
+    """certified_rate's table as one sp_estimate call per r built it: the
+    grid, then one decade at a time up to 12 until the stop rule holds."""
+    rs = [float(r_grid[0]) * 1e-9] + [float(r) for r in r_grid]
+    est = [sp_estimate(space, kernel, r, potential) for r in rs]
+    for _ in range(12):
+        if est[-1] <= 0 or est[-2] - est[-1] <= 1e-6 * est[-1]:
+            break
+        rs.append(rs[-1] * 10.0)
+        est.append(sp_estimate(space, kernel, rs[-1], potential))
+    return rate_tabulated(rs, [max(INFLATE * v, v / INFLATE) for v in est]).knots
+
+
+@pytest.mark.parametrize("with_potential", [False, True])
+def test_stretched_table_equals_one_r_at_a_time(with_potential):
+    """The grid call plus the 12-decade call, cut at the first decade where
+    the stop rule holds, give the r and the values of the per-r loop."""
+    lengths = set()
+    for seed in range(8):
+        space, kernel, _, pot = random_instance(seed, (3, 9), with_potential=with_potential)
+        M = space.total_mass
+        r_grid = np.geomspace(1e-3 / M, 1e2 / M, 10)
+        got = certified_rate(space, kernel, r_grid, potential=pot).knots
+        ref = reference_table(space, kernel, r_grid, potential=pot)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1]), seed
+        lengths.add(len(got[0]) - 11)
+    # the stretch ran on some instances and stopped before its 12 decades
+    assert any(0 < n < 12 for n in lengths), lengths
+
+
+@pytest.mark.parametrize("with_potential", [False, True])
+def test_estimate_at_a_singular_r(with_potential):
+    """At r = 1/lam for an eigenvalue lam of some support's
+    D_S^{-1/2} (DL)_SS D_S^{-1/2}, M_SS(r) is singular and 1 - r lam is 0
+    exactly; the estimate stays finite and on or above the reference."""
+    hit = 0
+    for m, k in [(4, 2), (6, 3), (7, 7), (9, 5)]:
+        space, kernel, _, pot = random_instance(400 + m, (m, m),
+                                                with_potential=with_potential)
+        mu, sq = space.mu, np.sqrt(space.mu)
+        DL = mu[:, None] * generator(space, kernel, pot)
+        B = 0.5 * (DL + DL.T) / sq[:, None] / sq[None, :]
+        S = np.array(list(itertools.combinations(range(m), k)))
+        lam = np.linalg.eigh(B[S[:, :, None], S[:, None, :]])[0]
+        exact = lam[(lam > 0) & (1.0 - (1.0 / lam) * lam == 0.0)]
+        for r in 1.0 / np.sort(exact)[[0, -1]]:
+            assert np.any(1.0 - r * lam == 0.0)
+            new = sp_estimate(space, kernel, r, pot)
+            ref = reference_estimate(space, kernel, r, pot, seed=m)
+            tol = 1e-14 * m * float(np.abs(_quadratic_matrix(space, kernel, r, pot)).max())
+            assert np.isfinite(new) and new >= ref - tol, (m, k, r, new, ref)
+            near = sp_estimate(space, kernel, r * np.array([1 - 1e-9, 1 + 1e-9]), pot)
+            # beta* is convex, hence continuous: the singular r is no outlier
+            assert np.allclose(near, new, rtol=1e-6, atol=1e-6 / space.total_mass), \
+                (m, k, r, new, near)
+            hit += 1
+    assert hit == 8
 
 
 def test_estimate_refuses_large_spaces():
