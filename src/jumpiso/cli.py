@@ -34,8 +34,8 @@ from .numerics import loglog_slope
 from .perturbed import example_threshold, log_weight, theorem_beta_curve
 from .radial import MODES, radial_l1_energy, sharpness_profile
 from .reports import TheoremReport, digest, summary_csv, _jsonable
-from .superpoincare import certified_rate, lemma2_bound, sp_decay_check
-from .theorems import rate_from_gauge, thm21_verify, thm41, thm42, thm43
+from .superpoincare import certified_rates, lemma2_bound, sp_decay_check
+from .theorems import rate_from_gauge, rate_grid, thm21_verify, thm41, thm42, thm43
 from .young import builtin
 
 # the r_grid point at which thm20_poincare takes C1 = r and C2~ = beta(r)
@@ -145,13 +145,20 @@ def _run_theorems_on(args):
     fam = random_functions(rng, m, 40, grounded=True)
     r_grid = np.geomspace(1e-3 / M, 1e2 / M, 10)
     killed = pot is not None
+    # (killed form?, grid) of the certified rate each theorem reads; thm43
+    # reads one where it kills, else it runs thm21 on a rate of its own
+    reads = {"lemma2": (killed, "r"), "sp_decay": (killed, "r"), "thm20_poincare": (False, "r"),
+             "thm21": (False, "thm21"),
+             "thm43": (True, "thm43") if killed and np.any(pot.v > 0) else None}
+    grids = {"r": r_grid, "thm21": rate_grid(M), "thm43": rate_grid(M + 1.0)}
 
     @functools.cache
-    def rate(with_potential: bool):
-        """The certified rate on r_grid of the killed or the unkilled form,
-        built once per instance."""
-        return certified_rate(space, kernel, r_grid,
-                              potential=pot if with_potential else None)
+    def rates(with_potential: bool) -> dict:
+        """The certified rates of one form on every grid read from it, from one call."""
+        names = sorted({g for w, g in filter(None, map(reads.get, theorems))
+                        if w == with_potential})
+        return dict(zip(names, certified_rates(space, kernel, [grids[g] for g in names],
+                                               potential=pot if with_potential else None)))
 
     @functools.cache
     def theta(with_potential: bool):
@@ -159,60 +166,64 @@ def _run_theorems_on(args):
         killed or the unkilled form, built once per instance."""
         return Semigroup(space, kernel, pot if with_potential else None).theta_curve(gamma)
 
+    @functools.cache
+    def profile():
+        """enumerate_profile(space, kernel, gamma), built once per instance."""
+        return enumerate_profile(space, kernel, gamma)
+
+    N = builtin("power", p=2)   # the Young function of thm20, thm41 and thm42
     out = []
     for name in theorems:
         if name == "thm20":
-            rep = TheoremReport("thm20", digest(text))
-            fw = thm20_forward(space, kernel, builtin("power", p=2), fam, gamma, tol)
-            bw = thm20_backward(space, kernel, builtin("power", p=2), fam, gamma, tol)
+            rep = TheoremReport("thm20")
+            fw = thm20_forward(space, kernel, N, fam, gamma, tol, profile())
+            bw = thm20_backward(space, kernel, N, fam, gamma, tol, profile())
             rep.add("forward subset constant", fw["slack"], tol)
             rep.add("backward gauge bound", bw["worst_slack"], tol)
         elif name == "lemma2":
             s_grid = np.geomspace(space.mu.min() * 1.05, 0.45 * M, 12)
-            l2 = lemma2_bound(space, kernel, gamma, rate(killed), s_grid, potential=pot,
-                              theta=theta(killed))
-            rep = TheoremReport("lemma2", digest(text))
+            l2 = lemma2_bound(space, kernel, gamma, rates(killed)["r"], s_grid,
+                              potential=pot, profile=profile(), theta=theta(killed))
+            rep = TheoremReport("lemma2")
             rep.add("rate-to-curve bound", l2["worst_slack"], tol)
         elif name == "thm20_poincare":
             # the rate inequality at 1_A reads mu(A) <= r flow(A) + beta(r) mu(A)^2
             # on the unweighted form, where E(1_A) = flow(A): the subset premise
             r = float(r_grid[POINCARE_INDEX])
-            b = rate(False)(r)
-            rep = TheoremReport("thm20_poincare", digest(text), {"C1": r, "C2_tilde": b})
+            b = rates(False)["r"](r)
+            rep = TheoremReport("thm20_poincare", derived={"C1": r, "C2_tilde": b})
             fw = thm20_poincare(space, kernel, r, b, "forward")
             bw = thm20_poincare(space, kernel, r, b, "backward", f_family=fam)
             rep.add("subset Poincare at C1 = r, C2~ = beta(r)", fw["worst_slack"], tol)
             rep.add("functional Poincare with C2 = 2 C2~", bw["worst_slack"], tol)
         elif name == "sp_decay":
-            dc = sp_decay_check(space, kernel, rate(killed), fam, r_grid, r_grid, potential=pot)
-            rep = TheoremReport("sp_decay", digest(text))
+            dc = sp_decay_check(space, kernel, rates(killed)["r"], fam, r_grid, r_grid,
+                                potential=pot)
+            rep = TheoremReport("sp_decay")
             rep.add("decay form of the rate inequality", dc["worst_slack"], tol)
         elif name == "coarea":
-            co = coarea_check(space, kernel, fam, gamma)
-            rep = TheoremReport("coarea", digest(text))
+            co = coarea_check(space, kernel, fam, gamma, profile())
+            rep = TheoremReport("coarea")
             rep.add("layer cake identity (relative error)", -co["worst_identity_error"], tol)
             rep.add("l1(f)/mu(f) >= 2 inf flow/mass", co["worst_ratio_slack"], tol)
             rep.add("minimizing indicator attains the infimum", -co["indicator_gap"], tol)
         elif name == "thm21":
-            rep = thm21_verify(space, kernel, gamma, seed=seed + idx, theta=theta(False),
-                               tol=tol)
-            rep.inputs_digest = digest(text)
+            rep = thm21_verify(space, kernel, gamma, rates(False)["thm21"], seed=seed + idx,
+                               theta=theta(False), profile=profile(), tol=tol)
         elif name == "thm41":
-            rep = thm41(builtin("power", p=2), space, kernel, gamma, fam, r_grid, tol=tol)
-            rep.inputs_digest = digest(text)
+            rep = thm41(N, space, kernel, gamma, fam, r_grid, profile=profile(), tol=tol)
         elif name == "thm42":
-            N = builtin("power", p=2)
-            C = indicator_gauge_constant(space, kernel, gamma, N)
+            C = indicator_gauge_constant(space, kernel, gamma, N, profile())
             beta1 = rate_from_gauge(N, C, lead=2.0)
-            rep = thm42(beta1, space, kernel, gamma, fam, r_grid, tol=tol)
-            rep.inputs_digest = digest(text)
+            rep = thm42(beta1, space, kernel, gamma, fam, r_grid, profile=profile(), tol=tol)
         elif name == "thm43":
             if pot is None:
                 continue
-            rep = thm43(space, kernel, pot, gamma, seed=seed + idx, tol=tol)
-            rep.inputs_digest = digest(text)
+            beta = rates(True)["thm43"] if reads["thm43"] else None
+            rep = thm43(space, kernel, pot, gamma, beta, seed=seed + idx, tol=tol)
         else:
             raise ManifestError(f"unknown theorem {name!r}")
+        rep.inputs_digest = digest(text)
         out.append((idx, rep))
     return out
 

@@ -241,9 +241,9 @@ def empirical_l1_constant(space, kernel, N, f_family, gamma=None,
                sl["constant"])
 
 
-def thm20_forward(space, kernel, N, f_family, gamma=None, tol=1e-9) -> dict:
+def thm20_forward(space, kernel, N, f_family, gamma=None, tol=1e-9, profile=None) -> dict:
     """L1 Orlicz-Sobolev at empirical C forces the subset constant >= 1/(2C)."""
-    prof = enumerate_profile(space, kernel, gamma)
+    prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
     C = empirical_l1_constant(space, kernel, N, f_family, gamma, prof)
     if C == 0.0:
         raise ValueError("degenerate family: empirical constant is zero")
@@ -253,7 +253,7 @@ def thm20_forward(space, kernel, N, f_family, gamma=None, tol=1e-9) -> dict:
             "slack": kap - bound, "C_emp": C, "pass": kap >= bound - tol}
 
 
-def thm20_backward(space, kernel, N, f_family, gamma=None, tol=1e-9) -> dict:
+def thm20_backward(space, kernel, N, f_family, gamma=None, tol=1e-9, profile=None) -> dict:
     """Subset constant kappa gives the L1 inequality at C = 1/(2 c_N kappa).
 
     On finite total mass the layer-cake route only controls functions whose
@@ -262,7 +262,7 @@ def thm20_backward(space, kernel, N, f_family, gamma=None, tol=1e-9) -> dict:
     """
     gamma = gamma if gamma is not None else WeightFunction.ones(space.m)
     cN = c_N(N)
-    kap = kappa_orlicz(space, kernel, N, gamma)
+    kap = kappa_orlicz(space, kernel, N, gamma, profile)
     if cN <= 0 or kap <= 0:
         raise ValueError("backward direction needs c_N > 0 and kappa > 0")
     C = 1.0 / (2.0 * cN * kap)
@@ -319,7 +319,7 @@ def layer_cake_l1(space, kernel, gamma, f) -> float:
     return 2.0 * total
 
 
-def coarea_check(space, kernel, f_family, gamma=None) -> dict:
+def coarea_check(space, kernel, f_family, gamma=None, profile=None) -> dict:
     """Level-set decomposition of the L1 form and the subset infimum bound.
 
     The layer-cake identity is checked for every nonnegative f; the bound
@@ -329,7 +329,7 @@ def coarea_check(space, kernel, f_family, gamma=None) -> dict:
     family members are skipped for that part and counted.
     """
     gamma = gamma if gamma is not None else WeightFunction.ones(space.m)
-    prof = enumerate_profile(space, kernel, gamma)
+    prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
     floor = 2.0 * prof.global_min_ratio()
     worst_id, worst_ratio, nviol, unsupported = 0.0, INF, 0, 0
     for f in f_family:

@@ -9,7 +9,8 @@ is what downstream theorem engines consume.  ``sp_estimate`` returns the
 optimal rate at each r of an array, exact up to rounding, on spaces of at
 most ``SIZE_LIMIT`` points (larger spaces are refused): one batched ``eigh``
 per support size, then O(k^2) per support of k points and per r.  Validated
-rates are always inflated optima, never raw ones.
+rates are always inflated optima, never raw ones; ``certified_rates`` builds
+every table of one form from one factorization, held for that call only.
 """
 
 from __future__ import annotations
@@ -132,6 +133,7 @@ def sp_verify(space, kernel, beta: RateFunction, f_family, r_grid,
 
 SIZE_LIMIT = 16   # 2^m - 1 supports are factored; larger spaces are refused
 INFLATE = 1.01    # margin of a certified rate over its estimates
+CERTIFIED = f"inflated x{INFLATE} estimate"   # the note of a certified rate
 
 
 def require_size(m: int) -> None:
@@ -144,6 +146,42 @@ def _quadratic_matrix(space, kernel, r: float, potential=None) -> np.ndarray:
     D = np.diag(space.mu)
     M = D - r * (D @ generator(space, kernel, potential))
     return 0.5 * (M + M.T)
+
+
+def _factors(space, kernel, potential):
+    """Per support size, the supports S (rows) and lam, W of one batched
+    ``eigh`` D_S^{-1/2} (DL)_SS D_S^{-1/2} = W diag(lam) W^T."""
+    require_size(m := space.m)
+    sq = np.sqrt(space.mu)
+    DL = space.mu[:, None] * generator(space, kernel, potential)
+    B = 0.5 * (DL + DL.T) / sq[:, None] / sq[None, :]
+    for k in range(1, m + 1):
+        S = np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp).reshape(-1, k)
+        yield S, *np.linalg.eigh(B[S[:, :, None], S[:, None, :]])
+
+
+def _optimum(space, kernel, potential, factors, rs):
+    """The r-kernel: the best candidate of the supports in ``factors`` at
+    each r of the 1-D array rs."""
+    m, mu, sq = space.m, space.mu, np.sqrt(space.mu)
+    Ms = [_quadratic_matrix(space, kernel, x, potential) for x in rs]
+    best = np.full(len(rs), -INF)
+    for S, lam, W in factors:
+        c = np.einsum("sji,sj->si", W, sq[S])
+        flat = S + m * np.arange(len(S))[:, None]   # where S sits in a (len(S), m) array
+        for i, (x, M) in enumerate(zip(rs, Ms)):
+            d = 1.0 - x * lam
+            q = c / d if d.all() else np.where(   # M_SS(r) singular: x runs off along W
+                (pole := (d == 0) & (c != 0)).any(1)[:, None], pole * c, c / np.where(d, d, 1.0))
+            Y = np.einsum("sij,sj->si", W, q)
+            keep = np.all(Y >= 0, axis=1) | np.all(Y <= 0, axis=1)
+            F = np.zeros((len(S), m))
+            F.ravel()[flat] = Y / sq[S]
+            F = F[keep] / (F[keep] @ mu)[:, None]
+            vals = np.einsum("ki,ki->k", F @ M, F)
+            best[i] = max(best[i], np.max(vals, where=np.isfinite(vals), initial=-INF))
+        del lam, W   # streamed factors: free them before the next eigh
+    return best
 
 
 def sp_estimate(space, kernel, r, potential=None):
@@ -159,60 +197,45 @@ def sp_estimate(space, kernel, r, potential=None):
     D_S^{-1/2} = W diag(lam) W^T, gives every r at O(k^2) per support:
     sqrt(mu_S) x = W (W^T sqrt(mu_S) / (1 - r lam)); where 1 - r lam = 0
     the candidate is that column of W (lambda = 0), unless W^T sqrt(mu_S)
-    is 0 there too and the term drops, as in a pseudo-inverse."""
+    is 0 there too and the term drops, as in a pseudo-inverse.  One size's
+    factors are held at a time."""
     rs = np.asarray(r, dtype=float)
     if np.any(rs < 0):
         raise ValueError("r must be nonnegative")
-    require_size(m := space.m)
-    mu, sq = space.mu, np.sqrt(space.mu)
-    Ms = [_quadratic_matrix(space, kernel, x, potential) for x in rs.ravel()]
-    DL = mu[:, None] * generator(space, kernel, potential)
-    B = 0.5 * (DL + DL.T) / sq[:, None] / sq[None, :]
-    best = np.full(len(Ms), -INF)
-    for k in range(1, m + 1):
-        S = np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp).reshape(-1, k)
-        lam, W = np.linalg.eigh(B[S[:, :, None], S[:, None, :]])
-        c = np.einsum("sji,sj->si", W, sq[S])
-        flat = S + m * np.arange(len(S))[:, None]   # where S sits in a (len(S), m) array
-        for i, (x, M) in enumerate(zip(rs.ravel(), Ms)):
-            d = 1.0 - x * lam
-            q = c / d if d.all() else np.where(   # M_SS(r) singular: x runs off along W
-                (pole := (d == 0) & (c != 0)).any(1)[:, None], pole * c, c / np.where(d, d, 1.0))
-            Y = np.einsum("sij,sj->si", W, q)
-            keep = np.all(Y >= 0, axis=1) | np.all(Y <= 0, axis=1)
-            F = np.zeros((len(S), m))
-            F.ravel()[flat] = Y / sq[S]
-            F = F[keep] / (F[keep] @ mu)[:, None]
-            vals = np.einsum("ki,ki->k", F @ M, F)
-            best[i] = max(best[i], np.max(vals, where=np.isfinite(vals), initial=-INF))
-        del W   # hold one size's factors at a time: free them before the next eigh
-    return best.reshape(rs.shape)[()]
+    return _optimum(space, kernel, potential, _factors(space, kernel, potential),
+                    rs.ravel()).reshape(rs.shape)[()]
+
+
+def certified_rates(space, kernel, grids, potential=None) -> list:
+    """The certified rate of one form on each r grid: the optimal rate raised
+    by ``INFLATE`` (divided by it where negative), tabulated and extended
+    constantly on both sides.  beta*(r) = sup_f (||f||_2^2 - r E(f,f)) /
+    ||f||_1^2 is convex (a supremum of affine functions of r), so each chord
+    lies above it.  The optimum at r = 0+ is appended on the left, and on the
+    right, where the grid's end has not flattened onto the large-r floor,
+    decades up to 12, kept up to the first where it flattens or is
+    nonpositive (beta* is nonincreasing, on a killed form too).  The supports
+    are factored once for every grid and decade, held for this call only."""
+    factors = list(_factors(space, kernel, potential))
+    stop = lambda e: e[-1] <= 0 or e[-2] - e[-1] <= 1e-6 * e[-1]
+    rates = []
+    for grid in grids:
+        rs = np.array([float(grid[0]) * 1e-9] + [float(r) for r in grid])
+        est = _optimum(space, kernel, potential, factors, rs)
+        if not stop(est):
+            decades = np.multiply.accumulate(np.append(rs[-1], np.full(12, 10.0)))[1:]
+            rs = np.append(rs, decades)
+            est = np.append(est, _optimum(space, kernel, potential, factors, decades))
+            n = next((j for j in range(len(rs) - 11, len(rs)) if stop(est[:j])), len(rs))
+            rs, est = rs[:n], est[:n]
+        rates.append(rate_tabulated(rs, np.maximum(INFLATE * est, est / INFLATE),
+                                    note=CERTIFIED))
+    return rates
 
 
 def certified_rate(space, kernel, r_grid, potential=None) -> RateFunction:
-    """The optimal rate on the grid raised by ``INFLATE`` (divided by it
-    where negative), tabulated and extended constantly on both sides.
-
-    The optimal rate beta*(r) = sup_f (||f||_2^2 - r E(f,f)) / ||f||_1^2 is a
-    supremum of affine functions of r, hence convex, so each chord of the
-    table lies above it.  The optimum at r = 0+ (the inverse smallest mass)
-    is appended on the left, and on the right up to 12 decades (a second
-    ``sp_estimate`` call), kept up to the first where the estimate flattens
-    onto its large-r floor or is nonpositive: beta* is nonincreasing, so the
-    last value bounds everything to its right, on a killed form too.  Spaces
-    above ``SIZE_LIMIT`` points are refused.
-    """
-    stop = lambda e: e[-1] <= 0 or e[-2] - e[-1] <= 1e-6 * e[-1]
-    rs = np.array([float(r_grid[0]) * 1e-9] + [float(r) for r in r_grid])
-    est = sp_estimate(space, kernel, rs, potential)
-    if not stop(est):
-        decades = np.multiply.accumulate(np.append(rs[-1], np.full(12, 10.0)))[1:]
-        rs = np.append(rs, decades)
-        est = np.append(est, sp_estimate(space, kernel, decades, potential))
-        n = next((j for j in range(len(rs) - 11, len(rs)) if stop(est[:j])), len(rs))
-        rs, est = rs[:n], est[:n]
-    return rate_tabulated(rs, np.maximum(INFLATE * est, est / INFLATE),
-                          note=f"inflated x{INFLATE} estimate")
+    """``certified_rates`` on one grid: its stretch reads the same factors."""
+    return certified_rates(space, kernel, [r_grid], potential)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +305,14 @@ def lemma2_bound(space, kernel, gamma, beta: RateFunction, s_grid,
     """
     prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
     theta_int, _ = theta or Semigroup(space, kernel, potential).theta_curve(gamma)
-
-    def bound(s):
-        b = beta.inv(1.0 / (2.0 * s))
-        if math.isinf(b):
-            return math.nan
-        theta_val = theta_int(b)
-        return (1.0 - math.exp(-1.0)) / (2.0 * theta_val) if theta_val > 0 else INF
-
-    curve = curve_slacks(prof, s_grid, bound, tol)
+    s_grid = np.asarray(s_grid, dtype=float)
+    b = np.array([beta.inv(1.0 / (2.0 * s)) for s in s_grid])
+    live = ~np.isinf(b)
+    theta_val = np.full(len(b), math.nan)
+    theta_val[live] = theta_int.moments(b[live])[0]   # one stacked Theta call
+    bounds = np.divide(1.0 - math.exp(-1.0), 2.0 * theta_val,
+                       out=np.where(live, INF, math.nan), where=theta_val > 0)
+    curve = curve_slacks(prof, s_grid, dict(zip(s_grid, bounds)).__getitem__, tol)
     rows = [{"s": float(s), "skipped": True, "note": "beta inverse infinite at 1/(2s)"}
             if math.isnan(b) else {"s": float(s), "kappa": float(k), "bound": float(b),
                                    "slack": float(sl), "skipped": False}

@@ -33,7 +33,7 @@ from .isoperimetry import (_doubling_enumeration, _pair_weights, _subset_sums,
 from .numerics import (INF, cumulative_quad, end_slope, ext_ratio,
                        inv_decreasing, inv_increasing)
 from .reports import TheoremReport
-from .superpoincare import (RateFunction, certified_rate, rate_power_log,
+from .superpoincare import (CERTIFIED, RateFunction, certified_rate, rate_power_log,
                             rate_power_pair, require_size, sp_verify)
 from .young import (YoungFunction, _log_family, _power_pair, gauge_slacks,
                     piecewise_linear_young, stack_family, tabulated_young)
@@ -45,6 +45,11 @@ C_KILLED = 2.0 * C_STAR                    # killed route: the extended
 # L1 form double-counts the killing term relative to the target bracket.
 SUPPORT_FRACTION = 0.45                    # regularization-route test
 # functions live on subsets of at most this share of the total mass.
+
+
+def rate_grid(total: float) -> np.ndarray:
+    """thm21's r grid (thm43's at the extension's total mass + 1)."""
+    return np.geomspace(1e-3 / total, 1e3 / total, 25)
 
 
 def _within_cap(space, fam: np.ndarray, cap: float) -> np.ndarray:
@@ -220,7 +225,7 @@ def thm21_young(beta: RateFunction, theta: ThetaIntegral, s_max: float,
 
 def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
                  support_fraction: float = SUPPORT_FRACTION, seed: int = 0,
-                 theta=None, tol=1e-9) -> TheoremReport:
+                 theta=None, profile=None, tol=1e-9) -> TheoremReport:
     """Rate-to-gauge inequality at the traced constant.
 
     Builds the regularization Young function from a certified rate and
@@ -232,15 +237,16 @@ def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
     profile.  The rate is checked on 25 log-spaced r in [1e-3, 1e3] / total
     mass.  The empirical best constant is recorded and must not exceed C*.
     ``theta`` is ``Semigroup(space, kernel).theta_curve(gamma)``, built when
-    None.
+    None, as is the profile.
     """
     rep = TheoremReport("thm21")
     m = space.m
     total = space.total_mass
     rng = np.random.default_rng(seed)
-    r_grid = np.geomspace(1e-3 / total, 1e3 / total, 25)
+    r_grid = rate_grid(total)
     if beta is None:
         beta = certified_rate(space, kernel, r_grid)
+    if beta.params.get("note") == CERTIFIED:
         rep.note("rate: inflated certified estimate on the r grid")
     fam = None if f_family is None else stack_family(space, f_family)
     sp = sp_verify(space, kernel, beta,
@@ -273,7 +279,7 @@ def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
     if fam is None:
         from .instances import small_support_functions
         fam = stack_family(space, small_support_functions(rng, space, cap, 40))
-        prof = enumerate_profile(space, kernel, gamma)
+        prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
         below = int(np.searchsorted(prof.sorted_masses, cap + 1e-12, side="right"))
         norms, B = indicator_front(N, prof.sorted_masses[:below],
                                    2.0 * prof.sorted_flows[:below])
@@ -328,7 +334,7 @@ def rate_from_gauge(N: YoungFunction, C: float, lead: float = 2.0) -> RateFuncti
 
 
 def thm41(N: YoungFunction, space, kernel, gamma, f_family, r_grid,
-          C: float | None = None, tol=1e-9) -> TheoremReport:
+          C: float | None = None, profile=None, tol=1e-9) -> TheoremReport:
     """From the L1 gauge inequality at constant C to: (1) a pointwise lower
     bound on the isoperimetric curve, (2) a defective L2 rate, and (3) a
     full rate under the square-integrability bound on the weighted kernel.
@@ -339,7 +345,7 @@ def thm41(N: YoungFunction, space, kernel, gamma, f_family, r_grid,
     rep = TheoremReport("thm41")
     if not _check_s_over_N_increasing(N):
         raise ValueError("s -> N(s)/s must be increasing for this route")
-    prof = enumerate_profile(space, kernel, gamma)
+    prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
     C_ind = indicator_gauge_constant(space, kernel, gamma, N, prof)
     C_used = max(C or 0.0, C_ind)
     rep.derived["C_used"] = C_used
@@ -376,7 +382,7 @@ def _c_gamma(space, kernel, gamma, extra=0.0) -> float:
 
 
 def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
-          tol=1e-9) -> TheoremReport:
+          profile=None, tol=1e-9) -> TheoremReport:
     """From a defective L2 rate to: (1) an isoperimetric lower bound,
     (2) a gauge inequality with N = Phi^{-1}, Phi(t) = 4 int_0^t
     beta1^{-1}(r/2) dr, at constant 1/2, and (3) a full rate.
@@ -386,7 +392,7 @@ def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
     skipped with a note.
     """
     rep = TheoremReport("thm42")
-    prof = enumerate_profile(space, kernel, gamma)
+    prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
     masses = prof.sorted_masses
     s_grid = np.unique(np.concatenate([masses * 1.0001,
                                        np.geomspace(masses[0] * 0.5,
@@ -561,7 +567,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     rng = np.random.default_rng(seed)
     total = space.total_mass
     if r_grid is None:
-        r_grid = np.geomspace(1e-3 / (total + 1.0), 1e3 / (total + 1.0), 25)
+        r_grid = rate_grid(total + 1.0)
     if f_family is None:
         from .instances import small_support_functions
         f_family = small_support_functions(rng, space,
@@ -570,6 +576,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     # hypothesis check: the supplied (or estimated) rate for the killed form
     if beta is None:
         beta = certified_rate(space, kernel, r_grid, potential=potential)
+    if beta.params.get("note") == CERTIFIED:
         rep.note("killed-form rate: inflated certified estimate")
     spv = sp_verify(space, kernel, beta, f_family, r_grid, potential=potential)
     rep.add("killed-form rate inequality on the family", spv["worst_slack"], tol)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jumpiso import cli
+from jumpiso import cli, superpoincare
 from jumpiso.cli import main
 from jumpiso.core import ValidationError, instance_from_json
 
@@ -300,20 +300,38 @@ def test_verify_jobs_2_writes_the_jobs_1_bytes(tmp_path):
 
 @pytest.mark.parametrize("potential,builds", [(False, 1), (True, 2)])
 def test_paper_checks_share_one_certified_rate(tmp_path, monkeypatch, potential, builds):
-    """lemma2, thm20_poincare and sp_decay read one certified rate per
-    instance; thm20_poincare needs the unkilled one, so a killed instance
-    builds two."""
-    calls = []
-    real = cli.certified_rate
-    monkeypatch.setattr(cli, "certified_rate",
-                        lambda *a, **k: calls.append(k["potential"]) or real(*a, **k))
+    """lemma2, thm20_poincare, sp_decay and thm21 read the certified rates of
+    one ``certified_rates`` call per form and instance; thm20_poincare and
+    thm21 need the unkilled form, so a killed instance builds two, the
+    second one with thm43's killed-form table.  Each form is factored once:
+    one batched (3-D) ``eigh`` per support size k = 1..m.  thm43's cemetery
+    extension is another form, of m + 1 points, with its own call."""
+    calls, sizes = [], []
+    real, real_eigh = superpoincare.certified_rates, np.linalg.eigh
+
+    def spy(space, kernel, grids, potential=None):
+        calls.append((space.m, potential is not None, len(grids)))
+        return real(space, kernel, grids, potential)
+
+    def eigh(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            sizes.append(np.shape(a)[-1])
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "certified_rates", spy)
+    monkeypatch.setattr(superpoincare, "certified_rates", spy)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    theorems = ["lemma2", "thm20_poincare", "sp_decay", "coarea", "thm21"] + \
+        ["thm43"] * potential
     manifest = write(tmp_path, "m.json", {
         "kind": "theorem-batch", "seed": 2,
         "generate": {"count": 1, "m_range": [4, 6], "potential": potential},
-        "theorems": ["lemma2", "thm20_poincare", "sp_decay", "coarea"]})
+        "theorems": theorems})
     assert main(["verify", "--manifest", manifest, "--out", str(tmp_path / "o")]) == 0
-    assert len(calls) == builds
+    m = calls[0][0]
+    forms = [(m, True, 2)] * potential + [(m, False, 2)] + [(m + 1, False, 1)] * potential
+    assert calls == forms and sum(c[0] == m for c in calls) == builds
+    assert sorted(sizes) == sorted(k for n, _, _ in forms for k in range(1, n + 1))
     report = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert [r["theorem"] for r in report["reports"]] == [
-        "lemma2", "thm20_poincare", "sp_decay", "coarea"]
-    assert [len(r["checks"]) for r in report["reports"]] == [1, 2, 1, 3]
+    assert [r["theorem"] for r in report["reports"]] == theorems
+    assert [len(r["checks"]) for r in report["reports"]][:4] == [1, 2, 1, 3]

@@ -10,7 +10,7 @@ from jumpiso.instances import random_functions, random_instance
 from jumpiso.isoperimetry import _doubling_enumeration, _subset_sums
 from jumpiso.numerics import INF
 from jumpiso.superpoincare import (INFLATE, SIZE_LIMIT, _quadratic_matrix,
-                                   certified_rate, lemma2_bound,
+                                   certified_rate, certified_rates, lemma2_bound,
                                    rate_power_pair, rate_tabulated,
                                    sp_decay_check, sp_estimate, sp_verify)
 from oracles import rate_power, scaled_rate
@@ -260,6 +260,25 @@ def test_stretched_table_equals_one_r_at_a_time(with_potential):
         lengths.add(len(got[0]) - 11)
     # the stretch ran on some instances and stopped before its 12 decades
     assert any(0 < n < 12 for n in lengths), lengths
+
+
+@pytest.mark.parametrize("with_potential", [False, True])
+def test_certified_rates_equal_one_table_per_grid(with_potential):
+    """One certified_rates call on three grids of a form gives each grid the
+    r and the values of its per-r loop, bit for bit: the first grid ends
+    early and stretches, the third reaches the large-r floor and does not."""
+    for seed in range(6):
+        space, kernel, _, pot = random_instance(seed, (3, 9), with_potential=with_potential)
+        M = space.total_mass
+        grids = [np.geomspace(1e-3 / M, 1e-1 / M, 6), np.geomspace(1e-3 / M, 1e2 / M, 10),
+                 np.geomspace(1e-3 / M, 1e6 / M, 25)]
+        stretched = []
+        for grid, got in zip(grids, certified_rates(space, kernel, grids, potential=pot)):
+            ref = reference_table(space, kernel, grid, potential=pot)
+            assert np.array_equal(got.knots[0], ref[0]) and \
+                np.array_equal(got.knots[1], ref[1]), (seed, len(grid))
+            stretched.append(len(ref[0]) > len(grid) + 1)
+        assert stretched[0] and not stretched[2], (seed, stretched)
 
 
 @pytest.mark.parametrize("with_potential", [False, True])
