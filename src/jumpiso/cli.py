@@ -192,8 +192,9 @@ def _run_theorems_on(args):
             r = float(r_grid[POINCARE_INDEX])
             b = rates(False)["r"](r)
             rep = TheoremReport("thm20_poincare", derived={"C1": r, "C2_tilde": b})
-            fw = thm20_poincare(space, kernel, r, b, "forward")
-            bw = thm20_poincare(space, kernel, r, b, "backward", f_family=fam)
+            prof = profile() if np.all(gamma.gamma == 1.0) else enumerate_profile(space, kernel)
+            fw = thm20_poincare(space, kernel, r, b, "forward", profile=prof)
+            bw = thm20_poincare(space, kernel, r, b, "backward", f_family=fam, profile=prof)
             rep.add("subset Poincare at C1 = r, C2~ = beta(r)", fw["worst_slack"], tol)
             rep.add("functional Poincare with C2 = 2 C2~", bw["worst_slack"], tol)
         elif name == "sp_decay":

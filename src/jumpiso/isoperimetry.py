@@ -274,7 +274,7 @@ def thm20_backward(space, kernel, N, f_family, gamma=None, tol=1e-9, profile=Non
 
 
 def thm20_poincare(space, kernel, C1, C2_tilde, mode: str, f_family=None,
-                   gamma=None) -> dict:
+                   gamma=None, profile=None) -> dict:
     """Two-way link between the L1 Poincare form and its subset version.
 
     forward:  check mu(A) <= 2 C1 flow-sum(A) + C2_tilde mu(A)^2 on every
@@ -283,7 +283,7 @@ def thm20_poincare(space, kernel, C1, C2_tilde, mode: str, f_family=None,
               C2 = 2 C2_tilde over f_family.
     """
     gamma = gamma if gamma is not None else WeightFunction.ones(space.m)
-    prof = enumerate_profile(space, kernel, gamma)
+    prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
     subset = subset_rate_slacks(prof, [C1], lambda r: C2_tilde, TOL)
     if mode == "forward":
         return {"claim": "subset Poincare with C2_tilde = C2",

@@ -30,8 +30,8 @@ from .isoperimetry import (_doubling_enumeration, _pair_weights, _subset_sums,
                            curve_slacks, enumerate_profile, indicator_constant,
                            indicator_front, indicator_gauge_constant,
                            subset_rate_slacks)
-from .numerics import (INF, cumulative_quad, end_slope, ext_ratio,
-                       inv_decreasing, inv_increasing)
+from .numerics import (INF, cumulative_quad, end_slope, ext_ratio, inv_increasing,
+                       safe_pow)
 from .reports import TheoremReport
 from .superpoincare import (CERTIFIED, RateFunction, certified_rate, rate_power_log,
                             rate_power_pair, require_size, sp_verify)
@@ -315,15 +315,19 @@ def rate_from_gauge(N: YoungFunction, C: float, lead: float = 2.0) -> RateFuncti
     g is continuous and nonincreasing when s -> N(s)/s is increasing, so
     beta is a monotone root, and inf{s : g(s) <= r} <= t holds exactly when
     g(t) <= r: the generalized inverse of beta is g(u/lead) in closed form.
-    Evaluated at sqrt(r) with lead 4 and the Cauchy-Schwarz constant, the
-    same construction gives the full rate of the square-root route.
+    The root is C tau/r with tau = inf{tau : N(tau)/tau >= C/r}, one search on
+    the explicit N (N(tau) at a continuous crossing, still right where N jumps
+    to +inf at a cap), and lead (C/r)^{p/(p-1)} for N = s^p.  At sqrt(r), with
+    lead 4 and the Cauchy-Schwarz constant, it is the square-root full rate.
     """
     def g(s):
         return C * N.inv(s) / s
 
     def ev(r):
-        root = inv_decreasing(g, r)
-        return lead * root if not math.isinf(root) else INF
+        if N.family == "power" and N.params["p"] > 1.0:
+            return lead * safe_pow(ext_ratio(C, r), _exponent(N.params["p"]))
+        tau = inv_increasing(lambda t: float(N(t)) / t, ext_ratio(C, r))
+        return lead * ext_ratio(C * tau, r)
 
     def iv(u):
         if u <= 0:
@@ -498,9 +502,13 @@ def cor41(case: int, direction: str, params: dict, C: float = 1.0,
     if direction == "to_young":
         # the grid must reach far enough that the primitive's values cover
         # the slope-measurement windows without extrapolation
-        grid = np.concatenate([[0.0], np.geomspace(1e-100, 1e100, 1100)])
-        vals = cumulative_quad(lambda r: 4.0 * target.inv(r / 2.0), grid, rtol=1e-10)
-        N = tabulated_young(vals[1:], grid[1:], family="cor_young")
+        grid = np.geomspace(1e-100, 1e100, 1100)
+        # layer cake in rho = beta1^{-1}(t/2): Phi = 4 t rho + 8 int_rho^inf beta1,
+        # the tail in x = 1/rho from 0, its first segment beyond the last knot
+        rho = np.array([target.inv(t / 2.0) for t in grid])
+        tail = cumulative_quad(lambda x: target(1 / x) / x / x, np.append(0.0, 1 / rho),
+                               rtol=1e-10)
+        N = tabulated_young(4.0 * grid * rho + 8.0 * tail[1:], grid, family="cor_young")
         return {"rate": target, "young": N, "constant": 0.5}
     raise ValueError("direction must be to_rate or to_young")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -335,3 +336,27 @@ def test_paper_checks_share_one_certified_rate(tmp_path, monkeypatch, potential,
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert [r["theorem"] for r in report["reports"]] == theorems
     assert [len(r["checks"]) for r in report["reports"]][:4] == [1, 2, 1, 3]
+
+
+def test_paper_checks_enumerate_one_profile_per_instance(tmp_path, monkeypatch):
+    """thm20_poincare reads the unweighted profile the CLI holds, which is the
+    instance's own profile when gamma is absent: paper_checks.json (5
+    instances, no gamma) enumerates 5 profiles, and its report keeps its
+    golden bytes."""
+    from test_golden import GOLDEN
+
+    from jumpiso import isoperimetry
+    calls, real = [], isoperimetry.enumerate_profile
+
+    def spy(space, kernel, gamma=None):
+        calls.append(space.m)
+        return real(space, kernel, gamma)
+
+    monkeypatch.setattr(cli, "enumerate_profile", spy)
+    monkeypatch.setattr(isoperimetry, "enumerate_profile", spy)
+    manifest = Path(__file__).resolve().parents[1] / "manifests" / "paper_checks.json"
+    out = tmp_path / "o"
+    assert main(["verify", "--manifest", str(manifest), "--out", str(out)]) == 0
+    assert len(calls) == 5
+    digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN[("paper_checks.json", "verify")]["report.json"]

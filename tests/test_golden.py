@@ -37,7 +37,7 @@ GOLDEN = {
     },
     ("killed_batch.json", "verify"): {
         "report.json":
-            "e6056ddbfb56e5f30e341ff96eb3159e9d9f16f309cbcd98ce31f831f5115a76",
+            "f8e0a391c9a854f352f2428e8ae77c77b8d79320bcffc2b9080aebb304d568c4",
     },
     ("paper_checks.json", "verify"): {
         "report.json":
@@ -57,7 +57,7 @@ GOLDEN = {
     },
     ("theorem_batch.json", "verify"): {
         "report.json":
-            "18b12bfd9a5f2e42c40017db4c359da813cb224a4705b80b905bf08aafa35c2c",
+            "619b11479969982aea0459589e72632229d1486bc7ad37899def82ee97942fa8",
     },
 }
 PINNED = sorted({manifest for manifest, _ in GOLDEN})

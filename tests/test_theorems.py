@@ -1,21 +1,23 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from jumpiso import theorems
 from jumpiso.core import (FiniteMeasureSpace, JumpKernel, KillingPotential,
                           Semigroup, WeightFunction)
 from jumpiso.instances import random_functions, random_instance
 from jumpiso.isoperimetry import enumerate_profile
 from jumpiso.numerics import INF, inv_decreasing, safe_pow
-from jumpiso.superpoincare import (certified_rate, rate_power_log,
+from jumpiso.superpoincare import (RateFunction, certified_rate, rate_power_log,
                                    rate_power_pair, rate_tabulated)
 from jumpiso.theorems import (C_KILLED, C_STAR, _check_s_over_N_increasing,
                               cor41, cor41_round_trip, cor41_young,
                               lemma1_core, lemma1_poincare, lemma1_sobolev,
                               rate_from_gauge, thm21_verify, thm21_young,
                               thm41, thm42, thm43)
-from jumpiso.young import builtin, tabulated_young
+from jumpiso.young import YoungFunction, builtin, tabulated_young
 
 SQ = lambda s: np.asarray(s, dtype=float) ** 2
 
@@ -224,9 +226,12 @@ def test_cor41_case3_q0_reduces_to_power():
         assert out["rate"](r) == pytest.approx(ref["rate"](r), rel=1e-9)
 
 
-@pytest.mark.parametrize("case,params", [
+ROUND_TRIP_CASES = [
     (1, {"p1": 1.6, "p2": 2.4}), (2, {"p1": 1.6, "p2": 2.4}),
-    (3, {"p1": 2.0, "q": 1.0}), (4, {"p1": 2.0, "q": 1.0})])
+    (3, {"p1": 2.0, "q": 1.0}), (4, {"p1": 2.0, "q": 1.0})]
+
+
+@pytest.mark.parametrize("case,params", ROUND_TRIP_CASES)
 def test_cor41_round_trip_slope_fidelity(case, params):
     out = cor41_round_trip(case, params)
     assert out["pass"], out
@@ -317,9 +322,7 @@ def test_gauge_root_matches_nested_bisection(name):
         assert close_to_reference(full(math.sqrt(r)), ref(r)), (name, r)
 
 
-@pytest.mark.parametrize("case,params", [
-    (1, {"p1": 1.6, "p2": 2.4}), (2, {"p1": 1.6, "p2": 2.4}),
-    (3, {"p1": 2.0, "q": 1.0}), (4, {"p1": 2.0, "q": 1.0})])
+@pytest.mark.parametrize("case,params", ROUND_TRIP_CASES)
 def test_cor41_target_families_match_reference(case, params):
     p1, p2, q = params["p1"], params.get("p2", params["p1"]), params.get("q", 0.0)
     shape = old_target_shape(case, p1, p2, q)
@@ -338,6 +341,76 @@ def test_cor41_target_families_match_reference(case, params):
     out = cor41(case, "to_rate", params, r_grid=r_grid)
     ratios = np.array([out["rate"](r) / shape(r) for r in r_grid])
     assert out["fitted_c"] == float(np.exp(np.mean(np.log(ratios))))
+
+
+def test_cor41_inverts_each_monotone_function_once_per_point(monkeypatch):
+    """beta1 of cor41's log cases searches the explicit N(tau)/tau, so no
+    N^{-1} is evaluated; to_young inverts its target once per knot of its
+    1,100-point t grid, and never inside the quadrature's integrand."""
+    young_inv, rate_inv, quad = YoungFunction.inv, RateFunction.inv, theorems.cumulative_quad
+    n_young, in_quad, rate_calls = [], [], []
+
+    def integrate(fn, grid, rtol=1e-8):
+        in_quad.append(True)
+        try:
+            return quad(fn, grid, rtol)
+        finally:
+            in_quad.pop()
+
+    monkeypatch.setattr(YoungFunction, "inv",
+                        lambda self, r: n_young.append(r) or young_inv(self, r))
+    monkeypatch.setattr(RateFunction, "inv",
+                        lambda self, u: rate_calls.append(bool(in_quad)) or rate_inv(self, u))
+    monkeypatch.setattr(theorems, "cumulative_quad", integrate)
+    for case, params in ROUND_TRIP_CASES[2:]:
+        cor41(case, "to_rate", params)
+        assert n_young == [], case
+    for case, params in ROUND_TRIP_CASES:
+        rate_calls.clear()
+        cor41(case, "to_young", params, C=0.37)
+        assert len(rate_calls) == 1100 and not any(rate_calls), case
+
+
+# relative tolerance of to_young's Phi against the 30-digit reference, fixed
+# before the comparison was first run
+PHI_REL = 1e-9
+
+
+@pytest.mark.parametrize("case,params", ROUND_TRIP_CASES)
+def test_cor41_to_young_primitive_matches_mpmath(case, params):
+    """Phi(t) = 4 int_0^t beta1^{-1}(r/2) dr at sampled knots t in [1e-45, 1e100]
+    of to_young's grid, against mpmath at 30 digits: rho = beta1^{-1}(t/2) by
+    a root in y = log rho, then Phi = 4 t rho + 8 int_rho^inf beta1.  Below
+    1e-45, case 3's first knots carry the power-law end fit of the tail
+    (2.4e-5 at t = 1e-100, falling below 1e-9 by t = 1e-91)."""
+    mp = mpmath.mp
+    C = 0.37
+    p1, p2, q = params["p1"], params.get("p2", params["p1"]), params.get("q", 0.0)
+    a1, a2, qq = mp.mpf(p1) / (p1 - 1), mp.mpf(p2) / (p2 - 1), mp.mpf(q) / (p1 - 1)
+
+    def beta(rho):
+        if case == 1:
+            return C * max(rho ** -a1, rho ** -a2)
+        if case == 2:
+            return C * min(rho ** -a1, rho ** -a2)
+        return C * rho ** -a1 * mp.log(2 + (rho if case == 3 else 1 / rho)) ** -qq
+
+    out = cor41(case, "to_young", params, C=C)
+    grid = np.geomspace(1e-100, 1e100, 1100)
+    knots = np.flatnonzero(grid >= 1e-45)
+    for i in np.append(knots[::40], knots[-1]):
+        with mpmath.workdps(30):
+            t = mp.mpf(float(grid[i]))
+            y = mp.findroot(lambda y: mp.log(beta(mp.exp(y))) - mp.log(t / 2),
+                            math.log(out["rate"].inv(grid[i] / 2.0)))
+            # the tail in w = log(sigma/rho), over order-one values: mp.quad's
+            # error estimate is absolute; cases 1 and 2 split at the kink sigma = 1
+            ends = [0] + ([-y] if case in (1, 2) and y < 0 else []) + [40, mp.inf]
+            h = beta(mp.exp(y)) * mp.exp(y)
+            tail = mp.quad(lambda w: beta(mp.exp(y + w)) * mp.exp(y + w) / h, ends)
+            want = 4 * t * mp.exp(y) + 8 * h * tail
+        got = out["young"].inv(grid[i])
+        assert abs(got - want) <= PHI_REL * want, (case, float(t), got, float(want))
 
 
 def test_thm43_killed_instances():
