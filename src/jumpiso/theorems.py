@@ -24,8 +24,8 @@ import math
 import numpy as np
 
 from .core import (KillingPotential, Semigroup, ThetaIntegral, ValidationError,
-                   bar_extension, dirichlet_energy, extend_by_zero, l1_form,
-                   rate_slacks, schrodinger_energy)
+                   bar_extension, dirichlet_energy, l1_form, rate_slacks,
+                   schrodinger_energy)
 from .isoperimetry import (_doubling_enumeration, _pair_weights, _subset_sums,
                            curve_slacks, enumerate_profile, indicator_constant,
                            indicator_front, indicator_gauge_constant,
@@ -572,13 +572,12 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
         return rep
     require_size(space.m + 1)   # the extension's rate: refuse before any work
 
-    rng = np.random.default_rng(seed)
     total = space.total_mass
     if r_grid is None:
         r_grid = rate_grid(total + 1.0)
     if f_family is None:
         from .instances import small_support_functions
-        f_family = small_support_functions(rng, space,
+        f_family = small_support_functions(np.random.default_rng(seed), space,
                                            SUPPORT_FRACTION * (total + 1.0), 40)
 
     # hypothesis check: the supplied (or estimated) rate for the killed form
@@ -589,17 +588,8 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     spv = sp_verify(space, kernel, beta, f_family, r_grid, potential=potential)
     rep.add("killed-form rate inequality on the family", spv["worst_slack"], tol)
 
-    # identity between the killed form and the extension
-    space2, kernel2, gamma2 = bar_extension(space, kernel, potential, gamma, xi)
-    ident_worst = INF
-    for _ in range(20):
-        f = rng.standard_normal(space.m)
-        a = schrodinger_energy(space, kernel, potential, f)
-        b = dirichlet_energy(space2, kernel2, extend_by_zero(f))
-        ident_worst = min(ident_worst, -abs(a - b) / max(1.0, abs(a)))
-    rep.add("extension energy identity", ident_worst, 1e-12)
-
     # forward: regularization route on the extension
+    space2, kernel2, gamma2 = bar_extension(space, kernel, potential, gamma, xi)
     bar_beta = certified_rate(space2, kernel2, r_grid)
     sg2 = Semigroup(space2, kernel2)
     theta_int, theta_total = sg2.theta_curve(gamma2)

@@ -11,6 +11,9 @@ quantities that the package computes in closed or batched form:
 - gauges: every subset indicator below a mass cap as a vector, the family
   that ``theorems.thm21_verify`` pushed through the gauge bisection before
   it read its subsets from the profile;
+- flows: the L1 form of a nonnegative function as the integral of the
+  boundary flows of its level sets (the layer cake), which checks
+  ``core.l1_form``;
 - lattice: the single-step kernel p1 by iterated nearest-neighbor
   convolution, exact for K <= R, which checks the binomial route of
   ``lattice.p1_kernel``.
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from jumpiso.core import FiniteMeasureSpace
+from jumpiso.isoperimetry import _pair_weights
 from jumpiso.lattice import _shift, subord_weights
 from jumpiso.numerics import INF, end_slope, ext_ratio, gauss_segments, safe_pow
 from jumpiso.superpoincare import RateFunction
@@ -292,7 +296,7 @@ def scaled_rate(beta: RateFunction, factor: float) -> RateFunction:
 
 
 # ---------------------------------------------------------------------------
-# gauges: subset indicators as vectors
+# gauges and flows: subset indicators as vectors, the layer cake
 
 def indicators_below(space: FiniteMeasureSpace, cap_mass: float):
     """All subset indicators with mass <= cap_mass (m small)."""
@@ -303,6 +307,22 @@ def indicators_below(space: FiniteMeasureSpace, cap_mass: float):
         if float(space.mu[sel].sum()) <= cap_mass:
             out.append(sel.astype(float))
     return out
+
+
+def layer_cake_l1(space, kernel, gamma, f) -> float:
+    """2 * integral over levels r of flow({f > r}), computed exactly: the
+    level-set (layer-cake) route to the L1 form of a nonnegative f."""
+    f = np.asarray(f, dtype=float)
+    if np.any(f < 0):
+        raise ValueError("layer cake check expects nonnegative f")
+    w = _pair_weights(space, kernel, gamma)
+    levels = np.unique(np.concatenate([[0.0], f]))
+    total = 0.0
+    for lo, hi in zip(levels[:-1], levels[1:]):
+        sel = f > lo
+        if sel.any() and not sel.all():
+            total += (hi - lo) * float(w[np.ix_(sel, ~sel)].sum())
+    return 2.0 * total
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,9 @@ def test_bad_manifest_exit_2(tmp_path, capsys):
     broken = tmp_path / "m3.json"
     broken.write_text("{not json")
     assert main(["verify", "--manifest", str(broken), "--out", "x"]) == 2
+    absent = tmp_path / "m4.json"
+    assert main(["verify", "--manifest", str(absent), "--out", "x"]) == 2
+    assert "cannot read the manifest" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("theorem,m,potential", [("thm21", 17, False),
@@ -278,6 +281,52 @@ def test_malformed_mode_range_and_grid_exit_2(tmp_path, capsys, command, doc, fi
     assert_refused(tmp_path, capsys, command, doc, field)
 
 
+@pytest.mark.parametrize("command,doc,field", [
+    ("sharpness", dict(SHARPNESS, n=0), "n"),
+    ("sharpness", dict(SHARPNESS, n="2"), "n"),
+    ("sharpness", dict(SHARPNESS, s_grid=[-1, 2, 3]), "s_grid"),
+    ("sharpness", dict(SHARPNESS, s_grid=["a"]), "s_grid"),
+    # one point at s >= 10, then one at s <= 0.1
+    ("sharpness", dict(SHARPNESS, s_grid=[1e-3, 1e-2, 20.0]), "s_grid"),
+    ("sharpness", dict(SHARPNESS, s_grid=[1e-3, 20.0, 30.0]), "s_grid"),
+    # two points in each fixed range, one in the top quarter of the log range
+    ("sharpness", dict(SHARPNESS, s_grid=[1e-3, 1e-2, 10.0, 20.0, 1e10]), "s_grid"),
+    ("subordinate", dict(SUBORDINATE, t_grid=[-1, 2]), "t_grid"),
+    ("subordinate", dict(SUBORDINATE, t_grid="abc"), "t_grid"),
+    ("subordinate", dict(SUBORDINATE, t_grid=[2, 2.0]), "t_grid"),
+    ("verify", dict(BATCH, generate=[3]), "generate"),
+    ("verify", dict(BATCH, instances=[5]), "instances"),
+    ("verify", dict(BATCH, instances=[{"inline": TWO_POINT}, "x.json"]), "instances"),
+    ("verify", _without(FINITE, "instance"), "instance"),
+    ("verify", dict(FINITE, instance={"path": 7}), "path"),
+    ("enumerate", dict(FINITE, instance=["x.json"]), "instance"),
+    ("verify", dict(FINITE, tolerances={"slack": math.nan}), "slack"),
+    ("verify", dict(FINITE, tolerances={"slack": math.inf}), "slack"),
+    ("verify", dict(FINITE, tolerances=[1e-9]), "tolerances"),
+])
+def test_malformed_manifest_fields_exit_2(tmp_path, capsys, command, doc, field):
+    assert_refused(tmp_path, capsys, command, doc, field)
+
+
+@pytest.mark.parametrize("missing", [True, False])
+def test_unreadable_instance_path_exit_2(tmp_path, capsys, missing):
+    """A missing file and a directory both exit 2 naming ``path``."""
+    path = tmp_path / "absent.json" if missing else tmp_path
+    assert_refused(tmp_path, capsys, "verify",
+                   dict(FINITE, instance={"path": str(path)}), "path")
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_tol_override_is_checked_like_the_manifest(tmp_path, capsys, tol):
+    """``--tol`` obeys the rule of the manifest's ``tolerances``: a NaN
+    tolerance would otherwise pass every check, since s < -nan is false."""
+    manifest = write(tmp_path, "m.json", FINITE)
+    assert main(["verify", "--manifest", manifest, "--out", str(tmp_path / "o"),
+                 f"--tol={tol}"]) == 2
+    assert "field 'tol'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_enumeration_above_its_limit_exit_2(tmp_path, capsys):
     """Exact subset enumeration is refused above ENUM_LIMIT = 24 points with
     exit 2 and the limit named, not a traceback."""
@@ -335,7 +384,7 @@ def test_paper_checks_share_one_certified_rate(tmp_path, monkeypatch, potential,
     assert sorted(sizes) == sorted(k for n, _, _ in forms for k in range(1, n + 1))
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert [r["theorem"] for r in report["reports"]] == theorems
-    assert [len(r["checks"]) for r in report["reports"]][:4] == [1, 2, 1, 3]
+    assert [len(r["checks"]) for r in report["reports"]][:4] == [1, 2, 1, 1]
 
 
 def test_paper_checks_enumerate_one_profile_per_instance(tmp_path, monkeypatch):

@@ -3,14 +3,15 @@ they replaced.
 
 The reference functions below are verbatim copies of the six ||f||_N loops
 that ``lemma1_sobolev``, ``thm21_verify``, ``thm42``, the forward check of
-``thm43``, ``thm20_backward`` and ``empirical_l1_constant`` ran before
+``thm43``, ``thm20_backward`` and the empirical constant of
+``thm20_forward`` (once ``empirical_l1_constant``) ran before
 ``young.gauge_slacks``, and of the three subset scans sup ||1_A||_N / B(A)
 (``indicator_gauge_constant``, the loop inside ``empirical_l1_constant`` and
 the converse loop of ``thm43``) that ``isoperimetry.indicator_constant``
 replaced.  Every slack, worst slack, witness, violation count, empirical
 constant and report row must equal theirs bit for bit.  Two differences
 are intended.  A row with B(f) = 0 < ||f||_N has the empirical constant
-+inf in every engine (``empirical_l1_constant`` already said so).  And
++inf in every engine (the empirical constant already said so).  And
 ``thm21_verify`` without a family no longer pushes the subset indicators
 below its cap through the gauge bisection: it reads them from the profile
 through the indicator scan, so its report is checked against that old
@@ -24,10 +25,10 @@ from jumpiso import theorems
 from jumpiso.core import (FiniteMeasureSpace, JumpKernel, WeightFunction,
                           l1_form)
 from jumpiso.instances import random_functions, random_instance
-from jumpiso.isoperimetry import (empirical_l1_constant, enumerate_profile,
-                                  indicator_gauge_constant, kappa_orlicz,
-                                  thm20_backward, thm20_poincare,
-                                  _doubling_enumeration, _subset_sums)
+from jumpiso.isoperimetry import (enumerate_profile, indicator_gauge_constant,
+                                  kappa_orlicz, thm20_backward, thm20_forward,
+                                  thm20_poincare, _doubling_enumeration,
+                                  _subset_sums)
 from jumpiso.numerics import INF, ext_ratio
 from jumpiso.superpoincare import certified_rate, rate_tabulated, sp_verify
 from jumpiso.theorems import (C_KILLED, C_STAR, cor41_young, lemma1_poincare,
@@ -260,10 +261,11 @@ def test_thm20_backward_and_empirical_constant_equal_reference(seed, with_gamma)
             for fam, tol in ((family, 1e-9), (family, 1.0), (family[:1], 1e-9)):
                 assert bits(thm20_backward(space, kernel, N, fam, gamma, tol)) \
                     == bits(ref_thm20_backward(space, kernel, N, fam, gamma, tol))
+            if with_gamma:   # thm20_forward's constant is on the unweighted form
+                continue
             for fam in (family, [], family + [np.ones(space.m)]):
-                got = empirical_l1_constant(space, kernel, N, fam, gamma)
-                assert got.hex() == \
-                    ref_empirical_l1_constant(space, kernel, N, fam, gamma).hex()
+                got = thm20_forward(space, kernel, N, fam)["C_emp"]
+                assert got.hex() == ref_empirical_l1_constant(space, kernel, N, fam).hex()
             assert got == INF     # the nonzero constant row: B = 0 < ||f||_N
 
 

@@ -19,7 +19,7 @@ MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 GOLDEN = {
     ("finite_verify.json", "verify"): {
         "report.json":
-            "631cb8f39539c021860a4ed8c7528a0b2313523e8bf4009eecdf89cbdb2a641f",
+            "e414536c31211f3ce85e50889a046b06fafa276ff16b2f775888ac1b5589a02e",
     },
     ("finite_verify.json", "enumerate"): {
         "profile.csv":
@@ -37,11 +37,11 @@ GOLDEN = {
     },
     ("killed_batch.json", "verify"): {
         "report.json":
-            "f8e0a391c9a854f352f2428e8ae77c77b8d79320bcffc2b9080aebb304d568c4",
+            "1b040497521313bbe667c3f09f7c4221d109874f0a01c857c87fb1b53140d79c",
     },
     ("paper_checks.json", "verify"): {
         "report.json":
-            "6a6cb31ab1b05dbff6b0fd58f851fe882245fcd6404218c741bdbb90664338eb",
+            "00fb84d149a84140dd7b10238aca6e628f2a2d6a602c6140899d6d8bcb8650e7",
     },
     ("perturbed.json", "perturbed"): {
         "report.json":
@@ -57,7 +57,7 @@ GOLDEN = {
     },
     ("theorem_batch.json", "verify"): {
         "report.json":
-            "619b11479969982aea0459589e72632229d1486bc7ad37899def82ee97942fa8",
+            "ffd2721ac7f06b00f768b9e809a90173670f805f44d126c3fbb993bed527eb27",
     },
 }
 PINNED = sorted({manifest for manifest, _ in GOLDEN})

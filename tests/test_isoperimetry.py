@@ -7,11 +7,11 @@ from jumpiso.core import FiniteMeasureSpace, JumpKernel, WeightFunction, l1_form
 from jumpiso.instances import random_functions, random_instance
 from jumpiso.isoperimetry import (coarea_check, enumerate_profile,
                                   indicator_constant, indicator_front,
-                                  kappa_orlicz, layer_cake_l1, pareto_front,
-                                  thm20_backward, thm20_forward,
-                                  thm20_poincare)
+                                  kappa_orlicz, pareto_front, thm20_backward,
+                                  thm20_forward, thm20_poincare)
 from jumpiso.numerics import INF, ext_ratio
 from jumpiso.young import builtin, indicator_norm
+from oracles import layer_cake_l1
 
 
 def brute_profile(space, kernel, gamma=None):
