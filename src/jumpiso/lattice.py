@@ -56,8 +56,13 @@ class LatticeWindow:
         lines = [",".join([f"x{i}" for i in range(self.n)] + ["value"])]
         for prefix, row in zip(itertools.product(axis, repeat=self.n - 1), rows):
             head = "".join(f"{c}," for c in prefix)
-            lines.append("\n".join(f"{head}{x},{v!r}"
-                                   for x, v in zip(axis, row.tolist())))
+            # one repr per distinct bit pattern (rows are symmetric, so about
+            # half repeat); unique on the floats would merge 0.0 with -0.0
+            # and the NaNs.  Row by row: a whole-window table costs megabytes
+            bits, which = np.unique(row.view(np.int64), return_inverse=True)
+            texts = [repr(v) for v in bits.view(float).tolist()]
+            lines.append("\n".join(f"{head}{x},{texts[i]}"
+                                   for x, i in zip(axis, which.tolist())))
         return "\n".join(lines) + "\n"
 
 
@@ -177,7 +182,17 @@ def _binom_parity_blocks(logfact: np.ndarray, k_lo: int, k_hi: int, width: int, 
         S = S[(k0 + width + par) // 2:][:ks.shape[0]]
         first = (j_lo + width - par + 1) // 2
         logk = logfact[width + k0:width + k_hi + 1:2, None]
-        yield par, k0, np.exp(logk - S[:, first:] - S[:, ::-1][:, first:] - ks * math.log(2.0))
+        # in place, in the order logk - S - S_reversed - k log 2
+        T = logk - S[:, first:]
+        T -= S[:, ::-1][:, first:]
+        T -= ks * math.log(2.0)
+        yield par, k0, np.exp(T, out=T)
+
+
+# gammainc(s, z) is exactly 1.0 for z >= Z_STAR at every s in (1/2, 2), the
+# range of s = (n + alpha)/2 for n in {1, 2}; the last value below 1.0 lies
+# near z = 41.2.  tests/test_lattice.py pins this.
+Z_STAR = 50.0
 
 
 def _tail_formula(n: int, alpha: float, K1: int, radii_sq: np.ndarray) -> np.ndarray:
@@ -197,8 +212,12 @@ def _tail_formula(n: int, alpha: float, K1: int, radii_sq: np.ndarray) -> np.nda
     b = 0.5 * n * np.asarray(radii_sq, dtype=float)
     pref = A * (n / (2.0 * math.pi)) ** (n / 2.0) * math.gamma(s)
     small = b < 1e-12
+    z = b / K1
+    lower = np.ones_like(z)
+    near = z < Z_STAR
+    lower[near] = gammainc(s, z[near])
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = pref * b ** (-s) * gammainc(s, b / K1)
+        vals = pref * b ** (-s) * lower
     # b -> 0 limit: gamma_low(s, z) ~ z^s / s
     vals = np.where(small, pref / math.gamma(s) * K1 ** (-s) / s, vals)
     return vals

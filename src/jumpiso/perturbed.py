@@ -45,7 +45,7 @@ def log_weight(n: int, alpha: float, eps: float) -> RadialWeight:
     z0, _ = integrate.quad(lambda r: (1 + r * r) ** (-half) * r ** (n - 1),
                            0, np.inf, limit=300)
     c = math.log(surf * z0)
-    W = lambda r: half * np.log1p(np.asarray(r, dtype=float) ** 2) + c
+    W = lambda r: half * np.log1p(r * r) + c
     Wp = lambda r: (n + eps) * np.asarray(r, dtype=float) / (1.0 + np.asarray(r, dtype=float) ** 2)
     return RadialWeight(n, alpha, W, Wp)
 
@@ -192,8 +192,10 @@ def example_threshold(n: int, alpha: float, eps_grid) -> dict:
     below suffices); the ramp-function necessity ratio
     inner_sup / (mass - l1mass^2) decays exactly when eps is below the
     threshold alpha/2.  The report states both verdicts per eps.  The ramp
-    pair integral does not depend on eps, so inner_sup is computed once per
-    l; only the masses are per eps.
+    pair integral does not depend on eps, and its rule is fixed relative to
+    l (the integrand depends on dist / l only), so inner_sup(l) =
+    l^{-alpha/2} inner_sup(1): it is computed once, at l = 1; only the
+    masses are per eps.
 
     The grids are fixed: the escape-profile slope is fitted at 12 log-spaced
     l in [10^1.5, 1e3], the ratio slope at 6 log-spaced l in [4, 64], and a
@@ -202,7 +204,8 @@ def example_threshold(n: int, alpha: float, eps_grid) -> dict:
     l_grid = np.geomspace(4.0, 64.0, 6)
     phi_l_grid = np.geomspace(10.0 ** 1.5, 1e3, 12)
     tol = alpha / 16.0
-    inner_sups = [ramp_inner_sup(n, alpha, l, 28) for l in l_grid]
+    unit = ramp_inner_sup(n, alpha, 1.0, 28)
+    inner_sups = [unit * l ** (-alpha / 2.0) for l in l_grid]
     rows = []
     for eps in eps_grid:
         w = log_weight(n, alpha, eps)

@@ -180,7 +180,8 @@ def thm21_young(beta: RateFunction, theta: ThetaIntegral, s_max: float,
     ``theta.moments``.  Each piece takes its slope from its own table segment,
     so flat (repaired) stretches, where beta^{-1} jumps, need no care.  A rate
     that never descends to r_floor leaves the inner time horizon infinite:
-    the profile is reported as infinite (hypothesis failure), not an error.
+    the profile is reported as infinite (hypothesis failure), not an error;
+    one whose profile keeps fewer than two positive knots, as degenerate.
     """
     if beta.knots is None:
         raise ValidationError(f"the regularization profile needs a tabulated rate, "
@@ -217,8 +218,13 @@ def thm21_young(beta: RateFunction, theta: ThetaIntegral, s_max: float,
     # the log-log tabulation keeps strictly increasing knots
     inc = np.flatnonzero(np.diff(vals) > 1e-14 * max(vals[-1], 1e-300))
     last = inc[-1] + 1 if inc.size else len(vals) - 1
-    N = tabulated_young(vals[1:last + 1], grid[1:last + 1],
-                        family="rate_profile_inverse")
+    knots = vals[1:last + 1]
+    usable = int(np.count_nonzero((knots > 0) & np.isfinite(knots)))
+    if usable < 2:
+        return {"ok": False, "N": None, "Phi": None,
+                "note": f"profile degenerate: {usable} positive finite knots, "
+                        f"the tabulation needs two"}
+    N = tabulated_young(knots, grid[1:last + 1], family="rate_profile_inverse")
     phi = lambda s: float(np.interp(s, grid, vals)) if s <= s_max else INF
     return {"ok": True, "N": N, "Phi": phi, "grid": grid[1:], "values": vals[1:]}
 

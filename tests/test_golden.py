@@ -45,13 +45,15 @@ GOLDEN = {
     },
     ("perturbed.json", "perturbed"): {
         "report.json":
-            "1f8dce211e48a3961816da151f890d15a618ff45cb9eff7ddb33ee5e495fccec",
+            "d393a543f053ce51584bce0c2db5752eed298a2f0dcb919ee6ed8dd2b7e00daa",
     },
     ("sharpness.json", "sharpness"): {
         "report.json":
             "d49442da47adf3b5c975aa5cf5e3ab2bbb376bd5b22ff71e2485b7990d3c3cdc",
     },
     ("subordination.json", "subordinate"): {
+        "p1.csv":
+            "f81d37cf845ed42ee1ca826da513a17eafd982c5e68d71f6c17540b4ff8ed7bb",
         "report.json":
             "50a880ee7d88f6a63f141c9ce320443be6c416b676e7182d124a979a36753673",
     },

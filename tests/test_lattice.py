@@ -3,10 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 import jumpiso.lattice as lattice
-from jumpiso.lattice import (P1_CHUNK, LatticeWindow, _binom_parity_blocks,
+from jumpiso.lattice import (P1_CHUNK, Z_STAR, LatticeWindow, _binom_parity_blocks,
                              gradient_decay, on_diagonal_decay, p1_hybrid,
                              p1_kernel, power_law_band, subord_weights,
                              torus_semigroup,
@@ -227,6 +227,29 @@ def test_window_csv_equals_per_entry_reference():
     for n in (1, 2):
         win, _ = p1_kernel(n, 1.0, 40, 6)
         assert win.to_csv() == _reference_to_csv(win)
+    # values whose bit patterns differ but whose floats compare equal (0.0,
+    # -0.0) or unordered (NaN payloads), infinities, subnormals, repeats
+    other_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+    special = np.array([0.0, -0.0, np.nan, -np.nan, other_nan, np.inf, -np.inf,
+                        5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
+                        0.1, 0.1, -0.1, 1.0])
+    win = LatticeWindow(1, 7, special)
+    assert win.to_csv() == _reference_to_csv(win)
+    values = rng.standard_normal((257, 257)) * 10.0 ** rng.integers(-300, 300, (257, 257))
+    values[:, 129:] = values[:, 127::-1]                 # symmetric rows
+    values[3] = rng.choice(special, 257)
+    values[::17, ::5] = -0.0
+    win = LatticeWindow(2, 128, values)
+    assert win.to_csv() == _reference_to_csv(win)
+
+
+def test_gammainc_is_one_beyond_z_star():
+    # _tail_formula uses the exact 1.0 for gammainc(s, z) at z >= Z_STAR, at
+    # every s = (n + alpha)/2 in (1/2, 2)
+    s = np.linspace(0.5, 2.0, 153)[1:-1, None]
+    z = np.concatenate([np.linspace(Z_STAR, 200.0, 15001),
+                        np.geomspace(200.0, 1e12, 2001)])
+    assert np.all(gammainc(s, z) == 1.0)
 
 
 def test_window_csv():

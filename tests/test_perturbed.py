@@ -135,9 +135,27 @@ def _reference_example_threshold(n, alpha, eps_grid):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_example_threshold_equals_per_eps_reference(alpha):
+    # inner_sup is scaled from l = 1, not integrated at each l: the ratios
+    # and slopes move in the last digits only, the rest is bit-identical
     eps_grid = [alpha / 4, alpha / 2, alpha]
-    assert example_threshold(2, alpha, eps_grid) == \
-        _reference_example_threshold(2, alpha, eps_grid)
+    got = example_threshold(2, alpha, eps_grid)
+    ref = _reference_example_threshold(2, alpha, eps_grid)
+    for row, want in zip(got.pop("rows"), ref.pop("rows"), strict=True):
+        for key in ("phi_slope", "ratio_slope"):
+            assert abs(row.pop(key) - want.pop(key)) <= 1e-12
+        assert np.allclose(row.pop("corrected_ratio"), want.pop("corrected_ratio"),
+                           rtol=1e-11, atol=0.0)
+        assert row == want
+    assert got == ref
+
+
+def test_ramp_inner_sup_scales_with_l():
+    # the rule is fixed relative to l, so inner_sup(l) = l^{-alpha/2} inner_sup(1)
+    for alpha in (0.5, 1.0, 1.5):
+        unit = ramp_inner_sup(2, alpha, 1.0, 28)
+        for l in np.geomspace(4.0, 64.0, 6):
+            assert ramp_inner_sup(2, alpha, l, 28) == \
+                pytest.approx(unit * l ** (-alpha / 2.0), rel=1e-11, abs=0.0)
 
 
 def test_ramp_quantities_equal_reference_and_inner_sup_is_eps_free():

@@ -52,12 +52,14 @@ def _curve_bound_raised(real):
         real(profile, s, lambda x: 10.0 * bound(x), tol)
 
 
-def _rate_halved(real):
-    """certified_rates with every tabulated rate halved."""
-    def halved(beta):
-        r, v = beta.knots
-        return rate_tabulated(r, 0.5 * v, note=beta.params.get("note"))
-    return lambda *args, **kwargs: [halved(beta) for beta in real(*args, **kwargs)]
+def _rate_scaled(factor):
+    """certified_rates with every tabulated rate scaled by factor."""
+    def fault(real):
+        def scaled(beta):
+            r, v = beta.knots
+            return rate_tabulated(r, factor * v, note=beta.params.get("note"))
+        return lambda *args, **kwargs: [scaled(beta) for beta in real(*args, **kwargs)]
+    return fault
 
 
 def _kappa_doubled(real):
@@ -73,7 +75,7 @@ FAULTS = {
     "subset rate term dropped": ("subset_rate_slacks", _subset_rate_dropped),
     "bracket cut to 1%": ("gauge_slacks", _bracket_cut),
     "curve bound raised 10x": ("curve_slacks", _curve_bound_raised),
-    "certified rate halved": ("certified_rates", _rate_halved),
+    "certified rate halved": ("certified_rates", _rate_scaled(0.5)),
     "kappa doubled": ("enumerate_profile", _kappa_doubled),
 }
 
@@ -109,3 +111,18 @@ def test_every_verify_row_fails_under_some_fault(tmp_path, monkeypatch):
     unfailable = claims - {c for found in caught.values() for c in found}
     assert not unfailable, f"rows that no fault fails: {sorted(unfailable)}; {caught}"
 
+
+def test_degenerate_profile_is_a_failed_row_not_a_traceback(tmp_path, monkeypatch):
+    # rates cut 100x leave thm21's regularization profile with no positive
+    # knot on four of the five instances: a failed "profile finite" row with
+    # a note, exit 1
+    monkeypatch.setattr(cli, "certified_rates", _rate_scaled(0.01)(cli.certified_rates))
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--manifest", str(MANIFESTS / "theorem_batch.json"),
+                     "--out", str(out)]) == 1
+    degenerate = [rep for rep in json.loads((out / "report.json").read_text())["reports"]
+                  if any(note.startswith("profile degenerate") for note in rep["notes"])]
+    assert {rep["theorem"] for rep in degenerate} == {"thm21"}
+    for rep in degenerate:
+        row = rep["checks"][-1]
+        assert row["claim"] == "profile finite" and float(row["slack"]) < 0
