@@ -227,11 +227,10 @@ def _run_theorems_on(args):
             b = rates(False)["r"](r)
             rep = TheoremReport("thm20_poincare", derived={"C1": r, "C2_tilde": b})
             prof = profile() if np.all(gamma.gamma == 1.0) else enumerate_profile(space, kernel)
-            fw = thm20_poincare(space, kernel, r, b, "forward", profile=prof)
-            rep.add("subset Poincare at C1 = r, C2~ = beta(r)", fw["worst_slack"], tol)
-            if fw["pass"]:   # the backward direction needs the subset premise
-                bw = thm20_poincare(space, kernel, r, b, "backward", f_family=fam, profile=prof)
-                rep.add("functional Poincare with C2 = 2 C2~", bw["worst_slack"], tol)
+            pc = thm20_poincare(space, kernel, r, b, tol, f_family=fam, profile=prof)
+            rep.add("subset Poincare at C1 = r, C2~ = beta(r)", pc["subset"]["worst_slack"], tol)
+            if fn := pc["functional"]:   # None where the subset premise fails
+                rep.add("functional Poincare with C2 = 2 C2~", fn["worst_slack"], tol)
             else:
                 rep.note("subset inequality fails: functional form not checked")
         elif name == "sp_decay":

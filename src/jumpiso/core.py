@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import INF, gauss_rule
+from .numerics import INF, first_min, gauss_rule
 
 # elements of the pair-distance temporary per chunk of stacked theta times
 THETA_CHUNK = 2 ** 15
@@ -190,12 +190,10 @@ def rate_slacks(space: FiniteMeasureSpace, F, energy, r_grid, rate,
     l2 = np.sum(F * F * space.mu, axis=1)
     l1sq = np.float_power(np.sum(np.abs(F) * space.mu, axis=1), 2)
     en = np.array([energy(f) for f in F], dtype=float)
-    S = rs * en[:, None] + bs * l1sq[:, None] - l2[:, None]
-    scan = np.where(np.isnan(S), INF, S).ravel()   # as under a strict <
-    worst, witness = INF, None
-    if scan.size and scan.min() < INF:
-        i, j = divmod(int(np.argmin(scan)), len(rs))
-        worst, witness = float(S[i, j]), (i, float(rs[j]))
+    with np.errstate(over="ignore"):   # a rate near the float range: a +inf slack, never the worst
+        S = rs * en[:, None] + bs * l1sq[:, None] - l2[:, None]
+    worst, at = first_min(S)
+    witness = None if at is None else (int(at[0]), float(rs[at[1]]))
     return {"slacks": S, "r": rs, "worst_slack": worst, "witness": witness,
             "violations": int(np.sum(S < -tol))}
 

@@ -22,12 +22,12 @@ import numpy as np
 
 from .core import (FiniteMeasureSpace, JumpKernel, ValidationError,
                    WeightFunction, l1_form, rate_slacks)
-from .numerics import INF, ext_ratio
+from .numerics import INF, ext_ratio, first_min
 from .young import (YoungFunction, c_N, gauge_slacks, indicator_norm,
                     stack_family)
 
 ENUM_LIMIT = 24
-TOL = 1e-9   # slack tolerance of thm20_poincare and coarea_check
+TOL = 1e-9   # slack tolerance of coarea_check
 
 
 def _pair_weights(space, kernel, gamma) -> np.ndarray:
@@ -157,12 +157,9 @@ def curve_slacks(profile: IsoperimetricProfile, s, bound, tol) -> dict:
     kap = profile.kappa(s)
     skip = np.isnan(b)
     S = np.subtract(kap, b, out=np.full_like(kap, INF), where=~(skip | np.isinf(kap)))
-    worst, witness = INF, None
-    if S.size and S.min() < INF:
-        k = int(np.argmin(S))
-        worst, witness = float(S[k]), float(s[k])
+    worst, at = first_min(S)
     return {"s": s, "kappa": kap, "bound": b, "slacks": S, "worst_slack": worst,
-            "witness": witness, "skipped": int(np.sum(skip)),
+            "witness": None if at is None else float(s[at[0]]), "skipped": int(np.sum(skip)),
             "violations": int(np.sum(S < -tol))}
 
 
@@ -262,35 +259,32 @@ def thm20_backward(space, kernel, N, f_family, gamma=None, tol=1e-9, profile=Non
             "violations": sl["violations"], "pass": sl["violations"] == 0}
 
 
-def thm20_poincare(space, kernel, C1, C2_tilde, mode: str, f_family=None,
+def thm20_poincare(space, kernel, C1, C2_tilde, tol=1e-9, f_family=None,
                    gamma=None, profile=None) -> dict:
     """Two-way link between the L1 Poincare form and its subset version.
 
-    forward:  check mu(A) <= 2 C1 flow-sum(A) + C2_tilde mu(A)^2 on every
-              proper subset (the subset version inherits C2_tilde = C2).
-    backward: given subset constants, check the functional form with
-              C2 = 2 C2_tilde over f_family.
+    "subset": mu(A) <= 2 C1 flow-sum(A) + C2_tilde mu(A)^2 on every proper
+    subset (the subset version inherits C2_tilde = C2).  "functional": where
+    that premise holds (no slack below -tol), the functional form with
+    C2 = 2 C2_tilde over f_family; None where it fails.
     """
     gamma = gamma if gamma is not None else WeightFunction.ones(space.m)
     prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
-    subset = subset_rate_slacks(prof, [C1], lambda r: C2_tilde, TOL)
-    if mode == "forward":
-        return {"claim": "subset Poincare with C2_tilde = C2",
-                "worst_slack": subset["worst_slack"],
-                "witness": None if subset["witness"] is None else subset["witness"][0],
-                "pass": subset["violations"] == 0}
-    if mode != "backward":
-        raise ValueError("mode must be forward or backward")
-    # premise: subset inequality at (C1, C2_tilde); conclusion at C2 = 2 C2_tilde
-    if subset["violations"]:
-        raise ValueError("subset inequality does not hold at the given constants")
+    sub = subset_rate_slacks(prof, [C1], lambda r: C2_tilde, tol)
+    out = {"subset": {"claim": "subset Poincare with C2_tilde = C2",
+                      "worst_slack": sub["worst_slack"], "pass": sub["violations"] == 0,
+                      "witness": None if sub["witness"] is None else sub["witness"][0]},
+           "functional": None}
+    if sub["violations"]:
+        return out
     sl = rate_slacks(space, stack_family(space, [] if f_family is None else f_family),
                      lambda f: l1_form(space, kernel, gamma, f * f),
-                     [C1], lambda r: 2.0 * C2_tilde, TOL)
-    return {"claim": "functional Poincare with C2 = 2 C2_tilde",
-            "worst_slack": sl["worst_slack"],
-            "witness": None if sl["witness"] is None else sl["witness"][0],
-            "violations": sl["violations"], "pass": sl["violations"] == 0}
+                     [C1], lambda r: 2.0 * C2_tilde, tol)
+    out["functional"] = {"claim": "functional Poincare with C2 = 2 C2_tilde",
+                         "worst_slack": sl["worst_slack"],
+                         "witness": None if sl["witness"] is None else sl["witness"][0],
+                         "violations": sl["violations"], "pass": sl["violations"] == 0}
+    return out
 
 
 def coarea_check(space, kernel, f_family, gamma=None, profile=None) -> dict:

@@ -21,6 +21,15 @@ from scipy import integrate
 
 INF = math.inf
 
+
+def first_min(S):
+    """The first minimum of the array S in C order and its index, NaN read
+    as +inf (as under a strict <); (+inf, None) when no entry is below +inf."""
+    scan = np.where(np.isnan(S), INF, S)
+    at = np.unravel_index(int(np.argmin(scan)), S.shape) if S.size else None
+    return (INF, None) if at is None or scan[at] == INF else (float(S[at]), at)
+
+
 def safe_pow(x: float, e: float) -> float:
     """x ** e for x > 0 saturating to inf/0 instead of raising on overflow."""
     try:

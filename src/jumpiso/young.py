@@ -55,15 +55,15 @@ def _power_pair(p1: float, p2: float, use_min: bool, family: str, params: dict) 
     if min(p1, p2) < 1:
         raise ValueError("exponents must be >= 1")
     lo, hi = min(p1, p2), max(p1, p2)
-
+    pick = np.minimum if use_min else np.maximum
+    # s^p past the float range is +inf, N's value there: root searches on N reach it
+    ev = np.errstate(over="ignore")(lambda s: pick(s ** p1, s ** p2))
     if use_min:
         # s^hi below the crossover at 1, s^lo above; concave corner at 1
         params = dict(params, kink=1.0)
-        ev = lambda s: np.minimum(s ** p1, s ** p2)
         iv = lambda r: max(r ** (1.0 / p1), r ** (1.0 / p2))
         dv = lambda s: np.where(s <= 1.0, hi * s ** (hi - 1.0), lo * s ** (lo - 1.0))
     else:
-        ev = lambda s: np.maximum(s ** p1, s ** p2)
         iv = lambda r: min(r ** (1.0 / p1), r ** (1.0 / p2))
         dv = lambda s: np.where(s <= 1.0, lo * s ** (lo - 1.0), hi * s ** (hi - 1.0))
     return YoungFunction(family, params, ev, iv, dv)

@@ -387,6 +387,24 @@ def test_paper_checks_share_one_certified_rate(tmp_path, monkeypatch, potential,
     assert [len(r["checks"]) for r in report["reports"]][:4] == [1, 2, 1, 1]
 
 
+def test_paper_checks_scan_each_thm20_premise_once(tmp_path, monkeypatch):
+    """thm20_poincare's subset row and the premise of its functional row
+    are one ``subset_rate_slacks`` scan: paper_checks.json (5 instances)
+    makes 5 calls.  thm20_poincare reads the scan by module name, so a
+    fault patched into ``isoperimetry`` reaches it."""
+    from jumpiso import isoperimetry
+    calls, real = [], isoperimetry.subset_rate_slacks
+
+    def spy(profile, r_values, rate, tol):
+        calls.append(len(profile.sorted_masses))
+        return real(profile, r_values, rate, tol)
+
+    monkeypatch.setattr(isoperimetry, "subset_rate_slacks", spy)
+    manifest = Path(__file__).resolve().parents[1] / "manifests" / "paper_checks.json"
+    assert main(["verify", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 5
+
+
 def test_paper_checks_enumerate_one_profile_per_instance(tmp_path, monkeypatch):
     """thm20_poincare reads the unweighted profile the CLI holds, which is the
     instance's own profile when gamma is absent: paper_checks.json (5

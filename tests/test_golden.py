@@ -19,7 +19,7 @@ MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 GOLDEN = {
     ("finite_verify.json", "verify"): {
         "report.json":
-            "e414536c31211f3ce85e50889a046b06fafa276ff16b2f775888ac1b5589a02e",
+            "69dd75a71bcb0620d0370ec8e925a23c191da16a5d3037c0b2154b56b65cb3d5",
     },
     ("finite_verify.json", "enumerate"): {
         "profile.csv":
@@ -59,7 +59,7 @@ GOLDEN = {
     },
     ("theorem_batch.json", "verify"): {
         "report.json":
-            "ffd2721ac7f06b00f768b9e809a90173670f805f44d126c3fbb993bed527eb27",
+            "4baacecfc2a85e5678e7397cd543c1809f797dc4d1ea88b047039a81318e24e5",
     },
 }
 PINNED = sorted({manifest for manifest, _ in GOLDEN})

@@ -194,10 +194,24 @@ def test_thm20_poincare_modes():
         C2t = 1.0 / space.mu.min()
         slack = prof.sorted_masses - C2t * prof.sorted_masses ** 2
         C1 = max(1e-9, float(np.max(slack / (2.0 * prof.sorted_flows))))
-        fw = thm20_poincare(space, kernel, C1, C2t, "forward")
-        assert fw["pass"], fw
-        bw = thm20_poincare(space, kernel, C1, C2t, "backward",
+        pc = thm20_poincare(space, kernel, C1, C2t,
                             f_family=random_functions(rng, space.m, 30, grounded=True))
-        assert bw["pass"], bw
-    with pytest.raises(ValueError):
-        thm20_poincare(space, kernel, 1e-9, 1e-9, "backward", f_family=[])
+        assert pc["subset"]["pass"] and pc["functional"]["pass"], pc
+    # the subset premise fails: no functional result
+    assert thm20_poincare(space, kernel, 1e-9, 1e-9, f_family=[])["functional"] is None
+
+
+def test_thm20_poincare_premise_gate_reads_tol():
+    """A subset worst slack in (-tol, -1e-9) passes the premise at tol, so
+    the functional form is checked; at the default 1e-9 it is not."""
+    space, kernel, _, _ = random_instance(2, (4, 7))
+    prof = enumerate_profile(space, kernel)
+    C2t = 1.0 / space.mu.min()
+    slack = prof.sorted_masses - C2t * prof.sorted_masses ** 2
+    k = int(np.argmax(slack / (2.0 * prof.sorted_flows)))
+    C1 = (slack[k] - 1e-6) / (2.0 * prof.sorted_flows[k])
+    fam = random_functions(np.random.default_rng(2), space.m, 10, grounded=True)
+    pc = thm20_poincare(space, kernel, C1, C2t, 1e-3, f_family=fam)
+    assert -1e-3 < pc["subset"]["worst_slack"] < -1e-9
+    assert pc["subset"]["pass"] and pc["functional"]["claim"]
+    assert thm20_poincare(space, kernel, C1, C2t, f_family=fam)["functional"] is None

@@ -9,6 +9,7 @@ theirs bit for bit.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,8 +254,8 @@ def test_thm20_poincare_backward_equals_reference_loop(seed, grounded):
     C2t = 1.0 / space.mu.min()
     for C1 in (0.0, 1e-3, 0.7):
         for family in (fam, [np.zeros(space.m)], [], None):
-            got = thm20_poincare(space, kernel, C1, C2t, "backward", f_family=family,
-                                 gamma=gamma)
+            got = thm20_poincare(space, kernel, C1, C2t, f_family=family,
+                                 gamma=gamma)["functional"]
             ref = ref_thm20_poincare_backward(space, kernel, C1, C2t, family, gamma)
             assert bits(got) == bits(ref)
 
@@ -275,6 +276,18 @@ def test_thm41_equals_reference_loops(seed, grounded):
             ref_thm41_defective(space, kernel, gamma, family, r_grid, beta1)).hex()
         assert slacks["full rate under the kernel square bound"] == float(
             ref_thm41_full(space, kernel, family, r_grid, beta)).hex()
+
+
+def test_gauge_roots_at_tiny_r_overflow_without_warning():
+    """At r = 1e-300 the tau search of a power-pair N brackets up to s^p past
+    the float range, and thm41's full rate on instance 2 is finite but its
+    slack is not: both are +inf on purpose, with no overflow warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isinf(rate_from_gauge(cor41_young(1, 2.0, 2.0), 1.0)(1e-300))
+        space, kernel, gamma, _ = _instance(2, False)
+        for N in (builtin("power", p=2), cor41_young(1, 2.0, 2.0)):
+            thm41(N, space, kernel, gamma, _family(2, space.m, True), _grid(space)[1:])
 
 
 @pytest.mark.parametrize("seed,grounded", [(s, g) for s in range(4) for g in (False, True)])

@@ -452,22 +452,34 @@ def _reference_sp_decay_check(space, kernel, beta, f_family, t_grid, r_grid,
 def test_decay_check_equals_reference_loop(seed, killed):
     """Same witness and violation count as the (f, t, r) loop, and the same
     worst slack to relative 1e-12: P_t F^T is one matrix product where the
-    loop made one matrix-vector product per f, which may round differently."""
+    loop made one matrix-vector product per f, and the subsets are rows of
+    one such product, which may round differently.  The halved rate fails
+    on the subsets of every instance; its witness is a subset on six of the
+    ten instances, and the family fails too on six.  Seed 0 adds an instance
+    of 12 points."""
     rng = np.random.default_rng(12 if killed else 11)
-    space, kernel, _, pot = random_instance(seed, (3, 8), with_potential=killed)
-    M = space.total_mass
-    r_grid = np.geomspace(1e-2 / M, 1e2 / M, 6)
-    beta = certified_rate(space, kernel, r_grid, potential=pot)
-    fam = random_functions(rng, space.m, 30)
-    cases = [(fam, np.geomspace(1e-2, 20.0, 6), r_grid), (fam[:5], [0.0], r_grid[:1]),
-             ([], [0.5], r_grid)]
-    for f_family, t_grid, rs in cases:
-        got = sp_decay_check(space, kernel, beta, f_family, t_grid, rs, potential=pot)
-        ref = _reference_sp_decay_check(space, kernel, beta, f_family, t_grid, rs,
-                                        potential=pot)
-        assert got["witness"] == ref["witness"]
-        assert got["violations"] == ref["violations"]
-        assert got["worst_slack"] == pytest.approx(ref["worst_slack"], rel=1e-12, abs=0.0)
+    sizes = [(3, 8)] + [(12, 12)] * (seed == 0)
+    for m_range in sizes:
+        space, kernel, _, pot = random_instance(seed, m_range, with_potential=killed)
+        M = space.total_mass
+        r_grid = np.geomspace(1e-2 / M, 1e2 / M, 6)
+        beta = certified_rate(space, kernel, r_grid, potential=pot)
+        r, v = beta.knots
+        halved = rate_tabulated(r, 0.5 * v)
+        fam = random_functions(rng, space.m, 30)
+        t_grid = np.geomspace(1e-2, 20.0, 6)
+        cases = [(beta, fam, t_grid, r_grid), (beta, fam[:5], [0.0], r_grid[:1]),
+                 (beta, [], [0.5], r_grid), (halved, fam, t_grid, r_grid)]
+        for rate, f_family, ts, rs in cases:
+            got = sp_decay_check(space, kernel, rate, f_family, ts, rs, potential=pot)
+            ref = _reference_sp_decay_check(space, kernel, rate, f_family, ts, rs,
+                                            potential=pot)
+            assert got["witness"] == ref["witness"]
+            assert got["violations"] == ref["violations"]
+            assert got["worst_slack"] == pytest.approx(ref["worst_slack"], rel=1e-12, abs=0.0)
+        subsets = _reference_sp_decay_check(space, kernel, halved, [], t_grid, r_grid,
+                                            potential=pot)
+        assert subsets["violations"] > 0
 
 
 def test_certified_killed_rate_dominates_estimate():
