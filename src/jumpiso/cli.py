@@ -217,7 +217,8 @@ def _run_theorems_on(args):
         elif name == "lemma2":
             s_grid = np.geomspace(space.mu.min() * 1.05, 0.45 * M, 12)
             l2 = lemma2_bound(space, kernel, gamma, rates(killed)["r"], s_grid,
-                              potential=pot, profile=profile(), theta=theta(killed))
+                              potential=pot, profile=profile(), theta=theta(killed),
+                              tol=tol)
             rep = TheoremReport("lemma2")
             rep.add("rate-to-curve bound", l2["worst_slack"], tol)
         elif name == "thm20_poincare":
@@ -235,11 +236,11 @@ def _run_theorems_on(args):
                 rep.note("subset inequality fails: functional form not checked")
         elif name == "sp_decay":
             dc = sp_decay_check(space, kernel, rates(killed)["r"], fam, r_grid, r_grid,
-                                potential=pot)
+                                potential=pot, tol=tol)
             rep = TheoremReport("sp_decay")
             rep.add("decay form of the rate inequality", dc["worst_slack"], tol)
         elif name == "coarea":
-            co = coarea_check(space, kernel, fam, gamma, profile())
+            co = coarea_check(space, kernel, fam, gamma, profile(), tol)
             rep = TheoremReport("coarea")
             rep.add(co["claim"], co["worst_ratio_slack"], tol)
         elif name == "thm21":

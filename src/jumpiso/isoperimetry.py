@@ -27,7 +27,6 @@ from .young import (YoungFunction, c_N, gauge_slacks, indicator_norm,
                     stack_family)
 
 ENUM_LIMIT = 24
-TOL = 1e-9   # slack tolerance of coarea_check
 
 
 def _pair_weights(space, kernel, gamma) -> np.ndarray:
@@ -287,11 +286,12 @@ def thm20_poincare(space, kernel, C1, C2_tilde, tol=1e-9, f_family=None,
     return out
 
 
-def coarea_check(space, kernel, f_family, gamma=None, profile=None) -> dict:
+def coarea_check(space, kernel, f_family, gamma=None, profile=None, tol=1e-9) -> dict:
     """The subset infimum bound l1(f)/mu(f) >= 2 inf flow/mass of the
     level-set (coarea) decomposition of the L1 form, on |f| for each family
     member f.  The bound needs proper level sets, so it holds for f that
-    vanish somewhere; the others are skipped and counted."""
+    vanish somewhere; the others are skipped and counted.  A slack below
+    -tol counts as a violation."""
     gamma = gamma if gamma is not None else WeightFunction.ones(space.m)
     prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
     fam = np.abs(stack_family(space, f_family))
@@ -300,7 +300,7 @@ def coarea_check(space, kernel, f_family, gamma=None, profile=None) -> dict:
     ratio = np.array([l1_form(space, kernel, gamma, f) for f in grounded[mass > 0]],
                      dtype=float) / mass[mass > 0]
     floor = 2.0 * prof.global_min_ratio()
-    nviol = int(np.sum(ratio < floor - TOL))
+    nviol = int(np.sum(ratio < floor - tol))
     return {"claim": "l1(f)/mu(f) >= 2 inf flow/mass",
             "worst_ratio_slack": float(np.min(ratio - floor, initial=INF)),
             "violations": nviol, "skipped_unsupported": len(fam) - len(grounded),

@@ -1,12 +1,13 @@
 """Weighted stable-like forms on R^n with radial log-growth potentials.
 
-The probability measure is e^{-W(x)} dx for a radial W; all quantities
-reduce to one- or two-dimensional quadrature by axial symmetry.  The module
-computes the escape profile Phi(l) (infimum of e^W / |x|^{n + alpha/2}
-outside radius l), the rate function obtained by optimizing a localization
-radius against Phi, and the ramp-function quantities that decide on which
-side of the growth threshold the defective and full rate inequalities
-survive.
+The probability measure is e^{-W(x)} dx with W = ((n + eps)/2) log(1 + |x|^2)
++ c.  Its normalizer and tail masses are Beta and incomplete-Beta values,
+and the escape profile Phi(l) (infimum of e^W / |x|^{n + alpha/2} outside
+radius l) has one stationary point, so the module computes them in closed
+form; only the ramp pair integral is quadrature.  From these it builds the
+rate function obtained by optimizing a localization radius against Phi, and
+the ramp-function quantities that decide on which side of the growth
+threshold the defective and full rate inequalities survive.
 """
 
 from __future__ import annotations
@@ -15,66 +16,52 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
-from .numerics import INF, gauss_segments, loglog_slope
+from .numerics import INF, gauss_rule, gauss_segments, loglog_slope
 from .radial import unit_ball_volume
 
 
 @dataclass(frozen=True)
 class RadialWeight:
-    """Radial potential with derivative; e^{-W} integrates to one."""
+    """W(r) = ((n + eps)/2) log(1 + r^2) + c, with e^{-W} a probability."""
 
     n: int
     alpha: float
+    eps: float
     W: object = field(repr=False)
-    Wprime: object = field(repr=False)
-
-    def radial_integral(self, fn, lo=0.0) -> float:
-        surf = self.n * unit_ball_volume(self.n)
-        val, _ = integrate.quad(
-            lambda r: fn(r) * math.exp(-float(self.W(r))) * r ** (self.n - 1),
-            lo, np.inf, limit=300)
-        return surf * val
 
 
 def log_weight(n: int, alpha: float, eps: float) -> RadialWeight:
-    """W(r) = ((n + eps)/2) log(1 + r^2) + c, normalized to a probability."""
+    """The weight of growth exponent eps, c taken from
+    int_0^inf (1 + r^2)^{-(n + eps)/2} r^{n-1} dr = B(n/2, eps/2) / 2."""
     half = 0.5 * (n + eps)
-    surf = n * unit_ball_volume(n)
-    z0, _ = integrate.quad(lambda r: (1 + r * r) ** (-half) * r ** (n - 1),
-                           0, np.inf, limit=300)
-    c = math.log(surf * z0)
+    c = math.log(n * unit_ball_volume(n) * 0.5 * special.beta(n / 2.0, eps / 2.0))
     W = lambda r: half * np.log1p(r * r) + c
-    Wp = lambda r: (n + eps) * np.asarray(r, dtype=float) / (1.0 + np.asarray(r, dtype=float) ** 2)
-    return RadialWeight(n, alpha, W, Wp)
+    return RadialWeight(n, alpha, eps, W)
 
 
 def phi_l_scan(weight: RadialWeight, l: float) -> dict:
-    """Escape profile inf_{r >= l} e^{W(r)} / r^{n + alpha/2} by a 600-point
-    log grid on [l, r_max], r_max = max(1e6, 1e4 l).
+    """Escape profile inf e^{W(r)} / r^e, e = n + alpha/2, over the window
+    [l, r_max], r_max = max(1e6, 1e4 l), in closed form.
 
-    The tail direction is classified from the last decade: an increasing
-    objective pins the infimum inside the window; a decreasing one means the
-    infimum is only approached at infinity and the window value is an upper
-    reading (flagged).
+    The objective's log-derivative (eps - alpha/2) r^2 - e over 1 + r^2
+    has one zero, a minimum at r* = sqrt(e / (eps - alpha/2)), when
+    eps > alpha/2 and is negative otherwise, so the window minimum sits at
+    r* clipped to the window.  The tail slope is that log-derivative at
+    r_max: a slope above -1e-6 pins the infimum inside the window; a more
+    negative one means the infimum is only approached at infinity and the
+    window value is an upper reading (flagged).
     """
     if l < 1:
         raise ValueError("l must be at least 1")
     e = weight.n + weight.alpha / 2.0
+    gap = weight.eps - weight.alpha / 2.0
     r_max = max(1e6, l * 1e4)
-    points = 600
-    rs = np.geomspace(l, r_max, points)
-    obj = np.exp(np.asarray(weight.W(rs), dtype=float)) / rs ** e
-    k = int(np.argmin(obj))
-    # refine around the grid minimum
-    lo, hi = rs[max(k - 1, 0)], rs[min(k + 1, points - 1)]
-    rs2 = np.geomspace(lo, hi, 80)
-    obj2 = np.exp(np.asarray(weight.W(rs2), dtype=float)) / rs2 ** e
-    best = float(min(obj.min(), obj2.min()))
-    tail_slope = loglog_slope(rs[-60:], obj[-60:])
+    r = min(max(math.sqrt(e / gap), l), r_max) if gap > 0 else r_max
+    tail_slope = (gap * r_max ** 2 - e) / (1.0 + r_max ** 2)
     attained = tail_slope > -1e-6
-    return {"value": best, "argmin": float(rs2[np.argmin(obj2)]),
+    return {"value": float(np.exp(weight.W(r)) / r ** e), "argmin": r,
             "tail_slope": tail_slope, "attained": attained,
             "r_max": r_max,
             "note": None if attained else
@@ -88,7 +75,7 @@ def phi_l(weight: RadialWeight, l: float) -> float:
 # ---------------------------------------------------------------------------
 # localized rate function
 
-def theorem_beta(weight: RadialWeight, r: float, cache: dict) -> float:
+def theorem_beta(weight: RadialWeight, r: float) -> float:
     """Rate value by optimizing the localization pair (s, l):
 
         min 2 c1 (s^{-2n/alpha} + s^{-n}) sup_{|z| <= l+1} e^{W/2}
@@ -99,20 +86,13 @@ def theorem_beta(weight: RadialWeight, r: float, cache: dict) -> float:
     constants are fixed at c1 = 1, c2 = 1/4 and c3 = 1: c1 carries the
     constant of the truncated comparison inequality symbolically, c2 and c3
     are bookkeeping constants, and the decay exponent in r is independent
-    of all three.  ``cache`` holds, by l and across calls, the three
-    r-free pieces: Phi(l-1), the gradient cap c3 / sup e^{2 |grad W|} on s
-    and sup e^{W/2}.
+    of all three.
     """
     n, alpha = weight.n, weight.alpha
     budget = 0.25 * min(r, 1.0)
     best = INF
     for l in np.geomspace(2.0, 1e10, 220):
-        if l not in cache:
-            grad = np.max(np.abs(weight.Wprime(np.linspace(0.0, l + 2.0, 200))))
-            half_w = 0.5 * np.max(weight.W(np.linspace(0.0, l + 1.0, 200)))
-            cache[l] = (phi_l(weight, max(l - 1.0, 1.0)),
-                        1.0 / math.exp(2.0 * float(grad)), float(np.exp(half_w)))
-        phi, grad_cap, sup_w = cache[l]
+        phi, grad_cap, sup_w = _localization(weight, l)
         if phi <= 0 or 1.0 / phi >= budget:
             continue
         # objective decreasing in s: the best s is the largest feasible
@@ -122,9 +102,18 @@ def theorem_beta(weight: RadialWeight, r: float, cache: dict) -> float:
     return best
 
 
+def _localization(weight: RadialWeight, l: float) -> tuple:
+    """The r-free pieces of theorem_beta at l: Phi(l-1), the gradient cap
+    c3 / sup e^{2 |grad W|} on s and sup e^{W/2}.  Both sups are exact:
+    |grad W| = (n + eps) |z| / (1 + |z|^2) peaks at |z| = 1 <= l + 2 with
+    (n + eps)/2, and W increases, so its sup over |z| <= l+1 is W(l+1).
+    """
+    return (phi_l(weight, max(l - 1.0, 1.0)), 1.0 / math.exp(weight.n + weight.eps),
+            float(np.exp(0.5 * weight.W(l + 1.0))))
+
+
 def theorem_beta_curve(weight: RadialWeight, r_grid):
-    cache = {}
-    return np.array([theorem_beta(weight, r, cache) for r in r_grid])
+    return np.array([theorem_beta(weight, r) for r in r_grid])
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +165,20 @@ def ramp_inner_sup(n: int, alpha: float, l: float, r_points: int) -> float:
 
 
 def ramp_masses(weight: RadialWeight, l: float) -> tuple:
-    """(mass, l1mass): the weighted integrals of g_l^2 and g_l."""
-    l = float(l)
-    mass = weight.radial_integral(lambda rho: _ramp(rho, l) ** 2, lo=l)
-    l1mass = weight.radial_integral(
-        lambda rho: math.sqrt(_ramp(rho, l) ** 2), lo=l)
-    return mass, l1mass
+    """(mass, l1mass): the weighted integrals of g_l^2 and g_l.
+
+    Each is one 16-node Gauss-Legendre sum over the ramp [l, 2l], where the
+    integrand is smooth, plus the weight of |x| >= 2l, where g_l = 1: the
+    incomplete Beta value I_{1/(1 + 4 l^2)}(eps/2, n/2).
+    """
+    n, l = weight.n, float(l)
+    gx, gw = gauss_rule(16)
+    rho = l * (1.5 + 0.5 * gx)
+    dens = ((0.5 * l * n * unit_ball_volume(n)) * gw * np.exp(-weight.W(rho))
+            * rho ** (n - 1))
+    g = 0.5 * (1.0 + gx)   # (rho - l) / l at the nodes
+    tail = float(special.betainc(weight.eps / 2.0, n / 2.0, 1.0 / (1.0 + 4.0 * l * l)))
+    return float(dens @ g ** 2) + tail, float(dens @ g) + tail
 
 
 def example_threshold(n: int, alpha: float, eps_grid) -> dict:

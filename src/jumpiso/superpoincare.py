@@ -257,20 +257,19 @@ def _decay_slabs(sg, F, mu, t_grid, rs, bpos):
 
 
 def sp_decay_check(space, kernel, beta: RateFunction, f_family, t_grid, r_grid,
-                   potential=None) -> dict:
+                   potential=None, tol=1e-9) -> dict:
     """The rate inequality in exponential-decay form.
 
     Checks ||P_t f||_2^2 <= ||f||_2^2 e^{-2t/r} + beta(r) ||f||_1^2 (1 - e^{-2t/r})
     for all (f, t, r), and on spaces of at most ``SIZE_LIMIT`` points at
     f = 1_A and time t/2 for every proper subset A (||1_A||_2^2 = mu(A) =
     ||1_A||_1, e^{-2 (t/2)/r} = e^{-t/r}), one t at a time, in O(2^m |r|)
-    memory.  A slack below -1e-9 counts as a violation.  A negative rate
+    memory.  A slack below -tol counts as a violation.  A negative rate
     value (killed forms can have one) enters as 0, still a valid rate: the
     decay form needs beta >= 0, as its right side tends to beta ||f||_1^2.
     The witness is the first minimum in (f, t, r) order, then over the
     subsets t by t and r by r, with the t of the grid.
     """
-    tol = 1e-9
     sg = Semigroup(space, kernel, potential)
     rs = [float(r) for r in r_grid]
     bpos = np.array([max(beta(r), 0.0) for r in rs])

@@ -45,7 +45,7 @@ GOLDEN = {
     },
     ("perturbed.json", "perturbed"): {
         "report.json":
-            "d393a543f053ce51584bce0c2db5752eed298a2f0dcb919ee6ed8dd2b7e00daa",
+            "6d8e50246448ac5a14b6be46e542585ba4f4b5df830fefa2c20230c932eda9e5",
     },
     ("sharpness.json", "sharpness"): {
         "report.json":

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +150,23 @@ def test_coarea_report():
         rep = coarea_check(space, kernel, fam, gamma if seed % 2 else None)
         assert rep["pass"], rep
         assert rep["worst_ratio_slack"] >= -1e-9
+
+
+def test_coarea_check_reads_tol():
+    # a floor lifted past the worst ratio leaves a slack of -5e-4: a
+    # violation at tol = 1e-9, none at tol = 1e-3
+    rng = np.random.default_rng(1)
+    space, kernel, gamma, _ = random_instance(1, (3, 10), with_gamma=True)
+    fam = [np.abs(f) for f in random_functions(rng, space.m, 30, grounded=True)]
+    prof = enumerate_profile(space, kernel, gamma)
+    slack = coarea_check(space, kernel, fam, gamma, prof)["worst_ratio_slack"]
+    lifted = SimpleNamespace(
+        global_min_ratio=lambda: prof.global_min_ratio() + (slack + 5e-4) / 2.0)
+    loose = coarea_check(space, kernel, fam, gamma, lifted, tol=1e-3)
+    assert -1e-3 < loose["worst_ratio_slack"] < -1e-9
+    assert loose["violations"] == 0 and loose["pass"]
+    tight = coarea_check(space, kernel, fam, gamma, lifted, tol=1e-9)
+    assert tight["violations"] > 0 and not tight["pass"]
 
 
 def test_thm20_forward_indicator_extremality(monkeypatch):

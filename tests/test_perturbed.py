@@ -1,17 +1,57 @@
+import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from jumpiso.numerics import INF, gauss_rule, gauss_segments, loglog_slope
-from jumpiso.perturbed import (example_threshold, log_weight, phi_l, phi_l_scan,
-                               ramp_inner_sup, ramp_masses, theorem_beta_curve)
+from jumpiso.perturbed import (_localization, example_threshold, log_weight, phi_l,
+                               phi_l_scan, ramp_inner_sup, ramp_masses,
+                               theorem_beta_curve)
+
+
+# A 30-digit quadrature oracle for the weight, independent of the Beta
+# functions the module uses: the radial density (1 + r^2)^{-(n+eps)/2} r^{n-1}
+# integrated by mpmath, with [R, inf) mapped onto (0, 1] by r = R v^{-1/eps},
+# which turns the slow r^{-1-eps} tail into a smooth integrand.
+
+def _mp_integrals(n, eps, l):
+    """(int_0^inf, int_l^{2l} g_l^2, int_l^{2l} g_l, int_l^{2l} 1 and
+    int_{2l}^inf) of the radial density, at 30 digits."""
+    h, e, l = mp.mpf(n + eps) / 2, mp.mpf(eps), mp.mpf(l)
+    dens = lambda r: (1 + r * r) ** (-h) * r ** (n - 1)
+    tail = lambda R: mp.quad(
+        lambda v: dens(R * v ** (-1 / e)) * R / e * v ** (-1 / e - 1), [0, 1])
+    ramp = lambda k: mp.quad(lambda r: ((r - l) / l) ** k * dens(r), [l, 2 * l])
+    return mp.quad(dens, [0, 1]) + tail(mp.mpf(1)), ramp(2), ramp(1), ramp(0), tail(2 * l)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_masses(n, eps, l):
+    """(mass, l1mass, outside): the probability of g_l^2, g_l and |x| >= l."""
+    with mp.workdps(30):
+        total, sq, lin, flat, tail = _mp_integrals(n, eps, l)
+        return tuple(float((part + tail) / total) for part in (sq, lin, flat))
 
 
 def test_weight_normalization():
-    for (alpha, eps) in [(1.0, 1.0), (0.5, 0.25)]:
+    with mp.workdps(30):
+        for (alpha, eps) in [(1.0, 1.0), (0.5, 0.25), (1.5, 1.5), (1.0, 0.125)]:
+            w = log_weight(2, alpha, eps)
+            surf = 2 * mp.pi   # n = 2
+            total = _mp_integrals(2, eps, 1.0)[0]
+            mass = surf * mp.exp(-mp.mpf(float(w.W(0.0)))) * total
+            assert abs(mass - 1) <= 1e-13
+
+
+def test_ramp_masses_match_mpmath():
+    # large l and eps resolve the slow r^{-1-eps} tail beyond 2l
+    for (alpha, eps) in [(0.5, 0.125), (1.0, 0.5), (1.5, 1.5), (1.0, 3.0)]:
         w = log_weight(2, alpha, eps)
-        assert w.radial_integral(lambda r: 1.0) == pytest.approx(1.0, rel=1e-9)
+        for l in (1.0, 4.0, 16.0, 64.0, 1e3):
+            mass, l1mass, _ = _oracle_masses(2, eps, l)
+            assert ramp_masses(w, l) == pytest.approx((mass, l1mass), rel=1e-13, abs=0.0)
 
 
 def test_phi_l_slopes():
@@ -41,6 +81,16 @@ def test_phi_l_monotone_and_decreasing_tail_flag():
     assert scan["note"] is not None
 
 
+def test_phi_l_scan_equals_dense_grid_minimum():
+    for (alpha, eps) in [(1.0, 1.0), (1.0, 0.5), (1.0, 0.25), (0.5, 1.5), (1.5, 0.76)]:
+        w = log_weight(2, alpha, eps)
+        for l in (1.0, 1.3, 4.0, 50.0, 1e3):
+            scan = phi_l_scan(w, l)
+            rs = np.geomspace(l, scan["r_max"], 10 ** 5)
+            grid = float(np.min(np.exp(w.W(rs)) / rs ** (2 + alpha / 2)))
+            assert grid * (1 - 1e-8) <= scan["value"] <= grid * (1 + 1e-13)
+
+
 def test_gl_quantities_slopes():
     ls = np.geomspace(4.0, 64.0, 6)
     for (alpha, eps) in [(1.0, 0.5), (0.5, 0.25)]:
@@ -58,12 +108,13 @@ def test_ramp_support():
     w = log_weight(2, 1.0, 0.5)
     mass, l1mass = ramp_masses(w, 8.0)
     # g vanishes inside the ball: masses bounded by the outside weight
-    outside = w.radial_integral(lambda r: 1.0, lo=8.0)
+    outside = _oracle_masses(2, 0.5, 8.0)[2]
     assert 0 < mass <= l1mass <= outside + 1e-12
 
 
 # The ramp quantities and the threshold loop as they were before the pair
-# integral was hoisted out of the eps loop, kept verbatim as the oracle.
+# integral was hoisted out of the eps loop, kept verbatim as the oracle but
+# for the masses, which come from the 30-digit oracle above.
 
 def _reference_ramp_sq(rho, l):
     return np.clip((np.asarray(rho, dtype=float) - l) / l, 0.0, 1.0) ** 2
@@ -93,9 +144,7 @@ def _reference_gl_quantities(weight, l, r_points=40):
     vals = np.array([_reference_ramp_inner_integral(weight, r, l)
                      for r in np.sort(rs)])
     inner_sup = float(vals.max())
-    g = lambda rho: np.sqrt(_reference_ramp_sq(rho, l))
-    mass = weight.radial_integral(lambda rho: float(_reference_ramp_sq(rho, l)), lo=l)
-    l1mass = weight.radial_integral(lambda rho: float(g(rho)), lo=l)
+    mass, l1mass, _ = _oracle_masses(weight.n, weight.eps, float(l))
     return {"inner_sup": inner_sup, "mass": mass, "l1mass": l1mass}
 
 
@@ -165,23 +214,25 @@ def test_ramp_quantities_equal_reference_and_inner_sup_is_eps_free():
             w = log_weight(2, 1.0, eps)
             ref = _reference_gl_quantities(w, l, r_points=20)
             assert ref["inner_sup"] == sup
-            assert ramp_masses(w, l) == (ref["mass"], ref["l1mass"])
+            assert ramp_masses(w, l) == pytest.approx((ref["mass"], ref["l1mass"]),
+                                                      rel=1e-13, abs=0.0)
     with pytest.raises(ValueError):
         ramp_inner_sup(3, 1.0, 4.0, 20)
 
 
 def _sup_grad(weight, radius):
-    rs = np.linspace(0.0, radius, 200)
-    return float(np.max(np.abs(np.asarray(weight.Wprime(rs), dtype=float))))
+    # |W'(r)| = (n + eps) r / (1 + r^2) peaks at r = 1 inside every radius used
+    return 0.5 * (weight.n + weight.eps)
 
 
 def _sup_exp_half_w(weight, radius):
-    rs = np.linspace(0.0, radius, 200)
-    return float(np.exp(0.5 * np.max(np.asarray(weight.W(rs), dtype=float))))
+    # W increases
+    return float(np.exp(0.5 * weight.W(radius)))
 
 
 def _reference_theorem_beta(weight, r, phi_cache):
     # the scan before the r-free sups were cached per l, kept verbatim
+    # but for the two sups, now in closed form
     n, alpha = weight.n, weight.alpha
     budget = 0.25 * min(r, 1.0)
     best = INF
@@ -209,6 +260,24 @@ def test_theorem_beta_curve_equals_uncached_loop():
         cache = {}
         ref = np.array([_reference_theorem_beta(w, r, cache) for r in r_grid])
         assert np.array_equal(theorem_beta_curve(w, r_grid), ref)
+
+
+def test_theorem_beta_sups_bound_a_dense_grid():
+    # |W'| peaks at r = 1, which a coarse grid on [0, l + 2] misses once l
+    # is large
+    for (alpha, eps) in [(1.0, 1.0), (0.5, 0.125), (1.5, 3.0)]:
+        w = log_weight(2, alpha, eps)
+        for l in (2.0, 37.0, 1e3, 1e10):
+            _, grad_cap, sup_w = _localization(w, l)
+            assert grad_cap == pytest.approx(math.exp(-(2 + eps)), rel=1e-15)
+            assert sup_w == pytest.approx(math.exp(0.5 * w.W(l + 1.0)), rel=1e-15)
+            z = np.concatenate([np.linspace(0.0, l + 2.0, 10 ** 5),
+                                np.geomspace(1e-3, l + 2.0, 10 ** 5)])
+            grad = np.exp(2.0 * (2 + eps) * z / (1.0 + z * z))
+            assert grad.max() <= (1.0 / grad_cap) * (1 + 1e-13)
+            assert grad.max() >= (1.0 / grad_cap) * (1 - 1e-6)
+            half_w = np.exp(0.5 * w.W(z[z <= l + 1.0]))
+            assert half_w.max() <= sup_w * (1 + 1e-13)
 
 
 def test_threshold_classification():

@@ -9,8 +9,8 @@ from jumpiso.core import (FiniteMeasureSpace, JumpKernel, Semigroup,
 from jumpiso.instances import random_functions, random_instance
 from jumpiso.isoperimetry import _doubling_enumeration, _subset_sums
 from jumpiso.numerics import INF
-from jumpiso.superpoincare import (INFLATE, SIZE_LIMIT, _quadratic_matrix,
-                                   certified_rate, certified_rates, lemma2_bound,
+from jumpiso.superpoincare import (INFLATE, SIZE_LIMIT, RateFunction,
+                                   _quadratic_matrix, certified_rate, certified_rates, lemma2_bound,
                                    rate_power_pair, rate_tabulated,
                                    sp_decay_check, sp_estimate, sp_verify)
 from oracles import rate_power, scaled_rate
@@ -390,6 +390,27 @@ def test_decay_check_random_instances():
         # t = 0 must be tight for the worst f
         rep0 = sp_decay_check(space, kernel, beta, fam[:5], [0.0], r_grid[:1])
         assert rep0["worst_slack"] >= -1e-12
+
+
+def test_decay_check_reads_tol(two_point):
+    # a constant rate bisected to a worst slack of -5e-4: a violation at
+    # tol = 1e-9, none at tol = 1e-3
+    space, kernel = two_point
+    fam, ts, rs = [[1.0, -0.5]], [0.3], [0.1]
+
+    def check(b, tol):
+        const = RateFunction("constant", {"c": b}, lambda r: b, lambda u: 0.0)
+        return sp_decay_check(space, kernel, const, fam, ts, rs, tol=tol)
+
+    lo, hi = 0.0, 1.0   # every slack is negative at 0 and nonnegative at 1
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if check(mid, 1e-9)["worst_slack"] < -5e-4 else (lo, mid)
+    loose = check(lo, 1e-3)
+    assert -1e-3 < loose["worst_slack"] < -1e-9
+    assert loose["violations"] == 0 and loose["pass"]
+    tight = check(lo, 1e-9)
+    assert tight["violations"] > 0 and not tight["pass"]
 
 
 def test_decay_check_killed():
