@@ -8,16 +8,15 @@ Conventions used throughout the package:
 - Generalized inverses follow the one-sided conventions
   ``inv_increasing(f, r) = inf{s > 0 : f(s) >= r}`` and
   ``inv_decreasing(f, r) = inf{s > 0 : f(s) <= r}`` with ``inf(empty) = inf``.
+- Quadrature is a fixed Gauss-Legendre rule (``gauss_rule``), never adaptive.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 
 import numpy as np
-from scipy import integrate
 
 INF = math.inf
 
@@ -100,36 +99,25 @@ def inv_decreasing(fn, target, lo=1e-300, hi=1e300):
     return inv_increasing(lambda s: -fn(s), -target, lo, hi)
 
 
-def cumulative_quad(fn, grid, rtol=1e-8):
-    """Integral of fn from grid[0] to each grid point, by adaptive
-    Gauss-Kronrod quadrature (QUADPACK) on each segment, to relative
-    ``rtol`` or absolute 1e-14.
-
-    When grid[0] == 0, the first segment is integrated by a local power-law
-    fit of fn instead of quadrature: adaptive rules lose digits at algebraic
-    endpoint singularities, while integrands here are asymptotically pure
-    powers below the first positive grid point.
+def cumulative_quad(fn, grid):
+    """Integral of fn (called on scalars) from grid[0] to each point of a
+    monotone positive grid: the 4-node Gauss-Legendre rule in y = log x on
+    each segment, split into equal pieces of log width w <= 0.5.  In y, x^q
+    is e^{(q+1) y}, integrated to relative 2e-12 (|q+1| w / 0.5)^8 (below
+    2e-15 for |q+1| w <= 0.2).  Nodes are grid points times e^{offset}, so
+    no digits go to log x far from x = 1.
     """
     grid = np.asarray(grid, dtype=float)
-    out = np.empty_like(grid)
-    out[0] = 0.0
-    start = 1
-    if grid[0] == 0.0 and len(grid) > 1:
-        t0 = grid[1]
-        f0, fh = fn(t0), fn(t0 / 2.0)
-        if f0 > 0 and fh > 0:
-            # signed local exponent q of fn ~ A t^q near 0
-            q = math.log(f0 / fh) / math.log(2.0)
-            if q > -1.0:
-                out[1] = f0 * t0 / (1.0 + q)
-                start = 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for i in range(start, len(grid)):
-            val, _ = integrate.quad(fn, grid[i - 1], grid[i], epsrel=rtol,
-                                    epsabs=1e-14, limit=60)
-            out[i] = out[i - 1] + val
-    return out
+    w = np.log(grid[1:] / grid[:-1])
+    n = np.maximum(np.ceil(np.abs(w) / 0.5), 1).astype(int)
+    seg = np.repeat(np.arange(len(n)), n)
+    h = (w / n)[seg]
+    k = np.arange(len(seg)) - (np.cumsum(n) - n)[seg]     # piece in its segment
+    gx, gw = gauss_rule(4)
+    x = grid[seg, None] * np.exp(h[:, None] * (k[:, None] + 0.5 + 0.5 * gx))
+    fx = np.array([fn(v) for v in x.ravel()], dtype=float).reshape(x.shape)
+    pieces = 0.5 * h * ((fx * x) @ gw)
+    return np.concatenate([[0.0], np.cumsum(np.bincount(seg, pieces, len(n)))])
 
 
 def loglog_slope(x, y):

@@ -48,10 +48,10 @@ def phi_l_scan(weight: RadialWeight, l: float) -> dict:
     The objective's log-derivative (eps - alpha/2) r^2 - e over 1 + r^2
     has one zero, a minimum at r* = sqrt(e / (eps - alpha/2)), when
     eps > alpha/2 and is negative otherwise, so the window minimum sits at
-    r* clipped to the window.  The tail slope is that log-derivative at
-    r_max: a slope above -1e-6 pins the infimum inside the window; a more
-    negative one means the infimum is only approached at infinity and the
-    window value is an upper reading (flagged).
+    r* clipped to the window.  ``attained`` says only that ``tail_slope``,
+    the log-derivative at r_max, is above -1e-6, not that r* is in the window
+    (at alpha = 1, eps = 0.5 + 1e-13, l = 4 it lies past r_max); below -1e-6
+    the window value is an upper reading (flagged).
     """
     if l < 1:
         raise ValueError("l must be at least 1")

@@ -432,14 +432,21 @@ def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
         rep.note("profile divergent: rate inverse infinite near 0")
         rep.add("profile finite", -INF, tol)
         return rep
+    # Phi on log knots, from an edge down their log step where x fn(x) (the
+    # mass below x for a power fn) is 1e-17 of knots[0] fn(knots[0]) <= Phi(knots[0]);
+    # no such edge in 2000 steps (about 400 log units) means Phi diverges at 0
     t_max = 10.0 / float(space.mu.min())
-    grid = np.concatenate([[0.0], np.geomspace(t_max * 1e-12, t_max, 140)])
-    vals = cumulative_quad(lambda r: 4.0 * beta1.inv(r / 2.0), grid, rtol=1e-9)
-    if not np.all(np.isfinite(vals)):
-        rep.note("profile divergent on the grid")
+    knots = np.geomspace(t_max * 1e-12, t_max, 140)
+    fn = lambda r: 4.0 * beta1.inv(r / 2.0)
+    floor, edges = 1e-17 * knots[0] * fn(knots[0]), [knots[0]]
+    while edges[-1] * fn(edges[-1]) > floor and len(edges) <= 2000:
+        edges.append(edges[-1] * knots[0] / knots[1])
+    vals = cumulative_quad(fn, np.append(edges[:0:-1], knots))[len(edges) - 1:]
+    if len(edges) > 2000 or not np.all(np.isfinite(vals)):
+        rep.note("profile divergent at 0 or on the grid")
         rep.add("profile finite", -INF, tol)
         return rep
-    N = tabulated_young(vals[1:], grid[1:], family="defective_rate_inverse")
+    N = tabulated_young(vals, knots, family="defective_rate_inverse")
     fam = stack_family(space, f_family)
     sl = gauge_slacks(space, N, fam, lambda f: l1_form(space, kernel, gamma, f),
                       0.5, tol)
@@ -513,11 +520,14 @@ def cor41(case: int, direction: str, params: dict, C: float = 1.0,
         # the slope-measurement windows without extrapolation
         grid = np.geomspace(1e-100, 1e100, 1100)
         # layer cake in rho = beta1^{-1}(t/2): Phi = 4 t rho + 8 int_rho^inf beta1,
-        # the tail in x = 1/rho from 0, its first segment beyond the last knot
+        # the tail from where sigma beta1 ~ sigma^{1-a} (a the slowest exponent)
+        # fell by e^-40 down to each rho, with an edge at the pairs' kink sigma = 1
         rho = np.array([target.inv(t / 2.0) for t in grid])
-        tail = cumulative_quad(lambda x: target(1 / x) / x / x, np.append(0.0, 1 / rho),
-                               rtol=1e-10)
-        N = tabulated_young(4.0 * grid * rho + 8.0 * tail[1:], grid, family="cor_young")
+        reach = min(40.0 / (min(_exponent(p1), _exponent(p2)) - 1.0), 400.0)
+        k = int(np.sum(rho > 1.0))
+        sigma = np.concatenate([[rho[0] * math.exp(reach)], rho[:k], [1.0], rho[k:]])
+        tail = -np.delete(cumulative_quad(target, sigma), [0, k + 1])
+        N = tabulated_young(4.0 * grid * rho + 8.0 * tail, grid, family="cor_young")
         return {"rate": target, "young": N, "constant": 0.5}
     raise ValueError("direction must be to_rate or to_young")
 

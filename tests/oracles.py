@@ -16,15 +16,20 @@ quantities that the package computes in closed or batched form:
   ``core.l1_form``;
 - lattice: the single-step kernel p1 by iterated nearest-neighbor
   convolution, exact for K <= R, which checks the binomial route of
-  ``lattice.p1_kernel``.
+  ``lattice.p1_kernel``;
+- quadrature: the adaptive QUADPACK route with a power-law first segment
+  that ``numerics.cumulative_quad`` was before it became a fixed Gauss rule,
+  the reference of the regularization-profile tests.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import integrate
 
 from jumpiso.core import FiniteMeasureSpace
 from jumpiso.isoperimetry import _pair_weights
@@ -350,3 +355,38 @@ def p1_convolution(n: int, alpha: float, K: int, R: int) -> np.ndarray:
         a = srw_step(a, n)
         acc += w.c[k] * a
     return acc
+
+
+# ---------------------------------------------------------------------------
+# quadrature: the adaptive route that numerics.cumulative_quad replaced
+
+def cumulative_quad(fn, grid, rtol=1e-8):
+    """Integral of fn from grid[0] to each grid point, by adaptive
+    Gauss-Kronrod quadrature (QUADPACK) on each segment, to relative
+    ``rtol`` or absolute 1e-14.
+
+    When grid[0] == 0, the first segment is integrated by a local power-law
+    fit of fn instead of quadrature: adaptive rules lose digits at algebraic
+    endpoint singularities, while integrands here are asymptotically pure
+    powers below the first positive grid point.
+    """
+    grid = np.asarray(grid, dtype=float)
+    out = np.empty_like(grid)
+    out[0] = 0.0
+    start = 1
+    if grid[0] == 0.0 and len(grid) > 1:
+        t0 = grid[1]
+        f0, fh = fn(t0), fn(t0 / 2.0)
+        if f0 > 0 and fh > 0:
+            # signed local exponent q of fn ~ A t^q near 0
+            q = math.log(f0 / fh) / math.log(2.0)
+            if q > -1.0:
+                out[1] = f0 * t0 / (1.0 + q)
+                start = 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for i in range(start, len(grid)):
+            val, _ = integrate.quad(fn, grid[i - 1], grid[i], epsrel=rtol,
+                                    epsabs=1e-14, limit=60)
+            out[i] = out[i - 1] + val
+    return out

@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jumpiso
 from jumpiso import cli, superpoincare
 from jumpiso.cli import main
 from jumpiso.core import ValidationError, instance_from_json
@@ -427,3 +431,16 @@ def test_paper_checks_enumerate_one_profile_per_instance(tmp_path, monkeypatch):
     assert len(calls) == 5
     digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
     assert digest == GOLDEN[("paper_checks.json", "verify")]["report.json"]
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    """A fresh process that imports the CLI loads no scipy.integrate,
+    scipy.optimize or scipy.sparse: the package uses only scipy.special and
+    scipy.fft, and scipy.integrate alone would pull in the other two."""
+    src = str(Path(jumpiso.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, jumpiso.cli; print([m for m in ('scipy.integrate', "
+            "'scipy.optimize', 'scipy.sparse') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"

@@ -6,10 +6,11 @@ The reference functions below are verbatim copies of ``Semigroup.theta_curve``
 before Phi was summed piece by piece over the rate's knots: the integral of
 Theta with a memoized scalar evaluator, and Phi by adaptive quadrature of
 Theta_int(beta^{-1}(max(r, r_floor))) on each grid segment, with a power-law
-fit on the first one.  The scalar Theta_int must equal the old one bit for
-bit; Phi must stay within relative 1e-7 of the old route, fixed in advance
-(the old route itself integrates to relative 1e-9 per segment and carries
-the error of the 8-node Theta rule at Theta's kinks).
+fit on the first one (``oracles.cumulative_quad``).  The scalar Theta_int
+must equal the old one bit for bit; Phi must stay within relative 1e-7 of
+the old route, fixed in advance (the old route itself integrates to
+relative 1e-9 per segment and carries the error of the 8-node Theta rule
+at Theta's kinks).
 """
 
 import functools
@@ -20,11 +21,11 @@ import pytest
 
 from jumpiso.core import Semigroup, ValidationError, bar_extension
 from jumpiso.instances import random_instance
-from jumpiso.numerics import INF, cumulative_quad
+from jumpiso.numerics import INF
 from jumpiso.superpoincare import certified_rate, rate_tabulated
 from jumpiso.theorems import SUPPORT_FRACTION, thm21_young
 from jumpiso.young import tabulated_young
-from oracles import rate_power
+from oracles import cumulative_quad, rate_power
 
 PHI_RTOL = 1e-7
 

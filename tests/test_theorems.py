@@ -18,6 +18,7 @@ from jumpiso.theorems import (C_KILLED, C_STAR, _check_s_over_N_increasing,
                               rate_from_gauge, thm21_verify, thm21_young,
                               thm41, thm42, thm43)
 from jumpiso.young import YoungFunction, builtin, tabulated_young
+from oracles import rate_power
 
 SQ = lambda s: np.asarray(s, dtype=float) ** 2
 
@@ -203,6 +204,56 @@ def test_thm41_thm42_chain_random():
         assert rep2.passed, rep2.to_dict()
 
 
+def _thm42_profile(monkeypatch, beta1, seed=3):
+    """thm42's report on a random instance and the (knots, Phi) table that
+    it tabulates N = Phi^{-1} from."""
+    space, kernel, gamma, _ = random_instance(seed, (3, 6), with_gamma=True)
+    fam = random_functions(np.random.default_rng(seed), space.m, 10, grounded=True)
+    r_grid = np.geomspace(1e-3 / space.total_mass, 1e2 / space.total_mass, 8)
+    table, build = [], theorems.tabulated_young
+    monkeypatch.setattr(theorems, "tabulated_young",
+                        lambda vals, knots, **kw: table.append((knots, vals))
+                        or build(vals, knots, **kw))
+    return thm42(beta1, space, kernel, gamma, fam, r_grid), table
+
+
+# relative tolerance of thm42's Phi against the 30-digit reference, fixed
+# before the comparison was first run
+THM42_PHI_REL = 1e-13
+
+
+@pytest.mark.parametrize("name", ["gauge_root_p1.5", "gauge_root_p2", "power_a40"])
+def test_thm42_primitive_matches_mpmath(monkeypatch, name):
+    """Phi(t) = 4 int_0^t beta1^{-1}(r/2) dr at every knot of thm42's table,
+    against mpmath at 30 digits.  The gauge root of N = s^p has the inverse
+    beta1^{-1}(u) = C (u/2)^{1/p - 1}; rate_power(1, 40) has (1/u)^{1/40}."""
+    if name == "power_a40":
+        beta1 = rate_power(1.0, 40.0)
+        inv = lambda u: (1 / u) ** (mpmath.mpf(1) / 40)
+    else:
+        p, C = float(name.rsplit("p", 1)[1]), 0.7
+        beta1 = rate_from_gauge(builtin("power", p=p), C, lead=2.0)
+        inv = lambda u: C * (u / 2) ** (1 / mpmath.mpf(p) - 1)
+    _, table = _thm42_profile(monkeypatch, beta1)
+    (knots, vals), = table
+    with mpmath.workdps(30):
+        for t, got in zip(knots, vals):
+            want = mpmath.quad(lambda r: 4 * inv(r / 2), [0, mpmath.mpf(float(t))])
+            assert abs(got - want) <= THM42_PHI_REL * want, (name, t, got, float(want))
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0 / 3.0])
+def test_thm42_divergent_profile_fails(monkeypatch, a):
+    """beta1^{-1}(u) = u^{-1/a}, 1/u and u^{-1.5}: 4 int_0^t beta1^{-1}(r/2) dr
+    diverges at 0, so the gauge side is not built and "profile finite" fails."""
+    rep, table = _thm42_profile(monkeypatch, rate_power(1.0, a))
+    rows = {row["claim"]: row for row in rep.checks}
+    assert not rep.passed and table == []
+    assert rows["profile finite"]["slack"] == -INF
+    assert "gauge bound at constant 1/2" not in rows
+    assert "profile divergent at 0 or on the grid" in rep.notes
+
+
 def test_thm41_requires_superlinear():
     space, kernel, gamma, _ = random_instance(8, (3, 5))
     sub = builtin("power", p=1.0)  # N(s)/s constant, boundary case passes
@@ -350,10 +401,10 @@ def test_cor41_inverts_each_monotone_function_once_per_point(monkeypatch):
     young_inv, rate_inv, quad = YoungFunction.inv, RateFunction.inv, theorems.cumulative_quad
     n_young, in_quad, rate_calls = [], [], []
 
-    def integrate(fn, grid, rtol=1e-8):
+    def integrate(fn, grid):
         in_quad.append(True)
         try:
-            return quad(fn, grid, rtol)
+            return quad(fn, grid)
         finally:
             in_quad.pop()
 
@@ -376,13 +427,14 @@ def test_cor41_inverts_each_monotone_function_once_per_point(monkeypatch):
 PHI_REL = 1e-9
 
 
-@pytest.mark.parametrize("case,params", ROUND_TRIP_CASES)
+@pytest.mark.parametrize("case,params", ROUND_TRIP_CASES + [(1, {"p1": 5.0, "p2": 6.0})])
 def test_cor41_to_young_primitive_matches_mpmath(case, params):
-    """Phi(t) = 4 int_0^t beta1^{-1}(r/2) dr at sampled knots t in [1e-45, 1e100]
-    of to_young's grid, against mpmath at 30 digits: rho = beta1^{-1}(t/2) by
-    a root in y = log rho, then Phi = 4 t rho + 8 int_rho^inf beta1.  Below
-    1e-45, case 3's first knots carry the power-law end fit of the tail
-    (2.4e-5 at t = 1e-100, falling below 1e-9 by t = 1e-91)."""
+    """Phi(t) = 4 int_0^t beta1^{-1}(r/2) dr at to_young's first three knots
+    (t = 1e-100 ...) and at sampled knots t in [1e-45, 1e100], against mpmath
+    at 30 digits: rho = beta1^{-1}(t/2) by a root in y = log rho, then
+    Phi = 4 t rho + 8 int_rho^inf beta1.  The pair (5, 6) has the slow tail
+    sigma beta1 ~ sigma^{-0.2}, which a tail cut 80 log units up misses by
+    about 1e-7."""
     mp = mpmath.mp
     C = 0.37
     p1, p2, q = params["p1"], params.get("p2", params["p1"]), params.get("q", 0.0)
@@ -398,7 +450,7 @@ def test_cor41_to_young_primitive_matches_mpmath(case, params):
     out = cor41(case, "to_young", params, C=C)
     grid = np.geomspace(1e-100, 1e100, 1100)
     knots = np.flatnonzero(grid >= 1e-45)
-    for i in np.append(knots[::40], knots[-1]):
+    for i in np.concatenate([[0, 1, 2], knots[::40], [knots[-1]]]):
         with mpmath.workdps(30):
             t = mp.mpf(float(grid[i]))
             y = mp.findroot(lambda y: mp.log(beta(mp.exp(y))) - mp.log(t / 2),
