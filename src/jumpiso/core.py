@@ -168,8 +168,7 @@ def l1_form(space: FiniteMeasureSpace, kernel: JumpKernel, gamma, f) -> float:
     return float(np.sum(np.abs(f[:, None] - f[None, :]) * w))
 
 
-def rate_slacks(space: FiniteMeasureSpace, F, energy, r_grid, rate,
-                tol=1e-9) -> dict:
+def rate_slacks(space: FiniteMeasureSpace, F, energy, r_grid, rate) -> dict:
     """Slacks r E(f) + beta(r) ||f||_1^2 - ||f||_2^2 of a rate inequality
     over the rows f of F and the grid points r with beta(r) finite.
 
@@ -179,9 +178,8 @@ def rate_slacks(space: FiniteMeasureSpace, F, energy, r_grid, rate,
     dropped.  Every entry equals the per-(f, r) scalar expression bit for
     bit: ||f||_1^2 uses libm pow (``float_power``), as the Python float
     square does, not x*x.  Returns the slack matrix (rows x kept columns),
-    the kept ``r``, the worst slack, its witness (row, r) (the first strict
-    minimum in row-major order, or None) and the number of entries below
-    -tol.
+    the kept ``r``, the worst slack and its witness (row, r) (the first
+    strict minimum in row-major order, or None).
     """
     pairs = [(float(r), float(b)) for r, b in ((r, rate(r)) for r in r_grid)
              if not math.isinf(b)]
@@ -190,12 +188,13 @@ def rate_slacks(space: FiniteMeasureSpace, F, energy, r_grid, rate,
     l2 = np.sum(F * F * space.mu, axis=1)
     l1sq = np.float_power(np.sum(np.abs(F) * space.mu, axis=1), 2)
     en = np.array([energy(f) for f in F], dtype=float)
-    with np.errstate(over="ignore"):   # a rate near the float range: a +inf slack, never the worst
+    # a rate near the float range: a +inf slack, never the worst; r = +inf
+    # on a zero-energy row: inf * 0 = NaN, read as +inf by first_min
+    with np.errstate(over="ignore", invalid="ignore"):
         S = rs * en[:, None] + bs * l1sq[:, None] - l2[:, None]
     worst, at = first_min(S)
     witness = None if at is None else (int(at[0]), float(rs[at[1]]))
-    return {"slacks": S, "r": rs, "worst_slack": worst, "witness": witness,
-            "violations": int(np.sum(S < -tol))}
+    return {"slacks": S, "r": rs, "worst_slack": worst, "witness": witness}
 
 
 def generator(space: FiniteMeasureSpace, kernel: JumpKernel,

@@ -142,14 +142,14 @@ def pareto_front(masses, brackets):
     return levels[keep], least[keep]
 
 
-def curve_slacks(profile: IsoperimetricProfile, s, bound, tol) -> dict:
+def curve_slacks(profile: IsoperimetricProfile, s, bound) -> dict:
     """Slacks kappa(s) - bound(s) of a lower bound on the isoperimetric curve.
 
     ``bound`` runs once per grid point s, in order; a NaN bound marks a
     skipped point.  The slack is +inf there and wherever kappa(s) = +inf.
     Returns s with its kappa, bounds and slacks, the worst slack and its
     witness s (the first minimum; +inf and None when no slack is below
-    +inf), the skipped count and the number of slacks below -tol.
+    +inf) and the skipped count.
     """
     s = np.asarray(s, dtype=float)
     b = np.array([bound(x) for x in s], dtype=float)
@@ -158,22 +158,20 @@ def curve_slacks(profile: IsoperimetricProfile, s, bound, tol) -> dict:
     S = np.subtract(kap, b, out=np.full_like(kap, INF), where=~(skip | np.isinf(kap)))
     worst, at = first_min(S)
     return {"s": s, "kappa": kap, "bound": b, "slacks": S, "worst_slack": worst,
-            "witness": None if at is None else float(s[at[0]]), "skipped": int(np.sum(skip)),
-            "violations": int(np.sum(S < -tol))}
+            "witness": None if at is None else float(s[at[0]]), "skipped": int(np.sum(skip))}
 
 
-def subset_rate_slacks(profile: IsoperimetricProfile, r_values, rate, tol) -> dict:
+def subset_rate_slacks(profile: IsoperimetricProfile, r_values, rate) -> dict:
     """Slacks 2 r flow(A) + beta(r) mu(A)^2 - mu(A) of a subset-form rate
     (or Poincare) inequality over every subset A and every r with r and
     beta(r) finite.  ``rate`` runs once per such r, in order, and each r
     scans one vector over the subsets, so memory stays O(2^m).  Returns the
-    worst slack, its witness (mask, r) (the first minimum, r by r, then in
-    sorted subset order; +inf and None when no r counts) and the number of
-    slacks below -tol.
+    worst slack and its witness (mask, r) (the first minimum, r by r, then
+    in sorted subset order; +inf and None when no r counts).
     """
     masses, flows = profile.sorted_masses, profile.sorted_flows
     sq = masses ** 2
-    worst, witness, nviol = INF, None, 0
+    worst, witness = INF, None
     for r in r_values:
         if math.isinf(r):
             continue
@@ -184,8 +182,7 @@ def subset_rate_slacks(profile: IsoperimetricProfile, r_values, rate, tol) -> di
         k = int(np.argmin(slack))
         if slack[k] < worst:
             worst, witness = float(slack[k]), (int(profile.sorted_masks[k]), float(r))
-        nviol += int(np.sum(slack < -tol))
-    return {"worst_slack": worst, "witness": witness, "violations": nviol}
+    return {"worst_slack": worst, "witness": witness}
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +219,7 @@ def kappa_orlicz(space, kernel, N: YoungFunction, gamma=None,
     return ext_ratio(1.0, 2.0 * indicator_gauge_constant(space, kernel, gamma, N, profile))
 
 
-def thm20_forward(space, kernel, N, f_family, tol=1e-9) -> dict:
+def thm20_forward(space, kernel, N, f_family) -> dict:
     """L1 Orlicz-Sobolev at empirical C forces the subset constant >= 1/(2C).
     C runs over the family and every indicator, and the indicators alone give
     the subset constant (``kappa_orlicz``), so the slack is never negative."""
@@ -234,11 +231,10 @@ def thm20_forward(space, kernel, N, f_family, tol=1e-9) -> dict:
     if C == 0.0:
         raise ValueError("degenerate family: empirical constant is zero")
     kap, bound = ext_ratio(1.0, 2.0 * C_ind), ext_ratio(1.0, 2.0 * C)
-    return {"claim": "subset constant >= 1/(2C)", "lhs": kap, "rhs": bound,
-            "slack": kap - bound, "C_emp": C, "pass": kap >= bound - tol}
+    return {"lhs": kap, "rhs": bound, "slack": kap - bound, "C_emp": C}
 
 
-def thm20_backward(space, kernel, N, f_family, gamma=None, tol=1e-9, profile=None) -> dict:
+def thm20_backward(space, kernel, N, f_family, gamma=None, profile=None) -> dict:
     """Subset constant kappa gives the L1 inequality at C = 1/(2 c_N kappa).
 
     On finite total mass the layer-cake route only controls functions whose
@@ -252,10 +248,9 @@ def thm20_backward(space, kernel, N, f_family, gamma=None, tol=1e-9, profile=Non
         raise ValueError("backward direction needs c_N > 0 and kappa > 0")
     C = 1.0 / (2.0 * cN * kap)
     sl = gauge_slacks(space, N, stack_family(space, f_family),
-                      lambda f: l1_form(space, kernel, gamma, f), C, tol)
-    return {"claim": "||f||_N <= l1/(2 c_N kappa)", "C": C, "c_N": cN, "kappa": kap,
-            "worst_slack": sl["worst_slack"], "witness": sl["witness"],
-            "violations": sl["violations"], "pass": sl["violations"] == 0}
+                      lambda f: l1_form(space, kernel, gamma, f), C)
+    return {"C": C, "c_N": cN, "kappa": kap,
+            "worst_slack": sl["worst_slack"], "witness": sl["witness"]}
 
 
 def thm20_poincare(space, kernel, C1, C2_tilde, tol=1e-9, f_family=None,
@@ -264,34 +259,32 @@ def thm20_poincare(space, kernel, C1, C2_tilde, tol=1e-9, f_family=None,
 
     "subset": mu(A) <= 2 C1 flow-sum(A) + C2_tilde mu(A)^2 on every proper
     subset (the subset version inherits C2_tilde = C2).  "functional": where
-    that premise holds (no slack below -tol), the functional form with
-    C2 = 2 C2_tilde over f_family; None where it fails.
+    that premise holds (worst slack not below -tol), the functional form
+    with C2 = 2 C2_tilde over f_family; None where it fails.  Each gives its
+    worst slack and witness (a mask, a family row).
     """
     gamma = gamma if gamma is not None else WeightFunction.ones(space.m)
     prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
-    sub = subset_rate_slacks(prof, [C1], lambda r: C2_tilde, tol)
-    out = {"subset": {"claim": "subset Poincare with C2_tilde = C2",
-                      "worst_slack": sub["worst_slack"], "pass": sub["violations"] == 0,
+    sub = subset_rate_slacks(prof, [C1], lambda r: C2_tilde)
+    out = {"subset": {"worst_slack": sub["worst_slack"],
                       "witness": None if sub["witness"] is None else sub["witness"][0]},
            "functional": None}
-    if sub["violations"]:
+    if sub["worst_slack"] < -tol:
         return out
     sl = rate_slacks(space, stack_family(space, [] if f_family is None else f_family),
                      lambda f: l1_form(space, kernel, gamma, f * f),
-                     [C1], lambda r: 2.0 * C2_tilde, tol)
-    out["functional"] = {"claim": "functional Poincare with C2 = 2 C2_tilde",
-                         "worst_slack": sl["worst_slack"],
-                         "witness": None if sl["witness"] is None else sl["witness"][0],
-                         "violations": sl["violations"], "pass": sl["violations"] == 0}
+                     [C1], lambda r: 2.0 * C2_tilde)
+    out["functional"] = {"worst_slack": sl["worst_slack"],
+                         "witness": None if sl["witness"] is None else sl["witness"][0]}
     return out
 
 
-def coarea_check(space, kernel, f_family, gamma=None, profile=None, tol=1e-9) -> dict:
+def coarea_check(space, kernel, f_family, gamma=None, profile=None) -> dict:
     """The subset infimum bound l1(f)/mu(f) >= 2 inf flow/mass of the
     level-set (coarea) decomposition of the L1 form, on |f| for each family
-    member f.  The bound needs proper level sets, so it holds for f that
-    vanish somewhere; the others are skipped and counted.  A slack below
-    -tol counts as a violation."""
+    member f: the worst slack l1(f)/mu(f) - 2 inf flow/mass.  The bound
+    needs proper level sets, so it holds for f that vanish somewhere; the
+    others are skipped and counted."""
     gamma = gamma if gamma is not None else WeightFunction.ones(space.m)
     prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
     fam = np.abs(stack_family(space, f_family))
@@ -300,8 +293,5 @@ def coarea_check(space, kernel, f_family, gamma=None, profile=None, tol=1e-9) ->
     ratio = np.array([l1_form(space, kernel, gamma, f) for f in grounded[mass > 0]],
                      dtype=float) / mass[mass > 0]
     floor = 2.0 * prof.global_min_ratio()
-    nviol = int(np.sum(ratio < floor - tol))
-    return {"claim": "l1(f)/mu(f) >= 2 inf flow/mass",
-            "worst_ratio_slack": float(np.min(ratio - floor, initial=INF)),
-            "violations": nviol, "skipped_unsupported": len(fam) - len(grounded),
-            "pass": nviol == 0}
+    return {"worst_slack": float(np.min(ratio - floor, initial=INF)),
+            "skipped_unsupported": len(fam) - len(grounded)}

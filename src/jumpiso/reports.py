@@ -35,8 +35,9 @@ def digest(text: str) -> str:
 class TheoremReport:
     """Outcome of one theorem engine run on one instance.
 
-    ``checks`` rows carry {claim, lhs, rhs, slack, witness, tol}; the report
-    passes iff every recorded slack clears its tolerance.
+    ``checks`` rows carry {claim, slack, tol}; the report passes iff every
+    recorded slack clears its tolerance.  The engines judge no slack
+    themselves: a row is the one place where a slack meets its tolerance.
     """
 
     theorem: str
@@ -45,11 +46,8 @@ class TheoremReport:
     checks: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
-    def add(self, claim, slack, tol=1e-9, **extra):
-        row = {"claim": claim, "slack": slack, "tol": tol}
-        row.update(extra)
-        self.checks.append(row)
-        return row
+    def add(self, claim, slack, tol=1e-9):
+        self.checks.append({"claim": claim, "slack": slack, "tol": tol})
 
     def note(self, text: str):
         self.notes.append(text)

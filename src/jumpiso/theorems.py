@@ -106,34 +106,30 @@ def lemma1_core(space, kernel, gamma, G, f, G_inv=None, profile=None,
             "pass": lhs <= rhs + tol * max(1.0, abs(rhs))}
 
 
-def lemma1_poincare(space, kernel, gamma, s, f_family, profile=None,
-                    tol=1e-9) -> dict:
+def lemma1_poincare(space, kernel, gamma, s, f_family, profile=None) -> dict:
     """Defective L2 bound from kappa(s): for each f,
     ||f||_2^2 <= l1(f^2)/(2 kappa(s)) + (2/s) ||f||_1^2.
 
     Guaranteed for s below the total mass, and for any s when f vanishes
     somewhere; each row records whether it sits in the guaranteed domain.
+    The worst slack is +inf where kappa(s) = 0 makes the bound vacuous.
     """
     prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
     kap = prof.kappa(s)
     if kap == 0.0:
-        return {"claim": "defective L2 bound", "s": s, "kappa": 0.0,
-                "pass": True, "vacuous": True,
+        return {"s": s, "kappa": 0.0, "worst_slack": INF, "vacuous": True,
                 "note": "kappa(s) = 0: inequality vacuous"}
     coeff = 0.0 if math.isinf(kap) else 1.0 / (2.0 * kap)
     fam = stack_family(space, f_family)
     sl = rate_slacks(space, fam, lambda f: l1_form(space, kernel, gamma, f * f),
-                     [coeff], lambda r: 2.0 / s, tol)
+                     [coeff], lambda r: 2.0 / s)
     rows = [{"f": idx, "slack": slack,
              "guaranteed": s <= space.total_mass or float(np.min(np.abs(f))) == 0.0}
             for idx, (f, slack) in enumerate(zip(fam, sl["slacks"][:, 0].tolist()))]
-    return {"claim": "defective L2 bound", "s": s, "kappa": kap,
-            "worst_slack": sl["worst_slack"], "violations": sl["violations"],
-            "rows": rows, "pass": sl["violations"] == 0}
+    return {"s": s, "kappa": kap, "worst_slack": sl["worst_slack"], "rows": rows}
 
 
-def lemma1_sobolev(space, kernel, gamma, profile=None, f_family=(),
-                   tol=1e-9):
+def lemma1_sobolev(space, kernel, gamma, profile=None, f_family=()):
     """Gauge inequality from the exact step curve.
 
     The primitive Phi(t) = integral of 1/kappa(1/r) is piecewise linear, so
@@ -151,15 +147,10 @@ def lemma1_sobolev(space, kernel, gamma, profile=None, f_family=(),
     N = piecewise_linear_young(phi_knots, r_knots, cap=phi_knots[-1])
 
     fam = stack_family(space, f_family)
-    sl = gauge_slacks(space, N, fam, lambda f: l1_form(space, kernel, gamma, f),
-                      0.5, tol)
+    sl = gauge_slacks(space, N, fam, lambda f: l1_form(space, kernel, gamma, f), 0.5)
     rows = [{"f": idx, "slack": slack, "grounded": bool(np.min(np.abs(f)) == 0.0)}
             for idx, (f, slack) in enumerate(zip(fam, sl["slacks"].tolist()))]
-    report = {"claim": "gauge bound from the step curve",
-              "worst_slack": sl["worst_slack"], "violations": sl["violations"],
-              "rows": rows, "pass": sl["violations"] == 0,
-              "phi_cap": phi_knots[-1]}
-    return N, report
+    return N, {"worst_slack": sl["worst_slack"], "rows": rows, "phi_cap": phi_knots[-1]}
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +289,7 @@ def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
     if len(kept) < len(fam):
         rep.note(f"skipped {len(fam) - len(kept)} family members with support mass above the cap")
 
-    sl = gauge_slacks(space, N, kept, lambda f: l1_form(space, kernel, gamma, f),
-                      C_STAR, tol)
+    sl = gauge_slacks(space, N, kept, lambda f: l1_form(space, kernel, gamma, f), C_STAR)
     rep.add("gauge bound at the traced constant",
             min(sl["worst_slack"], float(np.min(C_STAR * B - norms, initial=INF))), tol)
     rep.derived["empirical_constant"] = max(sl["constant"], indicator_constant(norms, B))
@@ -369,19 +359,19 @@ def thm41(N: YoungFunction, space, kernel, gamma, f_family, r_grid,
                                        np.geomspace(masses[0] * 0.5,
                                                     masses[-1] * 2.0, 16)]))
     curve = curve_slacks(prof, s_grid,
-                         lambda s: ext_ratio(1.0, 2.0 * C_used * s * N.inv(1.0 / s)), tol)
+                         lambda s: ext_ratio(1.0, 2.0 * C_used * s * N.inv(1.0 / s)))
     rep.add("curve lower bound 1/(2 C s N^{-1}(1/s))", curve["worst_slack"], tol)
 
     fam = stack_family(space, f_family)
     sl = rate_slacks(space, fam, lambda f: l1_form(space, kernel, gamma, f * f),
-                     r_grid, rate_from_gauge(N, C_used, lead=2.0), tol)
+                     r_grid, rate_from_gauge(N, C_used, lead=2.0))
     rep.add("defective rate from the gauge root", sl["worst_slack"], tol)
 
     c_gamma = _c_gamma(space, kernel, gamma)
     rep.derived["c_gamma"] = c_gamma
     beta = rate_from_gauge(N, 2.0 * C_used * math.sqrt(2.0 * c_gamma), lead=4.0)
     sl = rate_slacks(space, fam, lambda f: dirichlet_energy(space, kernel, f),
-                     r_grid, lambda r: beta(math.sqrt(r)), tol)
+                     r_grid, lambda r: beta(math.sqrt(r)))
     rep.add("full rate under the kernel square bound", sl["worst_slack"], tol)
     rep.derived["beta1"] = "2 inf{s : C N^{-1}(s)/s <= r}"
     rep.derived["beta"] = "4 inf{s : N^{-1}(s)/s <= sqrt(r)/(2 C sqrt(2 c_gamma))}"
@@ -419,8 +409,8 @@ def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
         r_stars.append(r_star)   # the premise is checked at each used argument
         return ext_ratio(1.0, 4.0 * r_star)
 
-    curve = curve_slacks(prof, s_grid, bound, tol)
-    premise = subset_rate_slacks(prof, r_stars, beta1, tol)
+    curve = curve_slacks(prof, s_grid, bound)
+    premise = subset_rate_slacks(prof, r_stars, beta1)
     rep.add("subset defective rate at the used arguments", premise["worst_slack"], tol)
     rep.add("curve lower bound 1/(4 beta1^{-1}(1/(2s)))", curve["worst_slack"], tol)
     if curve["skipped"]:
@@ -448,15 +438,14 @@ def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
         return rep
     N = tabulated_young(vals, knots, family="defective_rate_inverse")
     fam = stack_family(space, f_family)
-    sl = gauge_slacks(space, N, fam, lambda f: l1_form(space, kernel, gamma, f),
-                      0.5, tol)
+    sl = gauge_slacks(space, N, fam, lambda f: l1_form(space, kernel, gamma, f), 0.5)
     rep.add("gauge bound at constant 1/2", sl["worst_slack"], tol)
 
     c_gamma = _c_gamma(space, kernel, gamma)
     rep.derived["c_gamma"] = c_gamma
     sl = rate_slacks(
         space, fam, lambda f: dirichlet_energy(space, kernel, f), r_grid,
-        lambda r: 2.0 * beta1(math.sqrt(r) / (2.0 * math.sqrt(2.0 * c_gamma))), tol)
+        lambda r: 2.0 * beta1(math.sqrt(r) / (2.0 * math.sqrt(2.0 * c_gamma))))
     rep.add("full rate 2 beta1(sqrt(r)/(2 sqrt(2 c_gamma)))", sl["worst_slack"], tol)
     rep.derived["N"] = "Phi^{-1}, Phi(t) = 4 int_0^t beta1^{-1}(r/2) dr"
     return rep
@@ -626,7 +615,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     sl = gauge_slacks(space, N_bar, kept,
                       lambda f: (l1_form(space, kernel, gamma, f)
                                  + float(np.sum(np.abs(f) * xi * potential.v * space.mu))),
-                      C_KILLED, tol)
+                      C_KILLED)
     rep.add("killed gauge bound at the traced constant", sl["worst_slack"], tol)
     rep.derived["empirical_forward_constant"] = sl["constant"]
     rep.derived["forward_family_size"] = len(kept)
@@ -649,7 +638,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     conv_rate = rate_from_gauge(N_conv, 2.0 * C_conv * math.sqrt(2.0 * c_bar), lead=4.0)
     sl = rate_slacks(space, fam,
                      lambda f: schrodinger_energy(space, kernel, potential, f),
-                     r_grid, lambda r: conv_rate(math.sqrt(r)), tol)
+                     r_grid, lambda r: conv_rate(math.sqrt(r)))
     rep.add("converse killed rate", sl["worst_slack"], tol)
     rep.derived["converse_beta"] = \
         "4 inf{s : N^{-1}(s)/s <= sqrt(r)/(2 C sqrt(2 c_bar))}"

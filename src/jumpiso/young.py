@@ -353,16 +353,16 @@ def orlicz_norm_batch(space: FiniteMeasureSpace, N: YoungFunction, F) -> np.ndar
 
 
 def gauge_slacks(space: FiniteMeasureSpace, N: YoungFunction, F, bracket,
-                 C: float, tol=1e-9) -> dict:
+                 C: float) -> dict:
     """Slacks C B(f) - ||f||_N of a gauge inequality over the rows f of F.
 
     The norms come from one ``orlicz_norm_batch`` call; ``bracket`` maps one
     row to its right-hand bracket B(f) (an L1 form, possibly plus a killing
     term) and runs once per row.  Returns the slack vector, the worst slack
     and its witness row (the first minimum, or +inf and None for no rows),
-    the number of slacks below -tol, and the empirical constant
-    sup ||f||_N / B(f): +inf when some row has B = 0 < ||f||_N, rows with
-    B = ||f||_N = 0 are skipped, and 0 when no row counts.
+    and the empirical constant sup ||f||_N / B(f): +inf when some row has
+    B = 0 < ||f||_N, rows with B = ||f||_N = 0 are skipped, and 0 when no
+    row counts.
     """
     norms = orlicz_norm_batch(space, N, F)
     B = np.array([bracket(f) for f in F], dtype=float)
@@ -374,8 +374,7 @@ def gauge_slacks(space: FiniteMeasureSpace, N: YoungFunction, F, bracket,
     pos = B > 0
     const = INF if np.any(~pos & (norms > 0)) else \
         float(np.max(norms[pos] / B[pos], initial=0.0))
-    return {"slacks": S, "worst_slack": worst, "witness": witness,
-            "violations": int(np.sum(S < -tol)), "constant": const}
+    return {"slacks": S, "worst_slack": worst, "witness": witness, "constant": const}
 
 
 def stack_family(space: FiniteMeasureSpace, f_family) -> np.ndarray:

@@ -307,6 +307,7 @@ def test_malformed_mode_range_and_grid_exit_2(tmp_path, capsys, command, doc, fi
     ("verify", dict(FINITE, tolerances={"slack": math.nan}), "slack"),
     ("verify", dict(FINITE, tolerances={"slack": math.inf}), "slack"),
     ("verify", dict(FINITE, tolerances=[1e-9]), "tolerances"),
+    ("verify", dict(FINITE, tolerances={"slak": 1e-3}), "slak"),
 ])
 def test_malformed_manifest_fields_exit_2(tmp_path, capsys, command, doc, field):
     assert_refused(tmp_path, capsys, command, doc, field)
@@ -329,6 +330,32 @@ def test_tol_override_is_checked_like_the_manifest(tmp_path, capsys, tol):
                  f"--tol={tol}"]) == 2
     assert "field 'tol'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_tol_reaches_every_verify_row(tmp_path, monkeypatch):
+    """``--tol`` is the tolerance of every row that ``verify`` writes, and
+    the rows are where a slack is judged: an evaluator worst slack of -5e-4
+    fails the run at the default 1e-9 and passes it at 1e-3."""
+    manifest = str(Path(__file__).resolve().parents[1] / "manifests" / "paper_checks.json")
+    out = tmp_path / "loose"
+    assert main(["verify", "--manifest", manifest, "--out", str(out), "--tol", "1e-3"]) == 0
+    reports = json.loads((out / "report.json").read_text())["reports"]
+    assert {row["tol"] for r in reports for row in r["checks"]} == {1e-3}
+    monkeypatch.setattr(cli, "coarea_check", lambda *args: {"worst_slack": -5e-4})
+    assert main(["verify", "--manifest", manifest, "--out", str(tmp_path / "d")]) == 1
+    assert main(["verify", "--manifest", manifest, "--out", str(tmp_path / "t"),
+                 "--tol", "1e-3"]) == 0
+
+
+@pytest.mark.parametrize("command", ["enumerate", "subordinate", "sharpness",
+                                     "perturbed", "generate"])
+def test_tol_is_a_verify_flag_only(capsys, command):
+    """Only ``verify`` reads a slack tolerance, so the other runners refuse
+    ``--tol`` as an unknown argument instead of ignoring it."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--manifest", "m.json", "--tol", "0.5"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_enumeration_above_its_limit_exit_2(tmp_path, capsys):
@@ -399,9 +426,9 @@ def test_paper_checks_scan_each_thm20_premise_once(tmp_path, monkeypatch):
     from jumpiso import isoperimetry
     calls, real = [], isoperimetry.subset_rate_slacks
 
-    def spy(profile, r_values, rate, tol):
+    def spy(profile, r_values, rate):
         calls.append(len(profile.sorted_masses))
-        return real(profile, r_values, rate, tol)
+        return real(profile, r_values, rate)
 
     monkeypatch.setattr(isoperimetry, "subset_rate_slacks", spy)
     manifest = Path(__file__).resolve().parents[1] / "manifests" / "paper_checks.json"

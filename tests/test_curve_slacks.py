@@ -7,10 +7,11 @@ verbatim copies of the six scans that ``thm41``, ``thm42`` (curve and
 premise), ``lemma2_bound``, ``theorems.subset_rate_check`` and
 ``thm20_poincare`` (forward and backward premise) ran before; every worst
 slack, skip count, report row, used rate argument and premise outcome must
-equal theirs bit for bit.  The one deliberate difference is tested on its
-own: ``lemma2_bound`` now reports a -inf slack (finite kappa under an
-infinite bound) as its worst slack, where the old scan counted it as a
-violation but left it out of the worst slack.
+equal theirs bit for bit; the tolerance counts and verdicts they also
+returned are gone, since only report rows judge a slack.  The one
+deliberate difference is tested on its own: ``lemma2_bound`` now reports a
+-inf slack (finite kappa under an infinite bound) as its worst slack, where
+the old scan left it out of the worst slack.
 """
 
 import math
@@ -90,10 +91,10 @@ def ref_thm42_curve(prof, beta1):
 
 
 def ref_lemma2_bound(space, kernel, gamma, beta, s_grid, potential=None,
-                     profile=None, tol=1e-9):
+                     profile=None):
     prof = profile if profile is not None else enumerate_profile(space, kernel, gamma)
     theta_int, _ = Semigroup(space, kernel, potential).theta_curve(gamma)
-    rows, skipped, nviol = [], 0, 0
+    rows, skipped = [], 0
     worst = INF
     for s in s_grid:
         b = beta.inv(1.0 / (2.0 * s))
@@ -108,24 +109,17 @@ def ref_lemma2_bound(space, kernel, gamma, beta, s_grid, potential=None,
         slack = INF if math.isinf(kap) else kap - bound
         if not math.isinf(slack):
             worst = min(worst, slack)
-        if slack < -tol:
-            nviol += 1
         rows.append({"s": float(s), "kappa": kap, "bound": bound, "slack": slack,
                      "skipped": False})
-    return {"claim": "rate-to-isoperimetry lower bound", "rows": rows,
-            "worst_slack": worst, "skipped": skipped, "violations": nviol,
-            "pass": nviol == 0}
+    return {"rows": rows, "worst_slack": worst, "skipped": skipped}
 
 
-def ref_thm20_forward(prof, C1, C2_tilde, TOL=1e-9):
+def ref_thm20_forward(prof, C1, C2_tilde):
     lhs = prof.sorted_masses
     rhs = 2.0 * C1 * prof.sorted_flows + C2_tilde * prof.sorted_masses ** 2
     slack = rhs - lhs
     k = int(np.argmin(slack))
-    return {"claim": "subset Poincare with C2_tilde = C2",
-            "worst_slack": float(slack[k]),
-            "witness": int(prof.sorted_masks[k]),
-            "pass": bool(slack[k] >= -TOL)}
+    return {"worst_slack": float(slack[k]), "witness": int(prof.sorted_masks[k])}
 
 
 def ref_thm20_backward_premise_fails(prof, C1, C2_tilde, TOL=1e-9) -> bool:
@@ -208,9 +202,9 @@ def test_thm42_curve_and_premise_equal_reference_loop(seed, gamma, monkeypatch):
     fam = random_functions(np.random.default_rng(seed), space.m, 4, grounded=True)
     used = []
 
-    def recording(profile, r_values, rate, tol):
+    def recording(profile, r_values, rate):
         used.append(list(r_values))
-        return subset_rate_slacks(profile, r_values, rate, tol)
+        return subset_rate_slacks(profile, r_values, rate)
 
     monkeypatch.setattr(theorems, "subset_rate_slacks", recording)
     mu_min = float(space.mu.min())
@@ -244,12 +238,10 @@ def test_lemma2_bound_equals_reference_loop(seed, gamma, killed):
     beta = certified_rate(space, kernel, r_grid, potential=pot)
     s_grid = _s_grid(space)
     for grid in (s_grid, list(map(float, s_grid)), [], s_grid[:2]):
-        for tol in (1e-9, 1.0):
-            got = lemma2_bound(space, kernel, gamma_fn, beta, grid, potential=pot,
-                               profile=prof, tol=tol)
-            ref = ref_lemma2_bound(space, kernel, gamma_fn, beta, grid, potential=pot,
-                                   profile=prof, tol=tol)
-            assert bits(got) == bits(ref)
+        got = lemma2_bound(space, kernel, gamma_fn, beta, grid, potential=pot, profile=prof)
+        ref = ref_lemma2_bound(space, kernel, gamma_fn, beta, grid, potential=pot,
+                               profile=prof)
+        assert bits(got) == bits(ref)
     rows = lemma2_bound(space, kernel, gamma_fn, beta, s_grid, potential=pot,
                         profile=prof)["rows"]
     assert math.isinf(rows[0]["bound"]) and rows[0]["slack"] == INF   # kappa and bound +inf
@@ -260,8 +252,8 @@ def test_lemma2_bound_equals_reference_loop(seed, gamma, killed):
 
 def test_lemma2_reports_an_infinite_bound_as_worst():
     """Finite kappa under an infinite bound is a failing point.  The old
-    scan counted it as a violation but left it out of the worst slack, so
-    a report built from the worst slack passed."""
+    scan left it out of the worst slack, so a report built from the worst
+    slack passed."""
     space, kernel, gamma, _ = random_instance(2, (4, 6))
     prof = enumerate_profile(space, kernel, gamma)
     # beta = 1/M everywhere, so beta^{-1}(1/(2s)) = 0 for every s <= M/2
@@ -269,8 +261,7 @@ def test_lemma2_reports_an_infinite_bound_as_worst():
     s_grid = [space.mu.min() * 0.5, 0.5 * space.total_mass]
     ref = ref_lemma2_bound(space, kernel, gamma, beta, s_grid, profile=prof)
     got = lemma2_bound(space, kernel, gamma, beta, s_grid, profile=prof)
-    assert ref["violations"] == got["violations"] == 1 and ref["worst_slack"] == INF
-    assert got["worst_slack"] == -INF and not got["pass"]
+    assert ref["worst_slack"] == INF and got["worst_slack"] == -INF
     assert bits(got["rows"]) == bits(ref["rows"])
 
 
@@ -284,22 +275,20 @@ def test_subset_rate_slacks_equals_reference_loop(seed, gamma):
                        lambda u: INF)
     for beta1 in (rate_power(1.0 / M, 0.5), cut, rate_power(1e-4 / M, 1.0)):
         for rs in (r_values, r_values[:2], [], [INF]):
-            for tol in (1e-9, 1.0):
-                got = subset_rate_slacks(prof, rs, beta1, tol)
-                assert float(got["worst_slack"]).hex() == \
-                    float(ref_subset_rate_check(prof, beta1, rs)).hex()
-                # witness and violations, pair by pair in scan order
-                worst, witness, nviol = INF, None, 0
-                for r in rs:
-                    if math.isinf(r) or math.isinf(beta1(r)):
-                        continue
-                    for k, (mass, flow, sq) in enumerate(zip(
-                            prof.sorted_masses, prof.sorted_flows, prof.sorted_masses ** 2)):
-                        slack = 2.0 * r * flow + beta1(r) * sq - mass
-                        if slack < worst:
-                            worst, witness = slack, (int(prof.sorted_masks[k]), float(r))
-                        nviol += slack < -tol
-                assert got["witness"] == witness and got["violations"] == nviol
+            got = subset_rate_slacks(prof, rs, beta1)
+            assert float(got["worst_slack"]).hex() == \
+                float(ref_subset_rate_check(prof, beta1, rs)).hex()
+            # the witness, pair by pair in scan order
+            worst, witness = INF, None
+            for r in rs:
+                if math.isinf(r) or math.isinf(beta1(r)):
+                    continue
+                for k, (mass, flow, sq) in enumerate(zip(
+                        prof.sorted_masses, prof.sorted_flows, prof.sorted_masses ** 2)):
+                    slack = 2.0 * r * flow + beta1(r) * sq - mass
+                    if slack < worst:
+                        worst, witness = slack, (int(prof.sorted_masks[k]), float(r))
+            assert got["witness"] == witness
 
 
 @pytest.mark.parametrize("seed,gamma", [(s, g) for s in range(4) for g in (False, True)])
@@ -325,20 +314,18 @@ def test_curve_slacks_witness_is_first_minimum():
     # a zero bound makes the slack the step curve itself: every s on the
     # lowest step ties, and the witness is the first of them
     s = np.concatenate([[levels[0] * 0.5], np.linspace(levels[0], 2.0 * levels[-1], 200)])
-    curve = curve_slacks(prof, s, lambda x: 0.0, 1e-9)
+    curve = curve_slacks(prof, s, lambda x: 0.0)
     ties = np.flatnonzero(curve["slacks"] == curve["worst_slack"])
     assert len(ties) > 1 and curve["witness"] == float(s[ties[0]])
     assert curve["worst_slack"] == float(kappas.min())
     # NaN bounds are skipped; +inf kappa never wins, not even over -inf bounds
-    nan_first = curve_slacks(prof, s, lambda x: math.nan if x < levels[-1] else 0.0, 1e-9)
+    nan_first = curve_slacks(prof, s, lambda x: math.nan if x < levels[-1] else 0.0)
     assert nan_first["skipped"] == int(np.sum(s < levels[-1]))
     assert nan_first["witness"] == float(s[s > levels[-1]][0])
-    only_inf = curve_slacks(prof, s[:2], lambda x: INF, 1e-9)
+    only_inf = curve_slacks(prof, s[:2], lambda x: INF)
     assert only_inf["worst_slack"] == INF and only_inf["witness"] is None
-    assert only_inf["violations"] == 0
-    empty = curve_slacks(prof, [], lambda x: 0.0, 1e-9)
-    assert (empty["worst_slack"], empty["witness"], empty["skipped"],
-            empty["violations"]) == (INF, None, 0, 0)
+    empty = curve_slacks(prof, [], lambda x: 0.0)
+    assert (empty["worst_slack"], empty["witness"], empty["skipped"]) == (INF, None, 0)
 
 
 def test_subset_rate_slacks_witness_is_first_minimum():
@@ -346,8 +333,7 @@ def test_subset_rate_slacks_witness_is_first_minimum():
     space = FiniteMeasureSpace([1.0, 1.0])
     kernel = JumpKernel(space, [[0.0, 3.0], [3.0, 0.0]])
     prof = enumerate_profile(space, kernel, WeightFunction.ones(2))
-    got = subset_rate_slacks(prof, [0.01, 0.01], lambda r: 0.0, 1e-9)
+    got = subset_rate_slacks(prof, [0.01, 0.01], lambda r: 0.0)
     assert got["witness"] == (1, 0.01)
-    assert got["worst_slack"] == 2.0 * 0.01 * 3.0 - 1.0 and got["violations"] == 4
-    assert subset_rate_slacks(prof, [], lambda r: 0.0, 1e-9) == \
-        {"worst_slack": INF, "witness": None, "violations": 0}
+    assert got["worst_slack"] == 2.0 * 0.01 * 3.0 - 1.0
+    assert subset_rate_slacks(prof, [], lambda r: 0.0) == {"worst_slack": INF, "witness": None}

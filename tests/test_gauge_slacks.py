@@ -8,9 +8,10 @@ that ``lemma1_sobolev``, ``thm21_verify``, ``thm42``, the forward check of
 ``young.gauge_slacks``, and of the three subset scans sup ||1_A||_N / B(A)
 (``indicator_gauge_constant``, the loop inside ``empirical_l1_constant`` and
 the converse loop of ``thm43``) that ``isoperimetry.indicator_constant``
-replaced.  Every slack, worst slack, witness, violation count, empirical
-constant and report row must equal theirs bit for bit.  Two differences
-are intended.  A row with B(f) = 0 < ||f||_N has the empirical constant
+replaced.  Every slack, worst slack, witness, empirical constant and
+report row must equal theirs bit for bit; the tolerance counts and
+verdicts they also returned are gone, since only report rows judge a
+slack.  Two differences are intended.  A row with B(f) = 0 < ||f||_N has the empirical constant
 +inf in every engine (the empirical constant already said so).  And
 ``thm21_verify`` without a family no longer pushes the subset indicators
 below its cap through the gauge bisection: it reads them from the profile
@@ -42,19 +43,16 @@ from oracles import indicators_below, rate_power
 # ---------------------------------------------------------------------------
 # verbatim copies of the replaced loops and scans
 
-def ref_lemma1_sobolev_loop(space, kernel, gamma, N, f_family, tol=1e-9):
+def ref_lemma1_sobolev_loop(space, kernel, gamma, N, f_family):
     fam = stack_family(space, f_family)
-    rows, nviol, worst = [], 0, INF
+    rows, worst = [], INF
     for idx, (f, lhs) in enumerate(zip(fam, orlicz_norm_batch(space, N, fam).tolist())):
         rhs = 0.5 * l1_form(space, kernel, gamma, f)
         slack = rhs - lhs
         rows.append({"f": idx, "slack": slack,
                      "grounded": bool(np.min(np.abs(f)) == 0.0)})
         worst = min(worst, slack)
-        if slack < -tol:
-            nviol += 1
-    return {"worst_slack": worst, "violations": nviol, "rows": rows,
-            "pass": nviol == 0}
+    return {"worst_slack": worst, "rows": rows}
 
 
 def ref_thm21_loop(space, kernel, gamma, N, kept):
@@ -87,7 +85,7 @@ def ref_thm43_forward_loop(space, kernel, potential, gamma, xi, N_bar, kept):
     return worst, emp
 
 
-def ref_thm20_backward(space, kernel, N, f_family, gamma=None, tol=1e-9) -> dict:
+def ref_thm20_backward(space, kernel, N, f_family, gamma=None) -> dict:
     gamma = gamma if gamma is not None else WeightFunction.ones(space.m)
     cN = c_N(N)
     kap = kappa_orlicz(space, kernel, N, gamma)
@@ -100,10 +98,7 @@ def ref_thm20_backward(space, kernel, N, f_family, gamma=None, tol=1e-9) -> dict
     slack = rhs - lhs
     witness = int(np.argmin(slack))
     worst = float(slack[witness])
-    nviol = int(np.sum(slack < -tol))
-    return {"claim": "||f||_N <= l1/(2 c_N kappa)", "C": C, "c_N": cN, "kappa": kap,
-            "worst_slack": worst, "witness": witness, "violations": nviol,
-            "pass": nviol == 0}
+    return {"C": C, "c_N": cN, "kappa": kap, "worst_slack": worst, "witness": witness}
 
 
 def ref_empirical_l1_constant(space, kernel, N, f_family, gamma=None) -> float:
@@ -173,9 +168,9 @@ def captured(monkeypatch):
     """(N, F) of every ``gauge_slacks`` call the theorem engines make."""
     calls = []
 
-    def spy(space, N, F, bracket, C, tol=1e-9):
+    def spy(space, N, F, bracket, C):
         calls.append((N, F))
-        return gauge_slacks(space, N, F, bracket, C, tol)
+        return gauge_slacks(space, N, F, bracket, C)
 
     monkeypatch.setattr(theorems, "gauge_slacks", spy)
     return calls
@@ -202,23 +197,21 @@ def test_gauge_slacks_equal_scalar_expression(seed, with_gamma):
     for N in _young_cases(space, kernel, gamma):
         for grounded in (False, True):
             fam = _family(seed, space.m, grounded)
-            for F, C, tol in ((fam, 0.5, 1e-9), (fam, 1e-3, 1e-9), (fam, 1e-3, 1.0),
-                              (fam + [const_row], 0.5, 1e-9), (fam[-1:], 0.5, 1e-9)):
-                got = gauge_slacks(space, N, stack_family(space, F), bracket, C, tol)
-                worst, witness, nviol, const = INF, None, 0, 0.0
+            for F, C in ((fam, 0.5), (fam, 1e-3), (fam + [const_row], 0.5), (fam[-1:], 0.5)):
+                got = gauge_slacks(space, N, stack_family(space, F), bracket, C)
+                worst, witness, const = INF, None, 0.0
                 for i, f in enumerate(F):
                     num, den = orlicz_norm(space, N, f), bracket(f)
                     slack = C * den - num
                     assert float(got["slacks"][i]).hex() == slack.hex()
                     if slack < worst:
                         worst, witness = slack, i
-                    nviol += slack < -tol
                     if den > 0:
                         const = max(const, num / den)
                     elif num > 0:
                         const = INF
-                assert bits([got["worst_slack"], got["witness"], got["violations"],
-                             got["constant"]]) == bits([worst, witness, nviol, const])
+                assert bits([got["worst_slack"], got["witness"], got["constant"]]) \
+                    == bits([worst, witness, const])
 
 
 def test_gauge_slacks_constant_row_gives_infinite_constant():
@@ -233,8 +226,8 @@ def test_gauge_slacks_constant_row_gives_infinite_constant():
                        bracket, 1.0)
     assert got["constant"] == INF
     empty = gauge_slacks(space, N, np.zeros((0, space.m)), bracket, 1.0)
-    assert (empty["worst_slack"], empty["witness"], empty["violations"],
-            empty["constant"], empty["slacks"].shape) == (INF, None, 0, 0.0, (0,))
+    assert (empty["worst_slack"], empty["witness"], empty["constant"],
+            empty["slacks"].shape) == (INF, None, 0.0, (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +240,7 @@ def test_lemma1_sobolev_equals_reference_loop(seed, with_gamma):
         for family in (_family(seed, space.m, grounded), []):
             N, rep = lemma1_sobolev(space, kernel, gamma, f_family=family)
             ref = ref_lemma1_sobolev_loop(space, kernel, gamma, N, family)
-            ref = {"claim": "gauge bound from the step curve", **ref,
-                   "phi_cap": rep["phi_cap"]}
+            ref = {**ref, "phi_cap": rep["phi_cap"]}
             assert bits(rep) == bits(ref)
 
 
@@ -258,9 +250,9 @@ def test_thm20_backward_and_empirical_constant_equal_reference(seed, with_gamma)
     for N in (builtin("power", p=2), builtin("log_minus", n=1, alpha=1.0, q=1.0)):
         for grounded in (False, True):
             family = _family(seed, space.m, grounded)
-            for fam, tol in ((family, 1e-9), (family, 1.0), (family[:1], 1e-9)):
-                assert bits(thm20_backward(space, kernel, N, fam, gamma, tol)) \
-                    == bits(ref_thm20_backward(space, kernel, N, fam, gamma, tol))
+            for fam in (family, family[:1]):
+                assert bits(thm20_backward(space, kernel, N, fam, gamma)) \
+                    == bits(ref_thm20_backward(space, kernel, N, fam, gamma))
             if with_gamma:   # thm20_forward's constant is on the unweighted form
                 continue
             for fam in (family, [], family + [np.ones(space.m)]):
@@ -401,9 +393,7 @@ def _empty_reports(space, kernel, gamma):
 def test_empty_family_reports_no_violation(engine):
     space, kernel, gamma, _ = random_instance(3, (3, 6), with_gamma=True)
     rep = _empty_reports(space, kernel, gamma)[engine]()
-    assert rep["worst_slack"] == INF
-    assert rep["violations"] == 0 and rep["pass"]
-    assert rep.get("witness") is None
+    assert rep["worst_slack"] == INF and rep.get("witness") is None
 
 
 def test_matrix_family_gives_list_family_report():

@@ -29,27 +29,27 @@ MODULES = [cli, core, isoperimetry, superpoincare, theorems, young]
 
 def _rate_dropped(real):
     """rate_slacks with the rate term beta(r) ||f||_1^2 dropped."""
-    return lambda space, F, energy, r_grid, rate, tol=1e-9: \
-        real(space, F, energy, r_grid, lambda r: 0.0, tol)
+    return lambda space, F, energy, r_grid, rate: \
+        real(space, F, energy, r_grid, lambda r: 0.0)
 
 
 def _subset_rate_dropped(real):
     """subset_rate_slacks with the rate term beta(r) mu(A)^2 dropped."""
-    return lambda profile, r_values, rate, tol: \
-        real(profile, r_values, lambda r: 0.0, tol)
+    return lambda profile, r_values, rate: \
+        real(profile, r_values, lambda r: 0.0)
 
 
 def _bracket_cut(real):
     """gauge_slacks with the bracket B(f) cut to 1%: nearly every jump weight
     removed from the L1 form."""
-    return lambda space, N, F, bracket, C, tol=1e-9: \
-        real(space, N, F, lambda f: 0.01 * bracket(f), C, tol)
+    return lambda space, N, F, bracket, C: \
+        real(space, N, F, lambda f: 0.01 * bracket(f), C)
 
 
 def _curve_bound_raised(real):
     """curve_slacks with the claimed lower bound on kappa(s) raised 10x."""
-    return lambda profile, s, bound, tol: \
-        real(profile, s, lambda x: 10.0 * bound(x), tol)
+    return lambda profile, s, bound: \
+        real(profile, s, lambda x: 10.0 * bound(x))
 
 
 def _rate_scaled(factor):

@@ -9,7 +9,7 @@ from jumpiso.core import (FiniteMeasureSpace, JumpKernel, Semigroup,
 from jumpiso.instances import random_functions, random_instance
 from jumpiso.isoperimetry import _doubling_enumeration, _subset_sums
 from jumpiso.numerics import INF
-from jumpiso.superpoincare import (INFLATE, SIZE_LIMIT, RateFunction,
+from jumpiso.superpoincare import (INFLATE, SIZE_LIMIT,
                                    _quadratic_matrix, certified_rate, certified_rates, lemma2_bound,
                                    rate_power_pair, rate_tabulated,
                                    sp_decay_check, sp_estimate, sp_verify)
@@ -228,8 +228,8 @@ def test_certified_rate_dominates_exact_argmax(m):
     mids = np.sqrt(r_grid[1:] * r_grid[:-1])
     for r in np.concatenate([r_grid, mids]):
         _, f = signed_facet_optimum(space, kernel, r)
-        rep = sp_verify(space, kernel, beta, [f], [r], tol=0.0)
-        assert rep["pass"] and rep["worst_slack"] >= 0.0, (m, r, rep)
+        rep = sp_verify(space, kernel, beta, [f], [r])
+        assert rep["worst_slack"] >= 0.0, (m, r, rep)
 
 
 def reference_table(space, kernel, r_grid, potential=None):
@@ -342,7 +342,7 @@ def test_certified_rate_passes_fresh_family():
         fam = random_functions(rng, space.m, 500)
         rep = sp_verify(space, kernel, scaled_rate(beta, 1.0 + 1e-6), fam, r_grid,
                         potential=pot)
-        assert rep["pass"], (seed, rep)
+        assert rep["worst_slack"] >= -1e-9, (seed, rep)
 
 
 def test_sp_verify_constant_floor(two_point):
@@ -351,7 +351,7 @@ def test_sp_verify_constant_floor(two_point):
     bad = rate_power(0.25, 1e-6)
     fam = [np.ones(2)]
     rep = sp_verify(space, kernel, bad, fam, [1.0, 10.0])
-    assert not rep["pass"]
+    assert rep["worst_slack"] < -1e-9
 
 
 def test_rate_tabulated_repair_and_inverse():
@@ -386,31 +386,10 @@ def test_decay_check_random_instances():
         fam = random_functions(rng, space.m, 30)
         rep = sp_decay_check(space, kernel, beta, fam,
                              t_grid=np.geomspace(1e-2, 20.0, 6), r_grid=r_grid)
-        assert rep["pass"], (seed, rep)
+        assert rep["worst_slack"] >= -1e-9, (seed, rep)
         # t = 0 must be tight for the worst f
         rep0 = sp_decay_check(space, kernel, beta, fam[:5], [0.0], r_grid[:1])
         assert rep0["worst_slack"] >= -1e-12
-
-
-def test_decay_check_reads_tol(two_point):
-    # a constant rate bisected to a worst slack of -5e-4: a violation at
-    # tol = 1e-9, none at tol = 1e-3
-    space, kernel = two_point
-    fam, ts, rs = [[1.0, -0.5]], [0.3], [0.1]
-
-    def check(b, tol):
-        const = RateFunction("constant", {"c": b}, lambda r: b, lambda u: 0.0)
-        return sp_decay_check(space, kernel, const, fam, ts, rs, tol=tol)
-
-    lo, hi = 0.0, 1.0   # every slack is negative at 0 and nonnegative at 1
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if check(mid, 1e-9)["worst_slack"] < -5e-4 else (lo, mid)
-    loose = check(lo, 1e-3)
-    assert -1e-3 < loose["worst_slack"] < -1e-9
-    assert loose["violations"] == 0 and loose["pass"]
-    tight = check(lo, 1e-9)
-    assert tight["violations"] > 0 and not tight["pass"]
 
 
 def test_decay_check_killed():
@@ -423,16 +402,16 @@ def test_decay_check_killed():
         fam = random_functions(rng, space.m, 30)
         t_grid = np.geomspace(1e-2, 20.0, 6)
         rep = sp_decay_check(space, kernel, beta, fam, t_grid, r_grid, potential=pot)
-        assert rep["pass"], (seed, rep)
+        assert rep["worst_slack"] >= -1e-9, (seed, rep)
 
 
 def _reference_sp_decay_check(space, kernel, beta, f_family, t_grid, r_grid,
                               potential=None) -> dict:
     # the (f, t, r) loop that one P_t F^T product per t replaced, kept
-    # verbatim apart from sg.apply(t, f), which was sg.matrix(t) @ f
-    tol = 1e-9
+    # verbatim apart from sg.apply(t, f), which was sg.matrix(t) @ f, and
+    # from the tolerance count and verdict it also returned
     sg = Semigroup(space, kernel, potential)
-    worst, witness, nviol = INF, None, 0
+    worst, witness = INF, None
     for fi, f in enumerate(f_family):
         f = np.asarray(f, dtype=float)
         l2 = float(np.sum(f * f * space.mu))
@@ -445,8 +424,6 @@ def _reference_sp_decay_check(space, kernel, beta, f_family, t_grid, r_grid,
                 slack = l2 * decay + max(beta(r), 0.0) * l1sq * (1.0 - decay) - lhs
                 if slack < worst:
                     worst, witness = slack, ("f", fi, float(t), float(r))
-                if slack < -tol:
-                    nviol += 1
     m = space.m
     if m <= SIZE_LIMIT:
         masks = np.arange(1, (1 << m) - 1)
@@ -463,16 +440,13 @@ def _reference_sp_decay_check(space, kernel, beta, f_family, t_grid, r_grid,
                 k = int(np.argmin(slack))
                 if slack[k] < worst:
                     worst, witness = float(slack[k]), ("subset", int(masks[k]), float(t), float(r))
-                nviol += int(np.sum(slack < -tol))
-    return {"claim": "decay form of the rate inequality", "worst_slack": worst,
-            "witness": witness, "violations": nviol, "pass": nviol == 0}
+    return {"worst_slack": worst, "witness": witness}
 
 
 @pytest.mark.parametrize("killed", [False, True])
 @pytest.mark.parametrize("seed", range(4))
 def test_decay_check_equals_reference_loop(seed, killed):
-    """Same witness and violation count as the (f, t, r) loop, and the same
-    worst slack to relative 1e-12: P_t F^T is one matrix product where the
+    """Same witness as the (f, t, r) loop, and the same worst slack to relative 1e-12: P_t F^T is one matrix product where the
     loop made one matrix-vector product per f, and the subsets are rows of
     one such product, which may round differently.  The halved rate fails
     on the subsets of every instance; its witness is a subset on six of the
@@ -496,11 +470,10 @@ def test_decay_check_equals_reference_loop(seed, killed):
             ref = _reference_sp_decay_check(space, kernel, rate, f_family, ts, rs,
                                             potential=pot)
             assert got["witness"] == ref["witness"]
-            assert got["violations"] == ref["violations"]
             assert got["worst_slack"] == pytest.approx(ref["worst_slack"], rel=1e-12, abs=0.0)
         subsets = _reference_sp_decay_check(space, kernel, halved, [], t_grid, r_grid,
                                             potential=pot)
-        assert subsets["violations"] > 0
+        assert subsets["worst_slack"] < -1e-9
 
 
 def test_certified_killed_rate_dominates_estimate():
@@ -558,7 +531,7 @@ def test_lemma2_two_point_closed_form(two_point):
     for r in (0.01, 0.05, 0.1):
         assert beta(r) == pytest.approx(1.01 * max(1 - r * j, 0.5), rel=1e-6)
     rep = lemma2_bound(space, kernel, ones, beta, s_grid=[0.5, 0.8, 1.5, 1.9])
-    assert rep["pass"]
+    assert rep["worst_slack"] >= -1e-9
     rows = {row["s"]: row for row in rep["rows"]}
     # at s = 0.8 the bound is computable in closed form and kappa is inf
     u = 1.0 / 1.6
@@ -579,8 +552,7 @@ def test_lemma2_random_instances():
         beta = certified_rate(space, kernel, r_grid)
         s_grid = np.geomspace(space.mu.min() * 1.05, 0.45 * M, 20)
         rep = lemma2_bound(space, kernel, gamma, beta, s_grid)
-        assert rep["pass"], (seed, rep)
-        assert rep["violations"] == 0
+        assert rep["worst_slack"] >= -1e-9, (seed, rep)
 
 
 def test_lemma2_gamma_scaling_invariance():

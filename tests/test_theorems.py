@@ -61,14 +61,14 @@ def test_lemma1_poincare():
         M = space.total_mass
         for s in np.geomspace(space.mu.min() * 0.5, 0.95 * M, 5):
             rep = lemma1_poincare(space, kernel, gamma, float(s), fam, profile=prof)
-            assert rep["pass"], (seed, s, rep)
+            assert rep["worst_slack"] >= -1e-9, (seed, s, rep)
     # constant functions hold up to s = 2 M by plain arithmetic
     space = FiniteMeasureSpace([1.0, 2.0])
     kernel = JumpKernel(space, [[0.0, 1.0], [1.0, 0.0]])
     const = [np.ones(2)]
     for s in (1.0, 4.0, 5.9):
         rep = lemma1_poincare(space, kernel, WeightFunction.ones(2), s, const)
-        assert rep["pass"]
+        assert rep["worst_slack"] >= -1e-9
 
 
 def test_lemma1_sobolev_two_point_closed_form():
@@ -76,7 +76,7 @@ def test_lemma1_sobolev_two_point_closed_form():
     kernel = JumpKernel(space, [[0.0, 3.0], [3.0, 0.0]])
     ones = WeightFunction.ones(2)
     N, rep = lemma1_sobolev(space, kernel, ones, f_family=[np.array([1.0, 0.0])])
-    assert rep["pass"]
+    assert rep["worst_slack"] >= -1e-9
     # kappa = 3 on (1, 2]: the primitive is r/3 up to r = 1, then flat
     assert float(N(0.2)) == pytest.approx(0.6, rel=1e-12)
     assert math.isinf(float(N(0.5)))
@@ -89,7 +89,7 @@ def test_lemma1_sobolev_random():
         space, kernel, gamma, _ = random_instance(seed, (3, 9), with_gamma=(seed % 2 == 0))
         fam = random_functions(rng, space.m, 25, grounded=True)
         N, rep = lemma1_sobolev(space, kernel, gamma, f_family=fam)
-        assert rep["pass"], (seed, rep)
+        assert rep["worst_slack"] >= -1e-9, (seed, rep)
 
 
 def test_thm21_traced_constant():
