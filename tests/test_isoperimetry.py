@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from jumpiso.isoperimetry import (coarea_check, enumerate_profile,
                                   kappa_orlicz, pareto_front, thm20_backward,
                                   thm20_forward, thm20_poincare)
 from jumpiso.numerics import INF, ext_ratio
+from jumpiso.reports import TheoremReport
 from jumpiso.young import builtin, indicator_norm
 from oracles import layer_cake_l1
 
@@ -147,6 +150,24 @@ def test_coarea_report():
         fam = [np.abs(f) for f in random_functions(rng, space.m, 30, grounded=True)]
         rep = coarea_check(space, kernel, fam, gamma if seed % 2 else None)
         assert rep["worst_slack"] >= -1e-9, rep
+
+
+def test_coarea_check_reads_tol():
+    # a floor lifted past the worst ratio leaves a slack of -5e-4: the
+    # coarea row that verify writes fails at tol = 1e-9 and passes at 1e-3
+    rng = np.random.default_rng(1)
+    space, kernel, gamma, _ = random_instance(1, (3, 10), with_gamma=True)
+    fam = [np.abs(f) for f in random_functions(rng, space.m, 30, grounded=True)]
+    prof = enumerate_profile(space, kernel, gamma)
+    slack = coarea_check(space, kernel, fam, gamma, prof)["worst_slack"]
+    lifted = SimpleNamespace(
+        global_min_ratio=lambda: prof.global_min_ratio() + (slack + 5e-4) / 2.0)
+    worst = coarea_check(space, kernel, fam, gamma, lifted)["worst_slack"]
+    assert -1e-3 < worst < -1e-9
+    for tol, passed in ((1e-3, True), (1e-9, False)):
+        rep = TheoremReport("coarea")
+        rep.add("l1(f)/mu(f) >= 2 inf flow/mass", worst, tol)
+        assert rep.passed is passed
 
 
 def test_thm20_forward_indicator_extremality(monkeypatch):

@@ -9,7 +9,8 @@ from jumpiso.core import (FiniteMeasureSpace, JumpKernel, Semigroup,
 from jumpiso.instances import random_functions, random_instance
 from jumpiso.isoperimetry import _doubling_enumeration, _subset_sums
 from jumpiso.numerics import INF
-from jumpiso.superpoincare import (INFLATE, SIZE_LIMIT,
+from jumpiso.reports import TheoremReport
+from jumpiso.superpoincare import (INFLATE, SIZE_LIMIT, RateFunction,
                                    _quadratic_matrix, certified_rate, certified_rates, lemma2_bound,
                                    rate_power_pair, rate_tabulated,
                                    sp_decay_check, sp_estimate, sp_verify)
@@ -390,6 +391,28 @@ def test_decay_check_random_instances():
         # t = 0 must be tight for the worst f
         rep0 = sp_decay_check(space, kernel, beta, fam[:5], [0.0], r_grid[:1])
         assert rep0["worst_slack"] >= -1e-12
+
+
+def test_decay_check_reads_tol(two_point):
+    # a constant rate bisected to a worst slack of -5e-4: the sp_decay row
+    # that verify writes fails at tol = 1e-9 and passes at 1e-3
+    space, kernel = two_point
+    fam, ts, rs = [[1.0, -0.5]], [0.3], [0.1]
+
+    def worst(b):
+        const = RateFunction("constant", {"c": b}, lambda r: b, lambda u: 0.0)
+        return sp_decay_check(space, kernel, const, fam, ts, rs)["worst_slack"]
+
+    lo, hi = 0.0, 1.0   # every slack is negative at 0 and nonnegative at 1
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if worst(mid) < -5e-4 else (lo, mid)
+    slack = worst(lo)
+    assert -1e-3 < slack < -1e-9
+    for tol, passed in ((1e-3, True), (1e-9, False)):
+        rep = TheoremReport("sp_decay")
+        rep.add("decay form of the rate inequality", slack, tol)
+        assert rep.passed is passed
 
 
 def test_decay_check_killed():
