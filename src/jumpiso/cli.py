@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +279,7 @@ def run_verify(doc: dict, out_dir: Path) -> int:
     jobs = _count(doc, "jobs", 1)
     tasks = [(i, spec, theorems, seed, tol) for i, spec in enumerate(specs)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             grouped = list(pool.map(_run_theorems_on, tasks))
     else:
@@ -443,13 +443,17 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="override the manifest seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--jobs", type=int, default=1)
+        # accepted and checked on every subcommand, since callers pass it to
+        # each; only verify reads it
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for verify's instances")
         if name == "verify":   # the one runner that reads a slack tolerance
             p.add_argument("--tol", type=float, default=None,
                            help="override the slack tolerance")
     args = parser.parse_args(argv)
     runner, kinds = RUNNERS[args.command]
     try:
+        _count({"--jobs": args.jobs}, "--jobs", None)
         doc = load_manifest(args.manifest, kinds)
         if getattr(args, "tol", None) is not None:
             doc.setdefault("tolerances", {})["slack"] = _tolerance({"tol": args.tol}, "tol")

@@ -270,13 +270,18 @@ class Semigroup:
         return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
     def theta_curve(self, gamma: WeightFunction):
-        """Cumulative Theta on a log time grid plus an exact-rate tail bound.
+        """Cumulative Theta on a log time grid plus a rounding-level tail.
 
         Returns (ThetaIntegral, theta_infinity).  The grid has 240 points up
-        to t_max = 50/gap (1e6 when the gap is 0).  Beyond it the tail is
-        integrated analytically from theta(t) <= theta(t_max) e^{-gap (t-t_max)}
-        (the spectral gap controls the decay); on disconnected spaces with
-        gap 0 the tail is infinite.
+        to t_max = 50/gap (1e6 when the gap is 0).  Beyond it the tail adds
+        theta(t_max)/gap, the integral of theta(t_max) e^{-gap (t - t_max)}.
+        Computed Theta does not obey that decay: the exact value falls like
+        e^{-gap t}, so by t_max it is far below the rounding of the semigroup
+        rows, and computed Theta stays at that floor for every later t.
+        What holds instead is that Theta past t_max and the tail are both
+        negligible: on random instances each is at most 1e-12 of the peak
+        of Theta and of the total (tests/test_core.py).  On disconnected
+        spaces with gap 0 the tail is infinite.
         """
         curve = ThetaIntegral(self, gamma)
         return curve, curve.total
@@ -290,7 +295,8 @@ class ThetaIntegral:
     values, so the primitive of the integral, t int_0^t Theta - (first
     moment), is known in closed form (``moments``).  Between grid points
     both are the table value plus one 8-node Gauss segment; calling the
-    object at a float t gives the integral alone.
+    object at a float t gives the integral alone.  Past the last grid point
+    both add the tail of ``Semigroup.theta_curve``, a rounding-level term.
     """
 
     def __init__(self, sg: Semigroup, gamma: WeightFunction):

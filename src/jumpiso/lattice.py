@@ -19,10 +19,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
-from scipy.special import gammainc, gammaln
 
 from .numerics import loglog_slope
+
+# scipy.special is imported inside the functions that call it: the CLI
+# imports this module for every subcommand, and the finite ones never need
+# scipy, whose import costs more than most of their runs.
 
 
 @dataclass
@@ -98,12 +100,14 @@ def weight_tail(alpha: float, K: float) -> float:
     Telescoping of the weight recurrence; works for K far beyond anything an
     explicit array could hold.
     """
+    from scipy.special import gammaln
     a2 = alpha / 2.0
     return float(math.exp(gammaln(K + 1 - a2) - gammaln(1 - a2) - gammaln(K + 1)))
 
 
 def weight_at(alpha: float, k: float) -> float:
     """c(k) = (alpha/2) Gamma(k - alpha/2) / (Gamma(1 - alpha/2) Gamma(k+1))."""
+    from scipy.special import gammaln
     a2 = alpha / 2.0
     return float(a2 * math.exp(gammaln(k - a2) - gammaln(1 - a2) - gammaln(k + 1)))
 
@@ -142,6 +146,7 @@ def p1_kernel(n: int, alpha: float, K: int, R: int):
     so p1 is exactly invariant under the eight symmetries of the square.
     Returns (window, per_entry_tail_bound).
     """
+    from scipy.special import gammaln
     if n not in (1, 2):
         raise ValueError("p1 is implemented for n in {1, 2}")
     w = subord_weights(alpha, K)
@@ -207,6 +212,7 @@ def _tail_formula(n: int, alpha: float, K1: int, radii_sq: np.ndarray) -> np.nda
     with s = (n + alpha)/2.  Relative error is O(1/K1) plus the uniformly
     integrable local-CLT correction.
     """
+    from scipy.special import gammainc
     A = alpha / (2.0 * math.gamma(1.0 - alpha / 2.0))
     s = 0.5 * (n + alpha)
     b = 0.5 * n * np.asarray(radii_sq, dtype=float)
@@ -266,11 +272,12 @@ def torus_semigroup(n: int, alpha: float, R: int, t_grid, K1: int = 20000):
         vals += _tail_formula(n, alpha, K1, r2)
     adjust = float(vals.sum())
     vals /= adjust
-    khat = sfft.rfftn(np.fft.ifftshift(vals))
+    khat = np.fft.rfftn(np.fft.ifftshift(vals))
     out = {}
     bias = max(abs(1.0 - adjust), 1e-16)
     for t in t_grid:
-        pt = sfft.irfftn(np.exp(-float(t) * (1.0 - khat)), s=vals.shape)
+        pt = np.fft.irfftn(np.exp(-float(t) * (1.0 - khat)), s=vals.shape,
+                           axes=tuple(range(n)))
         pt = np.fft.fftshift(pt)
         out[float(t)] = LatticeWindow(n, R, pt, leak=float(t) * bias,
                                       note="torus exponential")

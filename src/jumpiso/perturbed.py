@@ -16,10 +16,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .numerics import INF, gauss_rule, gauss_segments, loglog_slope
 from .radial import unit_ball_volume
+
+# scipy.special is imported inside the functions that call it: the CLI
+# imports this module for every subcommand, and the finite ones never need
+# scipy, whose import costs more than most of their runs.
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,7 @@ class RadialWeight:
 def log_weight(n: int, alpha: float, eps: float) -> RadialWeight:
     """The weight of growth exponent eps, c taken from
     int_0^inf (1 + r^2)^{-(n + eps)/2} r^{n-1} dr = B(n/2, eps/2) / 2."""
+    from scipy import special
     half = 0.5 * (n + eps)
     c = math.log(n * unit_ball_volume(n) * 0.5 * special.beta(n / 2.0, eps / 2.0))
     W = lambda r: half * np.log1p(r * r) + c
@@ -171,6 +175,7 @@ def ramp_masses(weight: RadialWeight, l: float) -> tuple:
     integrand is smooth, plus the weight of |x| >= 2l, where g_l = 1: the
     incomplete Beta value I_{1/(1 + 4 l^2)}(eps/2, n/2).
     """
+    from scipy import special
     n, l = weight.n, float(l)
     gx, gw = gauss_rule(16)
     rho = l * (1.5 + 0.5 * gx)

@@ -332,6 +332,22 @@ def test_tol_override_is_checked_like_the_manifest(tmp_path, capsys, tol):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,doc", [
+    ("verify", BATCH), ("enumerate", FINITE), ("subordinate", SUBORDINATE),
+    ("sharpness", SHARPNESS), ("perturbed", PERTURBED), ("generate", WINDOW),
+    ("generate", {"kind": "generate", "seed": 1, "count": 1}),
+])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_1_exit_2_on_every_subcommand(tmp_path, capsys, command, doc, jobs):
+    """Every subcommand takes ``--jobs`` and refuses a value below 1, though
+    only ``verify`` runs a pool."""
+    manifest = write(tmp_path, "m.json", doc)
+    assert main([command, "--manifest", manifest, "--out", str(tmp_path / "o"),
+                 f"--jobs={jobs}"]) == 2
+    assert "field '--jobs'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_tol_reaches_every_verify_row(tmp_path, monkeypatch):
     """``--tol`` is the tolerance of every row that ``verify`` writes, and
     the rows are where a slack is judged: an evaluator worst slack of -5e-4
@@ -460,14 +476,34 @@ def test_paper_checks_enumerate_one_profile_per_instance(tmp_path, monkeypatch):
     assert digest == GOLDEN[("paper_checks.json", "verify")]["report.json"]
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
     """A fresh process that imports the CLI loads no scipy.integrate,
-    scipy.optimize or scipy.sparse: the package uses only scipy.special and
-    scipy.fft, and scipy.integrate alone would pull in the other two."""
+    scipy.optimize or scipy.sparse.  The finite subcommands run on numpy
+    alone: after ``verify`` and ``enumerate`` no scipy module and no
+    multiprocessing is loaded (a process pool starts only at --jobs > 1).
+    The continuum code imports scipy.special where it computes with it, so
+    ``subordinate`` loads that and still no scipy.fft."""
     src = str(Path(jumpiso.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, jumpiso.cli; print([m for m in ('scipy.integrate', "
-            "'scipy.optimize', 'scipy.sparse') if m in sys.modules])")
+    manifests = Path(__file__).resolve().parents[1] / "manifests"
+    runs = [["verify", "paper_checks.json"], ["enumerate", "finite_verify.json"],
+            ["subordinate", "subordination.json"]]
+    code = f"""
+import json, sys
+from jumpiso.cli import main
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "multiprocessing"))
+stages, codes = [loaded()], []
+for command, name in {runs!r}:
+    codes.append(main([command, "--manifest", {str(manifests)!r} + "/" + name,
+                       "--out", {str(tmp_path)!r} + "/" + command]))
+    stages.append(loaded())
+print(json.dumps([codes, stages]))
+"""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout.strip() == "[]"
+    codes, (at_import, _, finite, continuum) = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert not {"scipy.integrate", "scipy.optimize", "scipy.sparse"} & set(at_import)
+    assert finite == []
+    assert "scipy.special" in continuum and "scipy.fft" not in continuum

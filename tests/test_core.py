@@ -341,3 +341,18 @@ def test_loader_fuzz_valid_instances(seed, weighted, killed, extra):
         doc.pop("v")
         with pytest.raises(ValidationError, match="field 'xi'"):
             instance_from_json(json.dumps(doc))
+
+
+def test_theta_past_t_max_is_rounding_level():
+    """Computed Theta past t_max = 50/gap sits at its rounding floor, not on
+    the e^{-gap t} decay; both it and the tail theta_end/gap stay below
+    1e-12 of the peak of Theta and of the total."""
+    for seed in range(1000, 1020):
+        space, kernel, gamma, _ = random_instance(seed, (3, 9), with_gamma=seed % 2 == 0)
+        sg = Semigroup(space, kernel)
+        curve, total = sg.theta_curve(gamma)
+        t_max = curve.ts[-1]
+        peak = float(np.max(sg.theta(curve.ts[curve.ts <= 1.0 / curve.gap], gamma)))
+        far = sg.theta(t_max * np.array([1.0, 1.5, 2.0, 4.0, 10.0]), gamma)
+        assert np.all(far <= 1e-12 * peak), seed
+        assert curve.theta_end / curve.gap <= 1e-12 * total, seed
