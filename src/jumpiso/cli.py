@@ -2,8 +2,8 @@
 
 Subcommands: verify, enumerate, subordinate, sharpness, perturbed, generate.
 Every experiment reads a JSON manifest (kind, seed, parameters), writes one
-report JSON plus CSV summaries into the output directory, and exits 0 only
-if every contained check passed (2 on validation errors).  Identical
+report JSON plus CSV summaries into the output directory, and exits 0 iff
+every TheoremReport row it writes passes (2 on validation errors).  Identical
 manifests and seeds produce byte-identical outputs: no timestamps, sorted
 keys, shortest-roundtrip float formatting.
 """
@@ -59,6 +59,8 @@ def load_manifest(path: str, kinds) -> dict:
         raise ManifestError(f"field 'kind': got {kind!r}, expected one of {kinds}")
     if "seed" not in doc or not isinstance(doc["seed"], int):
         raise ManifestError("field 'seed': a plain integer seed is required")
+    if "tolerances" in doc and kind not in RUNNERS["verify"][1]:   # the one reader
+        raise ManifestError(f"field 'tolerances': a {kind!r} run reads no tolerance")
     tolerances = _object(doc, "tolerances", {})
     for key in tolerances:
         if key != "slack":
@@ -151,6 +153,13 @@ def _dump(doc) -> str:
     return json.dumps(_jsonable(doc), sort_keys=True, indent=1)
 
 
+def _judged(out_dir: Path, report: dict, rep: TheoremReport) -> int:
+    """Write ``report`` as report.json with the rows of ``rep`` under
+    "checks", as verify writes them; the exit code is their verdict."""
+    _write(out_dir, "report.json", _dump(dict(report, checks=rep.to_dict()["checks"])))
+    return 0 if rep.passed else 1
+
+
 def _theorem_instance(spec, seed):
     if "path" in spec:
         path = _checked(spec, "path", None, lambda v: isinstance(v, str), "a file name")
@@ -214,13 +223,13 @@ def _run_theorems_on(args):
         if name == "thm20":
             rep = TheoremReport("thm20")
             bw = thm20_backward(space, kernel, N, fam, gamma, profile())
-            rep.add("backward gauge bound", bw["worst_slack"], tol)
+            rep.add("backward gauge bound", bw["worst_slack"])
         elif name == "lemma2":
             s_grid = np.geomspace(space.mu.min() * 1.05, 0.45 * M, 12)
             l2 = lemma2_bound(space, kernel, gamma, rates(killed)["r"], s_grid,
                               potential=pot, profile=profile(), theta=theta(killed))
             rep = TheoremReport("lemma2")
-            rep.add("rate-to-curve bound", l2["worst_slack"], tol)
+            rep.add("rate-to-curve bound", l2["worst_slack"])
         elif name == "thm20_poincare":
             # the rate inequality at 1_A reads mu(A) <= r flow(A) + beta(r) mu(A)^2
             # on the unweighted form, where E(1_A) = flow(A): the subset premise
@@ -229,37 +238,37 @@ def _run_theorems_on(args):
             rep = TheoremReport("thm20_poincare", derived={"C1": r, "C2_tilde": b})
             prof = profile() if np.all(gamma.gamma == 1.0) else enumerate_profile(space, kernel)
             pc = thm20_poincare(space, kernel, r, b, tol, f_family=fam, profile=prof)
-            rep.add("subset Poincare at C1 = r, C2~ = beta(r)", pc["subset"]["worst_slack"], tol)
+            rep.add("subset Poincare at C1 = r, C2~ = beta(r)", pc["subset"]["worst_slack"])
             if fn := pc["functional"]:   # None where the subset premise fails
-                rep.add("functional Poincare with C2 = 2 C2~", fn["worst_slack"], tol)
+                rep.add("functional Poincare with C2 = 2 C2~", fn["worst_slack"])
             else:
                 rep.note("subset inequality fails: functional form not checked")
         elif name == "sp_decay":
             dc = sp_decay_check(space, kernel, rates(killed)["r"], fam, r_grid, r_grid,
                                 potential=pot)
             rep = TheoremReport("sp_decay")
-            rep.add("decay form of the rate inequality", dc["worst_slack"], tol)
+            rep.add("decay form of the rate inequality", dc["worst_slack"])
         elif name == "coarea":
             co = coarea_check(space, kernel, fam, gamma, profile())
             rep = TheoremReport("coarea")
-            rep.add("l1(f)/mu(f) >= 2 inf flow/mass", co["worst_slack"], tol)
+            rep.add("l1(f)/mu(f) >= 2 inf flow/mass", co["worst_slack"])
         elif name == "thm21":
             rep = thm21_verify(space, kernel, gamma, rates(False)["thm21"], seed=seed + idx,
-                               theta=theta(False), profile=profile(), tol=tol)
+                               theta=theta(False), profile=profile())
         elif name == "thm41":
-            rep = thm41(N, space, kernel, gamma, fam, r_grid, profile=profile(), tol=tol)
+            rep = thm41(N, space, kernel, gamma, fam, r_grid, profile=profile())
         elif name == "thm42":
             C = indicator_gauge_constant(space, kernel, gamma, N, profile())
             beta1 = rate_from_gauge(N, C, lead=2.0)
-            rep = thm42(beta1, space, kernel, gamma, fam, r_grid, profile=profile(), tol=tol)
+            rep = thm42(beta1, space, kernel, gamma, fam, r_grid, profile=profile())
         elif name == "thm43":
             if pot is None:
                 continue
             beta = rates(True)["thm43"] if reads["thm43"] else None
-            rep = thm43(space, kernel, pot, gamma, beta, seed=seed + idx, tol=tol)
+            rep = thm43(space, kernel, pot, gamma, beta, seed=seed + idx)
         else:
             raise ManifestError(f"unknown theorem {name!r}")
-        rep.inputs_digest = digest(text)
+        rep.inputs_digest, rep.tol = digest(text), tol
         out.append((idx, rep))
     return out
 
@@ -322,6 +331,9 @@ def run_subordinate(doc: dict, out_dir: Path) -> int:
     w = subord_weights(alpha, min(K, 10 ** 6))
     win, per_entry = p1_kernel(n, alpha, K, R)
     band = power_law_band(win, n + alpha, 2.0, R / 2.0)
+    rep = TheoremReport("subordinate", tol=0.0)
+    rep.add("p1 tail slope within 0.1 of -(n + alpha)", 0.1 - abs(band["slope"] + n + alpha))
+    rep.add("p1 band ratio at most 10", 10.0 - band["band_ratio"])
     report = {
         "kind": "lattice-subordination", "n": n, "alpha": alpha, "R": R, "K": K,
         "first_weight": float(w.c[0]), "weight_tail_at_K": weight_tail(alpha, K),
@@ -332,15 +344,15 @@ def run_subordinate(doc: dict, out_dir: Path) -> int:
         rows = torus_semigroup(n, alpha, semigroup_R, ts, K1=K1)
         t_arr, diag = on_diagonal_decay(rows)
         _, grad = gradient_decay(rows)
-        report["diag_slope"] = loglog_slope(t_arr, diag)
-        report["grad_slope"] = loglog_slope(t_arr, grad)
-        report["diag_target"] = -n / alpha
-        report["grad_target"] = -1.0 / alpha
+        for key, name, curve, target in (("diag", "on-diagonal", diag, -n / alpha),
+                                         ("grad", "gradient", grad, -1.0 / alpha)):
+            slope = report[f"{key}_slope"] = loglog_slope(t_arr, curve)
+            report[f"{key}_target"] = target
+            rep.add(f"torus {name} decay slope within 10% of {key}_target",
+                    0.1 * abs(target) - abs(slope - target))
     _write(out_dir, "p1.csv", win.to_csv() if win.values.size <= 70000 else
            "suppressed: window too large\n")
-    _write(out_dir, "report.json", _dump(report))
-    ok = abs(band["slope"] + n + alpha) <= 0.1 and band["band_ratio"] <= 10.0
-    return 0 if ok else 1
+    return _judged(out_dir, report, rep)
 
 
 def run_sharpness(doc: dict, out_dir: Path) -> int:
@@ -362,15 +374,18 @@ def run_sharpness(doc: dict, out_dir: Path) -> int:
         "profile_slopes": [prof["slope_low"], prof["slope_high"]],
         "profile_max_over_mid": prof["max_over_mid"],
     }
-    _write(out_dir, "report.json", _dump(report))
     lines = ["s,value"] + [f"{float(s)!r},{float(v)!r}" for s, v in zip(s_grid, vals)]
     _write(out_dir, "cone_energy.csv", "\n".join(lines) + "\n")
     # cone energy ~ s^{n+1-alpha/2}: the smaller alpha governs small s under
     # the min kernel and large s under the max kernel
     a_lo, a_hi = sorted((a1, a2), reverse=(mode == "max_kernel"))
-    ok = (abs(lo - (n + 1 - a_lo / 2)) <= 0.05 and abs(hi - (n + 1 - a_hi / 2)) <= 0.05
-          and all(abs(slope) <= 0.01 for slope in report["profile_slopes"]))
-    return 0 if ok else 1
+    rep = TheoremReport("sharpness", tol=0.0)
+    for end, slope, a, prof_slope in (("small", lo, a_lo, prof["slope_low"]),
+                                      ("large", hi, a_hi, prof["slope_high"])):
+        rep.add(f"cone energy slope at {end} s within 0.05 of n + 1 - alpha/2",
+                0.05 - abs(slope - (n + 1 - a / 2)))
+        rep.add(f"critical profile slope at {end} s within 0.01 of 0", 0.01 - abs(prof_slope))
+    return _judged(out_dir, report, rep)
 
 
 def run_perturbed(doc: dict, out_dir: Path) -> int:
@@ -378,27 +393,26 @@ def run_perturbed(doc: dict, out_dir: Path) -> int:
     alpha = _alpha(doc, "alpha", None)
     eps_grid = _checked(doc, "eps_grid", [alpha / 4, alpha / 2, alpha],
                         lambda v: _positives(v, 1), "a nonempty list of positive numbers")
-    rep = example_threshold(n, alpha, eps_grid)
+    report = example_threshold(n, alpha, eps_grid)
+    rep = TheoremReport("perturbed", tol=0.0)
+    for row in report["rows"]:
+        want = "below" if row["eps"] < alpha / 2 else "at" if row["eps"] == alpha / 2 else "above"
+        rep.add(f"class of eps = {row['eps']!r} against alpha/2",
+                0.0 if row["class"] == want else -math.inf)
     if doc.get("beta_scan", False):
-        w = log_weight(n, alpha, float(eps_grid[-1]))
-        r_grid = np.geomspace(2e-2, 0.5, 10)
-        bs = theorem_beta_curve(w, r_grid)
-        rep["beta_slope"] = loglog_slope(r_grid, bs)
         eps = float(eps_grid[-1])
-        rep["beta_target"] = -2 * n / alpha - (n + eps) / (2 * eps - alpha)
-    _write(out_dir, "report.json", _dump(rep))
+        r_grid = np.geomspace(2e-2, 0.5, 10)
+        report["beta_slope"] = loglog_slope(
+            r_grid, theorem_beta_curve(log_weight(n, alpha, eps), r_grid))
+        target = report["beta_target"] = -2 * n / alpha - (n + eps) / (2 * eps - alpha)
+        rep.add("beta slope within 15% of beta_target",
+                0.15 * abs(target) - abs(report["beta_slope"] - target))
     lines = ["eps,class,phi_slope,ratio_slope"]
-    for row in rep["rows"]:
+    for row in report["rows"]:
         lines.append(f"{float(row['eps'])!r},{row['class']},"
                      f"{float(row['phi_slope'])!r},{float(row['ratio_slope'])!r}")
     _write(out_dir, "classes.csv", "\n".join(lines) + "\n")
-    half = alpha / 2.0
-    ok = all(row["class"] == ("below" if row["eps"] < half else
-                              "at" if row["eps"] == half else "above")
-             for row in rep["rows"])
-    if "beta_slope" in rep:
-        ok &= abs(rep["beta_slope"] - rep["beta_target"]) <= 0.15 * abs(rep["beta_target"])
-    return 0 if ok else 1
+    return _judged(out_dir, report, rep)
 
 
 def run_generate(doc: dict, out_dir: Path) -> int:

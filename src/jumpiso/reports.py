@@ -33,11 +33,13 @@ def digest(text: str) -> str:
 
 @dataclass
 class TheoremReport:
-    """Outcome of one theorem engine run on one instance.
+    """Outcome of one theorem engine on one instance, or of one continuum run.
 
-    ``checks`` rows carry {claim, slack, tol}; the report passes iff every
-    recorded slack clears its tolerance.  The engines judge no slack
-    themselves: a row is the one place where a slack meets its tolerance.
+    ``checks`` rows carry {claim, slack}; the report passes iff no slack is
+    NaN or below -``tol``, the run's one tolerance, which ``to_dict`` writes
+    into every row.  No engine judges a slack: every subcommand exits on
+    ``passed``.  Continuum rows hold their allowance in the slack (allowance
+    - |value - target|) and are read at tol 0.
     """
 
     theorem: str
@@ -45,9 +47,10 @@ class TheoremReport:
     derived: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    tol: float = 1e-9
 
-    def add(self, claim, slack, tol=1e-9):
-        self.checks.append({"claim": claim, "slack": slack, "tol": tol})
+    def add(self, claim, slack):
+        self.checks.append({"claim": claim, "slack": slack})
 
     def note(self, text: str):
         self.notes.append(text)
@@ -58,7 +61,7 @@ class TheoremReport:
             s = row["slack"]
             if isinstance(s, float) and math.isnan(s):
                 return False
-            if s < -row["tol"]:
+            if s < -self.tol:
                 return False
         return True
 
@@ -79,7 +82,7 @@ class TheoremReport:
             "pass": self.passed,
             "worst_slack": self.worst_slack,
             "derived": self.derived,
-            "checks": self.checks,
+            "checks": [dict(row, tol=self.tol) for row in self.checks],
             "notes": self.notes,
         })
 

@@ -220,7 +220,7 @@ def thm21_young(beta: RateFunction, theta: ThetaIntegral, s_max: float,
     return {"ok": True, "N": N, "Phi": phi, "grid": grid[1:], "values": vals[1:]}
 
 
-def _regularization_young(rep, beta, theta_int, fraction, total, s_max, row, tol):
+def _regularization_young(rep, beta, theta_int, fraction, total, s_max, row):
     """``thm21_young`` at the rate floor r_floor = 1/(2 s_cap) of the support
     cap s_cap = (fraction + 0.01) total: (N, r_floor), or None after a note
     and a failed ``row`` where the profile is infinite or degenerate."""
@@ -228,14 +228,14 @@ def _regularization_young(rep, beta, theta_int, fraction, total, s_max, row, tol
     built = thm21_young(beta, theta_int, s_max=s_max, r_floor=r_floor)
     if not built["ok"]:
         rep.note(built["note"])
-        rep.add(row, -INF, tol)
+        rep.add(row, -INF)
         return None
     return built["N"], r_floor
 
 
 def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
                  support_fraction: float = SUPPORT_FRACTION, seed: int = 0,
-                 theta=None, profile=None, tol=1e-9) -> TheoremReport:
+                 theta=None, profile=None) -> TheoremReport:
     """Rate-to-gauge inequality at the traced constant.
 
     Builds the regularization Young function from a certified rate and
@@ -263,12 +263,12 @@ def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
     sp = sp_verify(space, kernel, beta,
                    fam if fam is not None and len(fam) else
                    [rng.standard_normal(m) for _ in range(20)], r_grid)
-    rep.add("rate inequality holds on the family", sp["worst_slack"], tol)
+    rep.add("rate inequality holds on the family", sp["worst_slack"])
 
     cap = support_fraction * total
     theta_int, theta_total = theta or Semigroup(space, kernel).theta_curve(gamma)
     built = _regularization_young(rep, beta, theta_int, support_fraction, total,
-                                  100.0 / float(space.mu.min()), "profile finite", tol)
+                                  100.0 / float(space.mu.min()), "profile finite")
     if built is None:
         return rep
     N, r_floor = built
@@ -291,7 +291,7 @@ def thm21_verify(space, kernel, gamma, beta=None, f_family=None,
 
     sl = gauge_slacks(space, N, kept, lambda f: l1_form(space, kernel, gamma, f), C_STAR)
     rep.add("gauge bound at the traced constant",
-            min(sl["worst_slack"], float(np.min(C_STAR * B - norms, initial=INF))), tol)
+            min(sl["worst_slack"], float(np.min(C_STAR * B - norms, initial=INF))))
     rep.derived["empirical_constant"] = max(sl["constant"], indicator_constant(norms, B))
     rep.derived["family_size"] = len(kept) + below
     return rep
@@ -337,7 +337,7 @@ def rate_from_gauge(N: YoungFunction, C: float, lead: float = 2.0) -> RateFuncti
 
 
 def thm41(N: YoungFunction, space, kernel, gamma, f_family, r_grid,
-          C: float | None = None, profile=None, tol=1e-9) -> TheoremReport:
+          C: float | None = None, profile=None) -> TheoremReport:
     """From the L1 gauge inequality at constant C to: (1) a pointwise lower
     bound on the isoperimetric curve, (2) a defective L2 rate, and (3) a
     full rate under the square-integrability bound on the weighted kernel.
@@ -360,19 +360,19 @@ def thm41(N: YoungFunction, space, kernel, gamma, f_family, r_grid,
                                                     masses[-1] * 2.0, 16)]))
     curve = curve_slacks(prof, s_grid,
                          lambda s: ext_ratio(1.0, 2.0 * C_used * s * N.inv(1.0 / s)))
-    rep.add("curve lower bound 1/(2 C s N^{-1}(1/s))", curve["worst_slack"], tol)
+    rep.add("curve lower bound 1/(2 C s N^{-1}(1/s))", curve["worst_slack"])
 
     fam = stack_family(space, f_family)
     sl = rate_slacks(space, fam, lambda f: l1_form(space, kernel, gamma, f * f),
                      r_grid, rate_from_gauge(N, C_used, lead=2.0))
-    rep.add("defective rate from the gauge root", sl["worst_slack"], tol)
+    rep.add("defective rate from the gauge root", sl["worst_slack"])
 
     c_gamma = _c_gamma(space, kernel, gamma)
     rep.derived["c_gamma"] = c_gamma
     beta = rate_from_gauge(N, 2.0 * C_used * math.sqrt(2.0 * c_gamma), lead=4.0)
     sl = rate_slacks(space, fam, lambda f: dirichlet_energy(space, kernel, f),
                      r_grid, lambda r: beta(math.sqrt(r)))
-    rep.add("full rate under the kernel square bound", sl["worst_slack"], tol)
+    rep.add("full rate under the kernel square bound", sl["worst_slack"])
     rep.derived["beta1"] = "2 inf{s : C N^{-1}(s)/s <= r}"
     rep.derived["beta"] = "4 inf{s : N^{-1}(s)/s <= sqrt(r)/(2 C sqrt(2 c_gamma))}"
     return rep
@@ -385,7 +385,7 @@ def _c_gamma(space, kernel, gamma, extra=0.0) -> float:
 
 
 def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
-          profile=None, tol=1e-9) -> TheoremReport:
+          profile=None) -> TheoremReport:
     """From a defective L2 rate to: (1) an isoperimetric lower bound,
     (2) a gauge inequality with N = Phi^{-1}, Phi(t) = 4 int_0^t
     beta1^{-1}(r/2) dr, at constant 1/2, and (3) a full rate.
@@ -411,8 +411,8 @@ def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
 
     curve = curve_slacks(prof, s_grid, bound)
     premise = subset_rate_slacks(prof, r_stars, beta1)
-    rep.add("subset defective rate at the used arguments", premise["worst_slack"], tol)
-    rep.add("curve lower bound 1/(4 beta1^{-1}(1/(2s)))", curve["worst_slack"], tol)
+    rep.add("subset defective rate at the used arguments", premise["worst_slack"])
+    rep.add("curve lower bound 1/(4 beta1^{-1}(1/(2s)))", curve["worst_slack"])
     if curve["skipped"]:
         rep.note(f"skipped {curve['skipped']} grid points with degenerate rate inverse")
 
@@ -420,7 +420,7 @@ def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
     horizon = beta1.inv(max(r_grid[0], 1e-300) / 2.0)
     if math.isinf(horizon):
         rep.note("profile divergent: rate inverse infinite near 0")
-        rep.add("profile finite", -INF, tol)
+        rep.add("profile finite", -INF)
         return rep
     # Phi on log knots, from an edge down their log step where x fn(x) (the
     # mass below x for a power fn) is 1e-17 of knots[0] fn(knots[0]) <= Phi(knots[0]);
@@ -434,19 +434,19 @@ def thm42(beta1: RateFunction, space, kernel, gamma, f_family, r_grid,
     vals = cumulative_quad(fn, np.append(edges[:0:-1], knots))[len(edges) - 1:]
     if len(edges) > 2000 or not np.all(np.isfinite(vals)):
         rep.note("profile divergent at 0 or on the grid")
-        rep.add("profile finite", -INF, tol)
+        rep.add("profile finite", -INF)
         return rep
     N = tabulated_young(vals, knots, family="defective_rate_inverse")
     fam = stack_family(space, f_family)
     sl = gauge_slacks(space, N, fam, lambda f: l1_form(space, kernel, gamma, f), 0.5)
-    rep.add("gauge bound at constant 1/2", sl["worst_slack"], tol)
+    rep.add("gauge bound at constant 1/2", sl["worst_slack"])
 
     c_gamma = _c_gamma(space, kernel, gamma)
     rep.derived["c_gamma"] = c_gamma
     sl = rate_slacks(
         space, fam, lambda f: dirichlet_energy(space, kernel, f), r_grid,
         lambda r: 2.0 * beta1(math.sqrt(r) / (2.0 * math.sqrt(2.0 * c_gamma))))
-    rep.add("full rate 2 beta1(sqrt(r)/(2 sqrt(2 c_gamma)))", sl["worst_slack"], tol)
+    rep.add("full rate 2 beta1(sqrt(r)/(2 sqrt(2 c_gamma)))", sl["worst_slack"])
     rep.derived["N"] = "Phi^{-1}, Phi(t) = 4 int_0^t beta1^{-1}(r/2) dr"
     return rep
 
@@ -548,7 +548,7 @@ def cor41_round_trip(case: int, params: dict) -> dict:
 
 def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
           f_family=None, r_grid=None, N_converse: YoungFunction | None = None,
-          seed: int = 0, tol=1e-9) -> TheoremReport:
+          seed: int = 0) -> TheoremReport:
     """Killed-form gauge inequality and its converse rate.
 
     Forward: extend the state space by a cemetery atom, build the
@@ -568,12 +568,12 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     xi = potential.xi if potential.xi is not None else np.ones(space.m)
     if np.any((xi == 0) & (potential.v > 0)):
         rep.note("xi vanishes where the killing is positive: extension profile infinite")
-        rep.add("extension profile finite", -INF, tol)
+        rep.add("extension profile finite", -INF)
         return rep
     if not np.any(potential.v > 0):
         rep.note("no killing: reduces to the plain regularization route")
         inner = thm21_verify(space, kernel, gamma, beta=beta, f_family=f_family,
-                             seed=seed, tol=tol)
+                             seed=seed)
         rep.checks = inner.checks
         rep.derived = inner.derived
         rep.notes += inner.notes
@@ -594,7 +594,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     if beta.params.get("note") == CERTIFIED:
         rep.note("killed-form rate: inflated certified estimate")
     spv = sp_verify(space, kernel, beta, f_family, r_grid, potential=potential)
-    rep.add("killed-form rate inequality on the family", spv["worst_slack"], tol)
+    rep.add("killed-form rate inequality on the family", spv["worst_slack"])
 
     # forward: regularization route on the extension
     space2, kernel2, gamma2 = bar_extension(space, kernel, potential, gamma, xi)
@@ -603,7 +603,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     theta_int, theta_total = sg2.theta_curve(gamma2)
     built = _regularization_young(rep, bar_beta, theta_int, SUPPORT_FRACTION,
                                   space2.total_mass, 100.0 / float(space.mu.min()),
-                                  "extension profile finite", tol)
+                                  "extension profile finite")
     if built is None:
         return rep
     N_bar = built[0]
@@ -616,7 +616,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
                       lambda f: (l1_form(space, kernel, gamma, f)
                                  + float(np.sum(np.abs(f) * xi * potential.v * space.mu))),
                       C_KILLED)
-    rep.add("killed gauge bound at the traced constant", sl["worst_slack"], tol)
+    rep.add("killed gauge bound at the traced constant", sl["worst_slack"])
     rep.derived["empirical_forward_constant"] = sl["constant"]
     rep.derived["forward_family_size"] = len(kept)
 
@@ -639,7 +639,7 @@ def thm43(space, kernel, potential: KillingPotential, gamma, beta=None,
     sl = rate_slacks(space, fam,
                      lambda f: schrodinger_energy(space, kernel, potential, f),
                      r_grid, lambda r: conv_rate(math.sqrt(r)))
-    rep.add("converse killed rate", sl["worst_slack"], tol)
+    rep.add("converse killed rate", sl["worst_slack"])
     rep.derived["converse_beta"] = \
         "4 inf{s : N^{-1}(s)/s <= sqrt(r)/(2 C sqrt(2 c_bar))}"
     return rep

@@ -150,7 +150,7 @@ def test_criterion_4_regularization_route(instances, rates):
     worst, emp_max, failures = math.inf, 0.0, 0
     for inst, beta in zip(instances, rates["rates"]):
         rep = thm21_verify(inst["space"], inst["kernel"], inst["gamma"],
-                           beta=beta, seed=inst["seed"], tol=1e-9)
+                           beta=beta, seed=inst["seed"])
         if not rep.passed:
             failures += 1
         worst = min(worst, rep.worst_slack)
@@ -171,9 +171,9 @@ def test_criterion_5_gauge_rate_correspondence(instances):
         M = space.total_mass
         r_grid = np.geomspace(1e-3 / M, 1e2 / M, 8)
         N = YOUNG_SET[inst["seed"] % 2]
-        rep1 = thm41(N, space, kernel, gamma, fam, r_grid, tol=1e-9)
+        rep1 = thm41(N, space, kernel, gamma, fam, r_grid)
         beta1 = rate_from_gauge(N, rep1.derived["C_used"], lead=2.0)
-        rep2 = thm42(beta1, space, kernel, gamma, fam, r_grid, tol=1e-9)
+        rep2 = thm42(beta1, space, kernel, gamma, fam, r_grid)
         failures += (0 if rep1.passed else 1) + (0 if rep2.passed else 1)
     trips = [cor41_round_trip(1, {"p1": 1.6, "p2": 2.4}),
              cor41_round_trip(2, {"p1": 1.6, "p2": 2.4}),
@@ -202,7 +202,7 @@ def test_criterion_6_killed_forms():
         space, kernel, gamma, pot = random_instance(SEED0 + 500 + i, (3, 6),
                                                     with_gamma=(i % 2 == 0),
                                                     with_potential=True)
-        rep = thm43(space, kernel, pot, gamma, seed=SEED0 + i, tol=1e-9)
+        rep = thm43(space, kernel, pot, gamma, seed=SEED0 + i)
         failures += 0 if rep.passed else 1
     ok = worst_ident <= 1e-12 and failures == 0
     announce(6, "cemetery-extension identity and killed gauge/rate",

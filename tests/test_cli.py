@@ -222,6 +222,23 @@ def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
+def test_subordinate_off_target_decay_exit_1(tmp_path, monkeypatch):
+    # an on-diagonal curve decaying like t^0 against the target -n/alpha = -1
+    # fails its row alone; the gradient slope and the p1 rows still pass
+    m = write(tmp_path, "t.json", dict(_without(SUBORDINATE, "K"), R=32, t_grid=[1, 2, 4, 8],
+                                       semigroup_R=256))
+    assert main(["subordinate", "--manifest", m, "--out", str(tmp_path / "clean")]) == 0
+    real = cli.on_diagonal_decay
+    monkeypatch.setattr(cli, "on_diagonal_decay",
+                        lambda rows: (real(rows)[0], np.ones(len(rows))))
+    out = tmp_path / "flat"
+    assert main(["subordinate", "--manifest", m, "--out", str(out)]) == 1
+    rep = json.loads((out / "report.json").read_text())
+    failed = [row["claim"] for row in rep["checks"] if float(row["slack"]) < -row["tol"]]
+    assert failed == ["torus on-diagonal decay slope within 10% of diag_target"]
+    assert rep["diag_slope"] == 0.0
+
+
 @pytest.mark.parametrize("command,doc,field", [
     ("subordinate", dict(SUBORDINATE, alpha=2.5), "alpha"),
     ("subordinate", dict(SUBORDINATE, alpha=0), "alpha"),
@@ -308,6 +325,11 @@ def test_malformed_mode_range_and_grid_exit_2(tmp_path, capsys, command, doc, fi
     ("verify", dict(FINITE, tolerances={"slack": math.inf}), "slack"),
     ("verify", dict(FINITE, tolerances=[1e-9]), "tolerances"),
     ("verify", dict(FINITE, tolerances={"slak": 1e-3}), "slak"),
+    # only verify reads a tolerance: another runner's manifest refuses one
+    ("subordinate", dict(SUBORDINATE, tolerances={"slack": 0.5}), "tolerances"),
+    ("sharpness", dict(SHARPNESS, tolerances={"slack": 0.5}), "tolerances"),
+    ("perturbed", dict(PERTURBED, tolerances={"slack": 0.5}), "tolerances"),
+    ("generate", dict(WINDOW, tolerances={"slack": 0.5}), "tolerances"),
 ])
 def test_malformed_manifest_fields_exit_2(tmp_path, capsys, command, doc, field):
     assert_refused(tmp_path, capsys, command, doc, field)

@@ -45,17 +45,17 @@ GOLDEN = {
     },
     ("perturbed.json", "perturbed"): {
         "report.json":
-            "6d8e50246448ac5a14b6be46e542585ba4f4b5df830fefa2c20230c932eda9e5",
+            "026b11fdd40268ab04bb44f87485bf3835cbca709180e7e7bba4295148a7adca",
     },
     ("sharpness.json", "sharpness"): {
         "report.json":
-            "d49442da47adf3b5c975aa5cf5e3ab2bbb376bd5b22ff71e2485b7990d3c3cdc",
+            "51d0fe339fb7b9e3b7b21cb1368170bf9054cfacb5c5ce0fb1643c73d1ffa2ae",
     },
     ("subordination.json", "subordinate"): {
         "p1.csv":
             "f81d37cf845ed42ee1ca826da513a17eafd982c5e68d71f6c17540b4ff8ed7bb",
         "report.json":
-            "50a880ee7d88f6a63f141c9ce320443be6c416b676e7182d124a979a36753673",
+            "01a810a3787ade2480a2581d9ec116c90cc06b9c831a795cc1a9b898a1e748cc",
     },
     ("theorem_batch.json", "verify"): {
         "report.json":

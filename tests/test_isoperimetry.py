@@ -165,8 +165,8 @@ def test_coarea_check_reads_tol():
     worst = coarea_check(space, kernel, fam, gamma, lifted)["worst_slack"]
     assert -1e-3 < worst < -1e-9
     for tol, passed in ((1e-3, True), (1e-9, False)):
-        rep = TheoremReport("coarea")
-        rep.add("l1(f)/mu(f) >= 2 inf flow/mass", worst, tol)
+        rep = TheoremReport("coarea", tol=tol)
+        rep.add("l1(f)/mu(f) >= 2 inf flow/mass", worst)
         assert rep.passed is passed
 
 

@@ -9,12 +9,17 @@ tolerance, or NaN.  The faults go in at the four slack evaluators
 (``rate_slacks``, ``gauge_slacks``, ``curve_slacks``,
 ``subset_rate_slacks``) or at their inputs (the certified rates and the
 isoperimetric profile).  The claims are read from the clean reports, so a
-new row that no fault can fail makes this test fail.
+new row that no fault can fail makes this test fail.  The continuum
+subcommands (``subordinate``, ``sharpness``, ``perturbed``) write the same
+rows and are held to the same rule on their golden manifests, with faults
+at the curves and fits that ``cli`` reads.
 """
 
 import json
 import math
 from pathlib import Path
+
+import numpy as np
 
 from jumpiso import cli, core, isoperimetry, superpoincare, theorems, young
 from jumpiso.isoperimetry import IsoperimetricProfile
@@ -80,6 +85,57 @@ FAULTS = {
 }
 
 
+def _band_off(real):
+    """power_law_band with the band ratio 100x wider and the slope shifted by 1."""
+    def band(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return dict(out, slope=out["slope"] + 1.0, band_ratio=100.0 * out["band_ratio"])
+    return band
+
+
+def _profile_tilted(real):
+    """sharpness_profile with both end slopes set to 0.1."""
+    return lambda *args: dict(real(*args), slope_low=0.1, slope_high=0.1)
+
+
+def _classes_rotated(real):
+    """example_threshold with each class replaced by the next of below, at, above."""
+    def rotated(*args):
+        out = real(*args)
+        nxt = {"below": "at", "at": "above", "above": "below"}
+        return dict(out, rows=[dict(row, **{"class": nxt[row["class"]]}) for row in out["rows"]])
+    return rotated
+
+
+def _times_t(real):
+    """A decay curve multiplied by t: its log-log slope rises by 1."""
+    def curve(rows):
+        t, values = real(rows)
+        return t, values * t
+    return curve
+
+
+# fault -> (manifest, subcommand, name in cli, wrapper of the real function)
+CONTINUUM_FAULTS = {
+    "p1 band off": ("subordination.json", "subordinate", "power_law_band", _band_off),
+    "diagonal decay times t": ("subordination.json", "subordinate", "on_diagonal_decay",
+                               _times_t),
+    "gradient decay times t": ("subordination.json", "subordinate", "gradient_decay",
+                               _times_t),
+    "cone energy s^2": ("sharpness.json", "sharpness", "radial_l1_energy",
+                        lambda real: lambda n, a1, a2, mode, s: s * s),
+    "profile tilted": ("sharpness.json", "sharpness", "sharpness_profile", _profile_tilted),
+    "classes rotated": ("perturbed.json", "perturbed", "example_threshold", _classes_rotated),
+    "beta curve flat": ("perturbed.json", "perturbed", "theorem_beta_curve",
+                        lambda real: lambda w, r: np.ones(len(r))),
+}
+
+
+def _failed(row) -> bool:
+    slack = float(row["slack"])    # "inf", "-inf" and "nan" too
+    return math.isnan(slack) or slack < -row["tol"]
+
+
 def _rows(tmp_path):
     """(theorem, claim, failed) of every check row that verify writes on
     the four manifests."""
@@ -88,11 +144,16 @@ def _rows(tmp_path):
         out = tmp_path / name
         cli.main(["verify", "--manifest", str(MANIFESTS / name), "--out", str(out)])
         for rep in json.loads((out / "report.json").read_text())["reports"]:
-            for row in rep["checks"]:
-                slack = float(row["slack"])    # "inf", "-inf" and "nan" too
-                rows.append((rep["theorem"], row["claim"],
-                             math.isnan(slack) or slack < -row["tol"]))
+            rows += [(rep["theorem"], row["claim"], _failed(row)) for row in rep["checks"]]
     return rows
+
+
+def _continuum_rows(out, manifest, command):
+    """(command, claim, failed) of every check row that ``command`` writes
+    on ``manifest``, and its exit code."""
+    code = cli.main([command, "--manifest", str(MANIFESTS / manifest), "--out", str(out)])
+    rows = json.loads((out / "report.json").read_text())["checks"]
+    return [(command, row["claim"], _failed(row)) for row in rows], code
 
 
 def test_every_verify_row_fails_under_some_fault(tmp_path, monkeypatch):
@@ -126,3 +187,20 @@ def test_degenerate_profile_is_a_failed_row_not_a_traceback(tmp_path, monkeypatc
     for rep in degenerate:
         row = rep["checks"][-1]
         assert row["claim"] == "profile finite" and float(row["slack"]) < 0
+
+
+def test_every_continuum_row_fails_under_some_fault(tmp_path, monkeypatch):
+    claims = set()
+    for manifest, command in sorted({f[:2] for f in CONTINUUM_FAULTS.values()}):
+        rows, code = _continuum_rows(tmp_path / command, manifest, command)
+        assert rows and code == 0 and not any(failed for _, _, failed in rows), rows
+        claims |= {(cmd, claim) for cmd, claim, _ in rows}
+    caught = {}
+    for label, (manifest, command, target, fault) in CONTINUUM_FAULTS.items():
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, target, fault(getattr(cli, target)))
+            rows, code = _continuum_rows(tmp_path / label.replace(" ", "_"), manifest, command)
+        caught[label] = sorted({(cmd, claim) for cmd, claim, failed in rows if failed})
+        assert code == (1 if caught[label] else 0), label
+    unfailable = claims - {c for found in caught.values() for c in found}
+    assert not unfailable, f"rows that no fault fails: {sorted(unfailable)}; {caught}"

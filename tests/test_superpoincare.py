@@ -410,8 +410,8 @@ def test_decay_check_reads_tol(two_point):
     slack = worst(lo)
     assert -1e-3 < slack < -1e-9
     for tol, passed in ((1e-3, True), (1e-9, False)):
-        rep = TheoremReport("sp_decay")
-        rep.add("decay form of the rate inequality", slack, tol)
+        rep = TheoremReport("sp_decay", tol=tol)
+        rep.add("decay form of the rate inequality", slack)
         assert rep.passed is passed
 
 
